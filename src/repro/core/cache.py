@@ -38,14 +38,19 @@ class CachedArray:
         self._dram = dram
         self.label = label
         self.enabled = enabled
-        self.cached_len = (
-            min(len(self._data), cache_budget_words) if enabled else 0
-        )
+        self.cached_len = self.prefix_len(len(self._data),
+                                          cache_budget_words, enabled)
         dram.allocate(len(self._data), f"{label}(dram)")
         if self.cached_len:
             bram.allocate(self.cached_len, f"{label}(bram)")
         self.hits = 0
         self.misses = 0
+
+    @staticmethod
+    def prefix_len(size: int, cache_budget_words: int,
+                   enabled: bool = True) -> int:
+        """Elements ``[0, n)`` held in BRAM for an array of ``size``."""
+        return min(size, cache_budget_words) if enabled else 0
 
     def __len__(self) -> int:
         return len(self._data)

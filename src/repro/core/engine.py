@@ -43,6 +43,23 @@ per-expansion Python loops, without changing a single charged cycle:
   bounds and cache residency constants, so stage costs and port traffic
   are computed arithmetically and folded into the device models in bulk.
 
+One kernel per processing element
+---------------------------------
+A :class:`_Kernel` is one PE's pipeline: its device, buffer and DRAM path
+areas, cached arrays and deferred accumulators.  Its phases are
+:meth:`~_Kernel.refill`, :meth:`~_Kernel.flush` and the batch loop
+:meth:`~_Kernel.run`, which runs up to a caller-given number of steps (a
+refill or a batch each) with its hot state in locals and folds the
+accumulators into the models when it returns.  Every folded quantity is
+a plain sum, so the fold is exact however a run is sliced into calls.
+The tables that depend only on (graph, barrier, target, k) live in one
+:class:`_RunTables` that every PE of a run reads.
+
+:meth:`PEFPEngine.run` runs a single kernel to completion in one call.
+With ``DeviceConfig.num_pes > 1`` it hands over to
+:func:`repro.core.multi_pe.run_multi_pe`, which steps N kernels one
+refill or batch per superstep.
+
 ``docs/TIMING_MODEL.md`` derives why the charges are unchanged; the
 differential suite asserts byte-identical results, stats, cycles, traffic
 and profiles against the reference loop.
@@ -53,6 +70,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -67,10 +85,6 @@ from repro.fpga.device import Device, DeviceConfig
 from repro.fpga.pipeline import PipelineModel
 from repro.fpga.profile import DeviceProfile, DeviceProfiler
 from repro.graph.csr import CSRGraph
-
-#: the five overlapped dataflow stages, in pipeline order.
-_STAGE_NAMES = ("load", "edge_fetch", "barrier_fetch", "verify",
-                "writeback", "overhead")
 
 
 @dataclass
@@ -235,145 +249,466 @@ class PEFPEngine:
                 on_result=on_result, collect_paths=collect_paths,
                 budget=budget, tracer=tracer, profile=profile,
             )
-        if not 0 <= source < graph.num_vertices:
-            raise QueryError(f"source {source} not in graph")
-        if not 0 <= target < graph.num_vertices:
-            raise QueryError(f"target {target} not in graph")
-        if source == target:
-            raise QueryError("source equals target")
-        if max_hops < 1:
-            raise QueryError(f"hop constraint must be >= 1, got {max_hops}")
-        if len(barrier) != graph.num_vertices:
-            raise QueryError("barrier array size does not match graph")
-        # A simple path has at most |V| - 1 edges, so the path-record width
-        # (and every hop comparison) can be clamped without changing the
-        # answer; this keeps huge user-supplied k from inflating BRAM needs.
-        max_hops = min(max_hops, graph.num_vertices - 1)
-
-        cfg = self.config
-        device = Device(self.device_config)
-        bram, dram, clock = device.bram, device.dram, device.clock
+        max_hops = _check_query(graph, source, target, max_hops, barrier)
         stats = EngineStats()
-        rec_w = record_words(max_hops)
-
-        # --- static allocations ---------------------------------------
-        bram.allocate(cfg.theta2 * (rec_w + 2), "processing_area")
-        buffer_in_bram = cfg.use_cache
-        if buffer_in_bram:
-            bram.allocate(cfg.buffer_capacity_paths * rec_w, "buffer_area")
-            buffer = BufferArea(cfg.buffer_capacity_paths)
-        else:
-            # Buffer stack lives in DRAM: unbounded, every touch off-chip.
-            buffer = BufferArea(2**62)
-            stats.buffer_domain = "dram"
-
-        vertex_budget = min(len(graph.indptr), cfg.graph_cache_words)
-        edge_budget = max(0, cfg.graph_cache_words - vertex_budget)
-        vertex_arr = CachedArray(graph.indptr, bram, dram, vertex_budget,
-                                 "vertex_arr", enabled=cfg.use_cache)
-        edge_arr = CachedArray(graph.indices, bram, dram, edge_budget,
-                               "edge_arr", enabled=cfg.use_cache)
-        bar_arr = CachedArray(barrier, bram, dram, cfg.barrier_cache_words,
-                              "bar_arr", enabled=cfg.use_cache)
-
-        verifier = VerificationModule(self.pipeline, cfg.use_data_separation)
-        use_dfs = cfg.use_batch_dfs
-        dram_area = DramArea()
-        profiler = DeviceProfiler() if profile else None
-        observing = profiler is not None or bool(tracer)
-        frequency = self.device_config.frequency_hz
         results: list[tuple[int, ...]] = []
-        max_results = budget.max_results if budget is not None else None
-        max_cycles = budget.max_cycles if budget is not None else None
-        truncated = False
+        kernel = _Kernel(
+            self, graph, barrier,
+            _RunTables(self, graph, target, max_hops, barrier),
+            stats, results, on_result=on_result,
+            collect_paths=collect_paths,
+            max_results=budget.max_results if budget is not None else None,
+            max_cycles=budget.max_cycles if budget is not None else None,
+        )
+        profiler = DeviceProfiler() if profile else None
+        kernel.seed(source, profiler, tracer)
+        if profiler is not None or tracer:
+            kernel.observe = partial(_record_event, profiler, tracer,
+                                     self.device_config.frequency_hz)
+        kernel.run()
+        return _finish_run([kernel], kernel.device, stats, results,
+                           profiler)
 
-        # --- seed: the path consisting of just `source` ----------------
-        setup_wall = time.perf_counter_ns() if tracer else 0
-        lo = vertex_arr.read(source)
-        hi = vertex_arr.read(source + 1)
-        if lo < hi:
-            self._charge_push(bram, dram, rec_w, buffer_in_bram)
-            buffer.push(PathRecord((source,), lo, hi))
+
+def _check_query(graph: CSRGraph, source: int, target: int, max_hops: int,
+                 barrier: np.ndarray) -> int:
+    """Validate a query; return ``max_hops`` clamped to ``|V| - 1``.
+
+    A simple path has at most |V| - 1 edges, so the path-record width
+    (and every hop comparison) can be clamped without changing the
+    answer; this keeps huge user-supplied k from inflating BRAM needs.
+    """
+    if not 0 <= source < graph.num_vertices:
+        raise QueryError(f"source {source} not in graph")
+    if not 0 <= target < graph.num_vertices:
+        raise QueryError(f"target {target} not in graph")
+    if source == target:
+        raise QueryError("source equals target")
+    if max_hops < 1:
+        raise QueryError(f"hop constraint must be >= 1, got {max_hops}")
+    if len(barrier) != graph.num_vertices:
+        raise QueryError("barrier array size does not match graph")
+    return min(max_hops, graph.num_vertices - 1)
+
+
+def _record_event(profiler, tracer, frequency: float, event) -> None:
+    """Forward one kernel event ``(kind, wall_ns, fields)`` to the
+    profiler and the tracer."""
+    kind, wall0, ev = event
+    cycles = ev["cycles"]
+    if kind == "refill":
         if profiler is not None:
-            profiler.mark_setup(clock.cycles)
+            profiler.record_refill(**ev)
         if tracer:
-            tracer.complete("kernel_setup", setup_wall,
-                            modelled_seconds=clock.cycles / frequency,
-                            cycles=clock.cycles)
+            tracer.complete("refill", wall0,
+                            modelled_seconds=cycles / frequency,
+                            cycles=cycles, paths=ev["paths"])
+        return
+    if profiler is not None:
+        profiler.record_batch(**ev)
+    if tracer:
+        # The exact cycle split the attribution layer reads (see
+        # repro.observability.analysis): the pipeline window is bounded
+        # by its slowest stage (busy) or the DRAM channels (stall);
+        # busy + stall + overhead tiles the batch's clock delta exactly.
+        stages = ev["stage_cycles"]
+        slowest = max(stages.values())
+        tracer.complete(
+            "batch", wall0,
+            modelled_seconds=cycles / frequency,
+            entries=ev["entries"],
+            expansions=ev["expansions"],
+            results=ev["results"],
+            cycles=cycles,
+            busy_cycles=slowest,
+            stall_cycles=(ev["pipeline_cycles"] - slowest
+                          + ev["flush_cycles"]),
+            overhead_cycles=ev["overhead_cycles"],
+            bound=("verify" if stages["verify"] == slowest and slowest > 0
+                   else "expand"),
+        )
 
-        # --- hot-path tables and constants ------------------------------
-        # Every charged cycle below is the closed form of the memory-model
-        # call the reference loop makes at the same point; the residency
-        # constants (cached prefix lengths) make hit/miss splits pure
-        # arithmetic.  See docs/TIMING_MODEL.md ("Vectorised engine").
-        theta2 = cfg.theta2
-        theta1 = cfg.theta1
-        overhead = cfg.batch_overhead_cycles
-        channels = self.device_config.dram_channels
-        pw = bram.port_words
-        rl = dram.read_latency
-        wl = dram.write_latency
-        rl1 = rl - 1
-        wl1 = wl - 1
-        ceil_rec = -(-rec_w // pw)
+
+class _MergedCounters:
+    """Summed :class:`CachedArray` counters across PEs, for the profiler."""
+
+    def __init__(self, label: str, arrays) -> None:
+        self.label = label
+        self._arrays = arrays
+
+    def counters(self) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for arr in self._arrays:
+            for key, value in arr.counters().items():
+                out[key] = out.get(key, 0) + value
+        return out
+
+
+def _finish_run(kernels: list["_Kernel"], device, stats: EngineStats,
+                results: list, profiler) -> EngineRunResult:
+    """Close a run of one or more kernels that shared ``stats``.
+
+    Peaks take the max across PEs.  The run is truncated when a kernel
+    dropped results to the budget or work is left anywhere.
+    """
+    stats.peak_buffer_paths = max(k.buffer.peak_occupancy for k in kernels)
+    stats.peak_dram_paths = max(k.dram_area.peak_occupancy for k in kernels)
+    profile = None
+    if profiler is not None:
+        profile = profiler.finish(
+            device,
+            [_MergedCounters(label, [getattr(k, label) for k in kernels])
+             for label in ("vertex_arr", "edge_arr", "bar_arr")],
+            stats.peak_buffer_paths,
+            stats.peak_dram_paths,
+            verify_funnel={
+                "expansions": stats.expansions,
+                "rejected_target": stats.rejected_target,
+                "rejected_barrier": stats.rejected_barrier,
+                "rejected_visited": stats.rejected_visited,
+                "survivors": stats.intermediate_paths,
+            },
+            buffer_domain=stats.buffer_domain,
+            num_pes=len(kernels),
+        )
+    return EngineRunResult(
+        paths=results,
+        cycles=device.cycles,
+        seconds=device.elapsed_seconds(),
+        stats=stats,
+        device=device,
+        truncated=any(k.dropped or k.has_work() for k in kernels),
+        profile=profile,
+    )
+
+
+class _RunTables:
+    """Constants and memo tables of one run, shared by its PE kernels.
+
+    Everything here depends only on (graph, barrier, target, k) and the
+    configuration, never on a PE's state, so N kernels read one copy:
+    build time and memory do not grow with the PE count.  Every charged
+    cycle of the batch loop is the closed form of the memory-model call
+    the reference loop makes at the same point; the residency constants
+    (cached prefix lengths, equal on every PE) make hit/miss splits pure
+    arithmetic.  See docs/TIMING_MODEL.md ("Vectorised engine").
+    """
+
+    def __init__(self, engine: PEFPEngine, graph: CSRGraph, target: int,
+                 max_hops: int, barrier: np.ndarray) -> None:
+        cfg = engine.config
+        dcfg = engine.device_config
+        self.target = target
+        self.max_hops = max_hops
+        self.rec_w = rec_w = record_words(max_hops)
+        self.key_span = max_hops + 1
+        self.use_dfs = cfg.use_batch_dfs
+        self.buffer_in_bram = cfg.use_cache
+        self.theta1 = cfg.theta1
+        self.theta2 = theta2 = cfg.theta2
+        self.overhead = cfg.batch_overhead_cycles
+        self.channels = dcfg.dram_channels
+        self.pw = pw = dcfg.bram_port_words
+        self.rl = dcfg.dram_read_latency
+        self.wl = dcfg.dram_write_latency
+        self.ceil_rec = -(-rec_w // pw)
         #: BRAM wide-access cycles per word count (indices 0..Θ2).
-        ceil_tab = [-(-n // pw) for n in range(theta2 + 1)]
-        ceil_tab[0] = 0
+        self.ceil_tab = [-(-n // pw) for n in range(theta2 + 1)]
+        self.ceil_tab[0] = 0
         #: verification-pipeline latency per batch size (indices 0..Θ2).
-        verify_tab = [verifier.batch_cycles(n) for n in range(theta2 + 1)]
+        verifier = VerificationModule(engine.pipeline,
+                                      cfg.use_data_separation)
+        self.verify_tab = [verifier.batch_cycles(n)
+                           for n in range(theta2 + 1)]
         num_vertices = graph.num_vertices
-        indices_np = graph.indices
-        iptr_l = graph.indptr.tolist()
+        self.indices = indices = graph.indices
+        self.iptr = graph.indptr.tolist()
         bar_np = np.asarray(barrier)
-        edge_bar = (bar_np[indices_np] if indices_np.size
-                    else bar_np[:0])
-        c_v = vertex_arr.cached_len
-        c_e = edge_arr.cached_len
-        c_b = bar_arr.cached_len
-        v_all_hit = c_v >= num_vertices + 1
-        e_all_hit = c_e >= indices_np.size
-        b_all_hit = c_b >= num_vertices
-        key_span = max_hops + 1
+        self.edge_bar = bar_np[indices] if indices.size else bar_np[:0]
+        # BRAM budgets of the three cached arrays and their prefixes.
+        self.vertex_budget = min(len(graph.indptr), cfg.graph_cache_words)
+        self.edge_budget = max(0, cfg.graph_cache_words - self.vertex_budget)
+        self.bar_budget = cfg.barrier_cache_words
+        on = cfg.use_cache
+        self.c_v = c_v = CachedArray.prefix_len(len(graph.indptr),
+                                                self.vertex_budget, on)
+        self.c_e = c_e = CachedArray.prefix_len(indices.size,
+                                                self.edge_budget, on)
+        self.c_b = c_b = CachedArray.prefix_len(len(barrier),
+                                                self.bar_budget, on)
+        self.v_all_hit = c_v >= num_vertices + 1
+        self.e_all_hit = c_e >= indices.size
+        self.b_all_hit = c_b >= num_vertices
+        self.v_partial = not self.v_all_hit and c_v > 0
+        self.b_partial = 0 < c_b < num_vertices
         #: per (vertex, parent-hops): (slice bounds, full-slice target and
         #: survivor counts, target positions, surviving candidate
         #: positions, surviving candidate ids) over the full successor
         #: slice — the array-at-once form of Algorithm 2's target and
         #: barrier checks, built lazily per run.
-        prune_tab: dict[int, tuple] = {}
+        self.prune_tab: dict[int, tuple] = {}
         #: per vertex: prefix counts of barrier-cache hits (only needed
         #: when the barrier cache holds a proper prefix of the vertices).
-        bhit_tab: dict[int, list[int]] = {}
-        b_partial = 0 < c_b < num_vertices
+        self.bhit_tab: dict[int, list[int]] = {}
 
-        # Local accumulators, folded into the device/stats objects once at
-        # the end of the run (all folded quantities are plain sums, so
-        # deferring them is exact; the cold paths — seed, refill, flush —
-        # keep charging the real models directly).
+
+class _Kernel:
+    """One processing element's pipeline (Algorithms 1, 3 and 4).
+
+    Owns the PE's :class:`Device`, its buffer and DRAM path areas and its
+    cached arrays.  ``stats`` and ``results`` may be shared by several
+    kernels (the PEs of one multi-PE run); each :meth:`run` call folds
+    its counters into them on return.  With ``owners`` set (multi-PE),
+    survivors whose tail vertex another PE owns go to ``outbox[owner]``
+    as ``(vertices, next_ptr, last_ptr)`` records, and records routed to
+    this PE wait in ``inbox`` until the next call.  ``observe``, when
+    set, receives one ``(kind, wall_ns, fields)`` event per refill or
+    batch, ``fields`` being the profiler's keyword arguments.
+    """
+
+    def __init__(self, engine: PEFPEngine, graph: CSRGraph,
+                 barrier: np.ndarray, tables: _RunTables,
+                 stats: EngineStats, results: list, *, on_result=None,
+                 collect_paths: bool = True, max_results: int | None = None,
+                 max_cycles: int | None = None, index: int = 0,
+                 owners: list[int] | None = None) -> None:
+        cfg = engine.config
+        self.tables = tables
+        self.stats = stats
+        self.results = results
+        self.on_result = on_result
+        self.collect_paths = collect_paths
+        self.max_results = max_results
+        self.max_cycles = max_cycles
+        self.index = index
+        self.owners = owners
+        self.outbox: list[list] = (
+            [[] for _ in range(engine.device_config.num_pes)]
+            if owners is not None else []
+        )
+        self.inbox: list[tuple] = []
+        self.observe = None
+        #: set once a batch dropped results to the result budget.
+        self.dropped = False
+        self.device = device = Device(engine.device_config)
+        bram, dram = self.bram, self.dram = device.bram, device.dram
+        self.clock = device.clock
+        rec_w = tables.rec_w
+
+        # --- static allocations (per PE: capacities are per pipeline) --
+        bram.allocate(cfg.theta2 * (rec_w + 2), "processing_area")
+        if tables.buffer_in_bram:
+            bram.allocate(cfg.buffer_capacity_paths * rec_w, "buffer_area")
+            self.buffer = BufferArea(cfg.buffer_capacity_paths)
+        else:
+            # Buffer stack lives in DRAM: unbounded, every touch off-chip.
+            self.buffer = BufferArea(2**62)
+            stats.buffer_domain = "dram"
+        # Every PE keeps the full CSR in its DRAM channel with the same
+        # BRAM prefix budgets; ownership only decides who expands.
+        self.vertex_arr = CachedArray(graph.indptr, bram, dram,
+                                      tables.vertex_budget, "vertex_arr",
+                                      enabled=cfg.use_cache)
+        self.edge_arr = CachedArray(graph.indices, bram, dram,
+                                    tables.edge_budget, "edge_arr",
+                                    enabled=cfg.use_cache)
+        self.bar_arr = CachedArray(barrier, bram, dram, tables.bar_budget,
+                                   "bar_arr", enabled=cfg.use_cache)
+        self.dram_area = DramArea()
+
+    def has_work(self) -> bool:
+        return (len(self.buffer) > 0 or not self.dram_area.is_empty
+                or bool(self.inbox))
+
+    def seed(self, source: int, profiler, tracer) -> int:
+        """Push the path consisting of just ``source``; returns the
+        setup cycles and records them as the ``kernel_setup`` span."""
+        setup_wall = time.perf_counter_ns() if tracer else 0
+        lo = self.vertex_arr.read(source)
+        hi = self.vertex_arr.read(source + 1)
+        if lo < hi:
+            if self.tables.buffer_in_bram:
+                self.bram.write(self.tables.rec_w)
+            else:
+                self.dram.burst_write(self.tables.rec_w)
+            self.buffer.push(PathRecord((source,), lo, hi))
+        cycles = self.clock.cycles
+        if profiler is not None:
+            profiler.mark_setup(cycles)
+        if tracer:
+            tracer.complete(
+                "kernel_setup", setup_wall,
+                modelled_seconds=cycles / self.device.config.frequency_hz,
+                cycles=cycles)
+        return cycles
+
+    def flush(self) -> None:
+        """Spill the whole buffer area to the DRAM path area (Alg. 1
+        l.13): a serial stall."""
+        before = self.clock.cycles
+        records = self.buffer.drain()
+        words = len(records) * self.tables.rec_w
+        self.bram.read(words)
+        self.dram.burst_write(words)
+        self.dram_area.append_block(records)
+        stats = self.stats
+        stats.flushes += 1
+        stats.flushed_paths += len(records)
+        stats.add_stage_cycles("flush", self.clock.cycles - before)
+
+    def refill(self) -> None:
+        """Θ1 refill from the DRAM tail into the empty buffer area: a
+        serial stall."""
+        clock = self.clock
+        before = clock.cycles
+        wall0 = time.perf_counter_ns() if self.observe is not None else 0
+        block = self.dram_area.fetch_tail(self.tables.theta1)
+        words = len(block) * self.tables.rec_w
+        self.dram.burst_read(words)
+        self.bram.write(words)
+        for rec in block:
+            self.buffer.push(rec)
+        stats = self.stats
+        stats.refills += 1
+        stats.refilled_paths += len(block)
+        cycles = clock.cycles - before
+        stats.add_stage_cycles("refill", cycles)
+        if self.observe is not None:
+            self.observe(("refill", wall0,
+                          {"cycles": cycles, "paths": len(block)}))
+
+    def _drain_inbox(self) -> None:
+        """Push the records routed here at the last superstep boundary.
+
+        Their transfer was charged as interconnect cycles there; an
+        overflow flushes this PE's buffer as usual.
+        """
+        buffer = self.buffer
+        records, self.inbox = self.inbox, []
+        if len(buffer) + len(records) <= buffer.capacity_paths:
+            buffer.extend(records)  # no flush possible
+            return
+        for verts, lo, hi in records:
+            if len(buffer) >= buffer.capacity_paths:
+                self.flush()
+            buffer.push_path(verts, lo, hi)
+
+    def _route(self, push_v, push_lo, push_hi):
+        """Move survivors owned by other PEs to the outbox; return the
+        local ones (order kept on both sides)."""
+        owners = self.owners
+        me = self.index
+        outbox = self.outbox
+        keep_v: list = []
+        keep_lo: list = []
+        keep_hi: list = []
+        for idx, p in enumerate(push_v):
+            own = owners[p[-1]]
+            if own == me:
+                keep_v.append(p)
+                keep_lo.append(push_lo[idx])
+                keep_hi.append(push_hi[idx])
+            else:
+                outbox[own].append((p, push_lo[idx], push_hi[idx]))
+        return keep_v, keep_lo, keep_hi
+
+    def run(self, max_steps: int | None = None) -> None:
+        """Run refills and batches: until done, or ``max_steps`` of them.
+
+        The inbox is pushed first.  The loop stops when the buffer and
+        DRAM areas are empty, when a budget is spent (the cycle cap is
+        checked before each step, the result cap after each batch) or
+        after ``max_steps`` steps.  It keeps its state in locals and
+        folds the accumulators into the device models, the cached
+        arrays' counters and ``stats`` on return.
+        """
+        stats = self.stats
+        stage_cycles = stats.stage_cycles
+        buffer = self.buffer
+        dram_area = self.dram_area
+        clock = self.clock
+        observe = self.observe
+        if observe is not None:
+            # A step's event covers the inbox push before it, too.
+            iter_cycles0 = clock.cycles
+            iter_wall0 = time.perf_counter_ns()
+            flush_cycles0 = stage_cycles.get("flush", 0)
+            flushes0 = stats.flushes
+        if self.inbox:
+            self._drain_inbox()
+
+        t = self.tables
+        target = t.target
+        max_hops = t.max_hops
+        rec_w = t.rec_w
+        key_span = t.key_span
+        use_dfs = t.use_dfs
+        buffer_in_bram = t.buffer_in_bram
+        theta2 = t.theta2
+        overhead = t.overhead
+        channels = t.channels
+        pw = t.pw
+        rl = t.rl
+        wl = t.wl
+        rl1 = rl - 1
+        wl1 = wl - 1
+        ceil_rec = t.ceil_rec
+        ceil_tab = t.ceil_tab
+        verify_tab = t.verify_tab
+        indices_np = t.indices
+        iptr_l = t.iptr
+        edge_bar = t.edge_bar
+        c_v = t.c_v
+        c_e = t.c_e
+        c_b = t.c_b
+        v_all_hit = t.v_all_hit
+        e_all_hit = t.e_all_hit
+        b_all_hit = t.b_all_hit
+        v_partial = t.v_partial
+        b_partial = t.b_partial
+        prune_tab = t.prune_tab
+        prune_tab_get = prune_tab.get
+        bhit_tab = t.bhit_tab
+        owners = self.owners
+        collect_paths = self.collect_paths
+        on_result = self.on_result
+        results_append = self.results.extend
+        max_results = self.max_results
+        max_cycles = self.max_cycles
+        clock_advance = clock.advance
+
+        # Local accumulators, folded into the device/stats objects on
+        # return (all folded quantities are plain sums, so deferring
+        # them is exact; the cold paths — seed, refill, flush — charge
+        # the real models directly).
         br_ops = br_words = bw_ops = bw_words = 0          # BRAM port
         dr_ops = dr_words = dw_ops = dw_words = d_stall = 0  # DRAM port
         v_hits = v_miss = e_hits = e_miss = b_hits = b_miss = 0
-        n_batches = n_expansions = n_results = n_intermediate = 0
+        n_batches = n_expansions = n_intermediate = 0
+        # the result budget is per run, so this counts every PE's results
+        n_results = stats.results
         rej_t = rej_b = rej_v = 0
-        # Per-parent-length tallies as lists (h <= max_hops always): keys
-        # are first touched in ascending h order under both schedulers —
-        # a length-(h+1) parent only exists after an expansion at length h
-        # — so rebuilding the dicts in ascending order at the end
-        # reproduces the reference dicts' insertion order exactly.
+        # Per-parent-length tallies as lists (h <= max_hops always).  On a
+        # single pipeline keys are first touched in ascending h order
+        # under both schedulers — a length-(h+1) parent only exists after
+        # an expansion at length h — so adding them to the dicts in
+        # ascending order on return reproduces the reference dicts'
+        # insertion order exactly.
         exp_list = [0] * (key_span + 1)
         new_list = [0] * (key_span + 1)
         acc_t1 = acc_t2 = acc_t3 = acc_t4 = acc_t5 = acc_ov = 0
-        ins_t1 = ins_t2 = ins_t3 = ins_t4 = ins_t5 = ins_ov = False
-        v_partial = not v_all_hit and c_v > 0
-        clock_advance = clock.advance
-        results_append = results.extend
-        prune_tab_get = prune_tab.get
+        ins_t1 = "load" in stage_cycles
+        ins_t2 = "edge_fetch" in stage_cycles
+        ins_t3 = "barrier_fetch" in stage_cycles
+        ins_t4 = "verify" in stage_cycles
+        ins_t5 = "writeback" in stage_cycles
+        ins_ov = "overhead" in stage_cycles
+        steps_left = -1 if max_steps is None else max_steps  # -1: no cap
 
         # --- main loop (Algorithms 1 and 3) ----------------------------
         while True:
-            # Budget check at the batch boundary: truncated only when the
-            # stop leaves unexplored work behind.
+            # Budget check at the step boundary.
             if max_cycles is not None and clock.cycles >= max_cycles:
-                truncated = not buffer.is_empty or not dram_area.is_empty
                 break
             bverts = buffer._verts
             bnext = buffer._next
@@ -381,35 +716,15 @@ class PEFPEngine:
             bhead = buffer._head
             if len(bverts) == bhead:  # buffer empty
                 if buffer_in_bram and not dram_area.is_empty:
-                    # Θ1 refill from the DRAM tail: a serial stall.
-                    before = clock.cycles
-                    refill_wall = time.perf_counter_ns() if tracer else 0
-                    block = dram_area.fetch_tail(theta1)
-                    dram.burst_read(len(block) * rec_w)
-                    bram.write(len(block) * rec_w)
-                    for rec in block:
-                        buffer.push(rec)
-                    stats.refills += 1
-                    stats.refilled_paths += len(block)
-                    refill_cycles = clock.cycles - before
-                    stats.add_stage_cycles("refill", refill_cycles)
-                    if profiler is not None:
-                        profiler.record_refill(refill_cycles, len(block))
-                    if tracer:
-                        tracer.complete(
-                            "refill", refill_wall,
-                            modelled_seconds=refill_cycles / frequency,
-                            cycles=refill_cycles,
-                            paths=len(block),
-                        )
+                    self.refill()
+                    steps_left -= 1
+                    if steps_left == 0:
+                        break
+                    if observe is not None:
+                        iter_cycles0 = clock.cycles
+                        iter_wall0 = time.perf_counter_ns()
                     continue  # re-check the cycle budget after the stall
-                else:
-                    break
-            if observing:
-                iter_cycles0 = clock.cycles
-                iter_wall0 = time.perf_counter_ns() if tracer else 0
-                flush_cycles0 = stats.stage_cycles.get("flush", 0)
-                flushes0 = stats.flushes
+                break
 
             # --- batch selection (Batch-DFS fused; FIFO via scheduler) --
             if use_dfs:
@@ -605,12 +920,11 @@ class PEFPEngine:
             # Result budget: keep only what fits; dropped results mean the
             # answer is definitively incomplete.  The kept prefix is still
             # a subset of the unbudgeted answer (same deterministic order).
-            dropped_results = False
             if max_results is not None:
                 room = max_results - n_results
                 if len(batch_results) > room:
                     batch_results = batch_results[:room]
-                    dropped_results = True
+                    self.dropped = True
                     wres = sum(len(p) + 1 for p in batch_results)
 
             # --- stage 1: load; stage 5: write-back ---------------------
@@ -706,47 +1020,52 @@ class PEFPEngine:
             if ins_t1:
                 acc_t1 += t1
             elif t1:
-                stats.stage_cycles["load"] = t1
+                stage_cycles["load"] = t1
                 ins_t1 = True
             if ins_t2:
                 acc_t2 += t2
             elif t2:
-                stats.stage_cycles["edge_fetch"] = t2
+                stage_cycles["edge_fetch"] = t2
                 ins_t2 = True
             if ins_t3:
                 acc_t3 += t3
             elif t3:
-                stats.stage_cycles["barrier_fetch"] = t3
+                stage_cycles["barrier_fetch"] = t3
                 ins_t3 = True
             if ins_t4:
                 acc_t4 += t4
             elif t4:
-                stats.stage_cycles["verify"] = t4
+                stage_cycles["verify"] = t4
                 ins_t4 = True
             if ins_t5:
                 acc_t5 += t5
             elif t5:
-                stats.stage_cycles["writeback"] = t5
+                stage_cycles["writeback"] = t5
                 ins_t5 = True
             if ins_ov:
                 acc_ov += overhead
             elif overhead:
-                stats.stage_cycles["overhead"] = overhead
+                stage_cycles["overhead"] = overhead
                 ins_ov = True
 
-            # Apply the buffered pushes; overflow stalls the pipeline.
+            # Survivors owned by another PE wait in the outbox for the
+            # superstep boundary; the rest are pushed here, and overflow
+            # stalls the pipeline.
+            if owners is not None and push_v:
+                push_v, push_lo, push_hi = self._route(push_v, push_lo,
+                                                       push_hi)
             if push_v:
                 bverts = buffer._verts
                 bnext = buffer._next
                 blast = buffer._last
                 n_buf = len(bverts) - buffer._head
                 cap = buffer.capacity_paths
-                if n_buf + n_push <= cap:
+                if n_buf + len(push_v) <= cap:
                     # no flush possible: append wholesale
                     bverts.extend(push_v)
                     bnext.extend(push_lo)
                     blast.extend(push_hi)
-                    n_buf += n_push
+                    n_buf += len(push_v)
                     if n_buf > buffer.peak_occupancy:
                         buffer.peak_occupancy = n_buf
                     push_v = ()
@@ -754,11 +1073,7 @@ class PEFPEngine:
                     if buffer_in_bram and n_buf >= cap:
                         if n_buf > buffer.peak_occupancy:
                             buffer.peak_occupancy = n_buf
-                        before = clock.cycles
-                        self._flush(buffer, rec_w, bram, dram, dram_area,
-                                    stats)
-                        stats.add_stage_cycles("flush",
-                                               clock.cycles - before)
+                        self.flush()
                         bverts = buffer._verts
                         bnext = buffer._next
                         blast = buffer._last
@@ -770,161 +1085,74 @@ class PEFPEngine:
                 if n_buf > buffer.peak_occupancy:
                     buffer.peak_occupancy = n_buf
 
-            if observing:
-                iter_cycles = clock.cycles - iter_cycles0
+            if observe is not None:
                 stage_breakdown = dict(zip(
                     ("load", "edge_fetch", "barrier_fetch", "verify",
                      "writeback"),
                     (t1, t2, t3, t4, t5),
                 ))
-                if profiler is not None:
-                    profiler.record_batch(
-                        entries=n_e,
-                        expansions=n_items,
-                        results=len(batch_results),
-                        new_paths=nv,
-                        cycles=iter_cycles,
-                        pipeline_cycles=batch_cycles - overhead,
-                        overhead_cycles=overhead,
-                        flush_cycles=(stats.stage_cycles.get("flush", 0)
-                                      - flush_cycles0),
-                        flushes=stats.flushes - flushes0,
-                        dram_cycles=dram_cycles,
-                        buffer_paths=len(buffer),
-                        stage_cycles=stage_breakdown,
-                    )
-                if tracer:
-                    # The exact cycle split the attribution layer reads
-                    # (see repro.observability.analysis): the pipeline
-                    # window is bounded by its slowest stage (busy) or
-                    # the DRAM channels (stall); busy + stall + overhead
-                    # tiles the iteration's clock delta exactly.
-                    slowest = max(t1, t2, t3, t4, t5)
-                    tracer.complete(
-                        "batch", iter_wall0,
-                        modelled_seconds=iter_cycles / frequency,
-                        entries=n_e,
-                        expansions=n_items,
-                        results=len(batch_results),
-                        cycles=iter_cycles,
-                        busy_cycles=slowest,
-                        stall_cycles=(batch_cycles - overhead - slowest
-                                      + stats.stage_cycles.get("flush", 0)
-                                      - flush_cycles0),
-                        overhead_cycles=overhead,
-                        bound=("verify" if t4 == slowest and slowest > 0
-                               else "expand"),
-                    )
+                flush_now = stage_cycles.get("flush", 0)
+                observe(("batch", iter_wall0, {
+                    "entries": n_e,
+                    "expansions": n_items,
+                    "results": len(batch_results),
+                    "new_paths": nv,
+                    "cycles": clock.cycles - iter_cycles0,
+                    "pipeline_cycles": batch_cycles - overhead,
+                    "overhead_cycles": overhead,
+                    "flush_cycles": flush_now - flush_cycles0,
+                    "flushes": stats.flushes - flushes0,
+                    "dram_cycles": dram_cycles,
+                    "buffer_paths": len(buffer),
+                    "stage_cycles": stage_breakdown,
+                }))
+                iter_cycles0 = clock.cycles
+                iter_wall0 = time.perf_counter_ns()
+                flush_cycles0 = flush_now
+                flushes0 = stats.flushes
 
             if max_results is not None and n_results >= max_results:
-                truncated = (
-                    dropped_results
-                    or not buffer.is_empty
-                    or not dram_area.is_empty
-                )
+                break
+            steps_left -= 1
+            if steps_left == 0:
                 break
 
         # --- fold the deferred accumulators into the models -------------
-        port = bram.port
+        port = self.bram.port
         port.reads += br_ops
         port.read_words += br_words
         port.writes += bw_ops
         port.write_words += bw_words
-        port = dram.port
+        port = self.dram.port
         port.reads += dr_ops
         port.read_words += dr_words
         port.writes += dw_ops
         port.write_words += dw_words
         port.stall_cycles += d_stall
-        vertex_arr.hits += v_hits
-        vertex_arr.misses += v_miss
-        edge_arr.hits += e_hits
-        edge_arr.misses += e_miss
-        bar_arr.hits += b_hits
-        bar_arr.misses += b_miss
+        self.vertex_arr.hits += v_hits
+        self.vertex_arr.misses += v_miss
+        self.edge_arr.hits += e_hits
+        self.edge_arr.misses += e_miss
+        self.bar_arr.hits += b_hits
+        self.bar_arr.misses += b_miss
         stats.batches += n_batches
         stats.expansions += n_expansions
-        stats.results += n_results
+        stats.results = n_results
         stats.intermediate_paths += n_intermediate
         stats.rejected_target += rej_t
         stats.rejected_barrier += rej_b
         stats.rejected_visited += rej_v
-        stats.expansions_by_parent_length = {
-            h: c for h, c in enumerate(exp_list) if c
-        }
-        stats.new_paths_by_parent_length = {
-            h: c for h, c in enumerate(new_list) if c
-        }
+        for tally, counts in (
+                (stats.expansions_by_parent_length, exp_list),
+                (stats.new_paths_by_parent_length, new_list)):
+            for h, c in enumerate(counts):
+                if c:
+                    tally[h] = tally.get(h, 0) + c
         for name, acc in (("load", acc_t1), ("edge_fetch", acc_t2),
                           ("barrier_fetch", acc_t3), ("verify", acc_t4),
                           ("writeback", acc_t5), ("overhead", acc_ov)):
             if acc:
-                stats.stage_cycles[name] += acc
-
-        stats.peak_buffer_paths = buffer.peak_occupancy
-        stats.peak_dram_paths = dram_area.peak_occupancy
-        return EngineRunResult(
-            paths=results,
-            cycles=device.cycles,
-            seconds=device.elapsed_seconds(),
-            stats=stats,
-            device=device,
-            truncated=truncated,
-            profile=(
-                profiler.finish(
-                    device,
-                    (vertex_arr, edge_arr, bar_arr),
-                    buffer.peak_occupancy,
-                    dram_area.peak_occupancy,
-                    verify_funnel={
-                        "expansions": stats.expansions,
-                        "rejected_target": stats.rejected_target,
-                        "rejected_barrier": stats.rejected_barrier,
-                        "rejected_visited": stats.rejected_visited,
-                        "survivors": stats.intermediate_paths,
-                    },
-                    buffer_domain=stats.buffer_domain,
-                )
-                if profiler is not None else None
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _stage(bram, dram, costs: list[_StageCost]):
-        """Create meters for one stage and register its cost record."""
-        cost = _StageCost()
-        costs.append(cost)
-        bram_meter = _CostClock(cost, "bram")
-        dram_meter = _CostClock(cost, "dram")
-        return bram_meter, dram_meter
-
-    @staticmethod
-    def _charge_push(bram, dram, rec_w: int, buffer_in_bram: bool) -> None:
-        if buffer_in_bram:
-            bram.write(rec_w)
-        else:
-            dram.burst_write(rec_w)
-
-    @staticmethod
-    def _flush(
-        buffer: BufferArea,
-        rec_w: int,
-        bram,
-        dram,
-        dram_area: DramArea,
-        stats: EngineStats,
-    ) -> None:
-        """Spill the whole buffer area to the DRAM path area (Alg. 1 l.13)."""
-        records = buffer.drain()
-        words = len(records) * rec_w
-        bram.read(words)
-        dram.burst_write(words)
-        dram_area.append_block(records)
-        stats.flushes += 1
-        stats.flushed_paths += len(records)
+                stage_cycles[name] += acc
 
 
 class _CostClock(Clock):

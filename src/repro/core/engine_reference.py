@@ -25,7 +25,13 @@ import numpy as np
 from repro.core.batching import batch_dfs, fifo_batch
 from repro.core.cache import CachedArray
 from repro.core.config import QueryBudget
-from repro.core.engine import EngineRunResult, EngineStats, PEFPEngine, _StageCost
+from repro.core.engine import (
+    EngineRunResult,
+    EngineStats,
+    PEFPEngine,
+    _CostClock,
+    _StageCost,
+)
 from repro.core.paths import BufferArea, DramArea, PathRecord, record_words
 from repro.core.verify import VerificationModule
 from repro.errors import QueryError
@@ -351,3 +357,40 @@ class ReferencePEFPEngine(PEFPEngine):
                 if profiler is not None else None
             ),
         )
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _stage(bram, dram, costs: list[_StageCost]):
+        """Create meters for one stage and register its cost record."""
+        cost = _StageCost()
+        costs.append(cost)
+        bram_meter = _CostClock(cost, "bram")
+        dram_meter = _CostClock(cost, "dram")
+        return bram_meter, dram_meter
+
+    @staticmethod
+    def _charge_push(bram, dram, rec_w: int, buffer_in_bram: bool) -> None:
+        if buffer_in_bram:
+            bram.write(rec_w)
+        else:
+            dram.burst_write(rec_w)
+
+    @staticmethod
+    def _flush(
+        buffer: BufferArea,
+        rec_w: int,
+        bram,
+        dram,
+        dram_area: DramArea,
+        stats: EngineStats,
+    ) -> None:
+        """Spill the whole buffer area to the DRAM path area (Alg. 1 l.13)."""
+        records = buffer.drain()
+        words = len(records) * rec_w
+        bram.read(words)
+        dram.burst_write(words)
+        dram_area.append_block(records)
+        stats.flushes += 1
+        stats.flushed_paths += len(records)

@@ -4,19 +4,21 @@
 ``DeviceConfig.num_pes > 1`` (and the differential suite calls
 :func:`run_multi_pe` directly with ``num_pes == 1`` to pin the base
 case).  Each processing element owns a partition of the vertex set
-(:mod:`repro.fpga.partition`) and runs the *reference* per-entry loop
-(:mod:`repro.core.engine_reference`) over the frontier records whose
-tail vertex it owns, on its own :class:`~repro.fpga.device.Device`
-(private BRAM banks, DRAM channel, clock).  A path record produced with
-a tail owned by another PE crosses the interconnect
+(:mod:`repro.fpga.partition`) and is one vectorised Batch-DFS kernel
+(:class:`repro.core.engine._Kernel`, the same kernel a single-PE run
+uses) on its own :class:`~repro.fpga.device.Device` (private BRAM
+banks, DRAM channel, clock).  The kernel expands the frontier records
+whose tail vertex its PE owns; a survivor whose tail another PE owns
+goes to the kernel's outbox and crosses the interconnect
 (:mod:`repro.fpga.interconnect`) instead of entering the local buffer.
+Only the interconnect and the barrier are specific to this module.
 
 Superstep model (BSP lockstep)
 ------------------------------
 Each iteration of the global loop is one *superstep*:
 
-1. every PE with work takes exactly one reference-loop step — drain its
-   input FIFO into the buffer area, then run one refill or one
+1. every PE with work runs its kernel for one step — push the records
+   routed to it into the buffer area, then run one refill or one
    processing batch on its local clock;
 2. remote records route through per-destination FIFOs behind a
    round-robin arbiter; destinations drain in parallel, so the routing
@@ -29,18 +31,17 @@ The global clock advances by ``max(PE step deltas) + routing + barrier``
 (slowest, ties to the lowest index) PE's batch or refill event plus one
 ``inter_pe`` event per superstep boundary, so
 ``DeviceProfile.accounted_cycles == total_cycles`` holds exactly, with
-the same integer-tiling guarantees as the single-PE engines.
+the same integer-tiling guarantees as the single-PE engine.
 
-Why N=1 is byte-identical to the single-PE engines
---------------------------------------------------
-With one PE every vertex is local: the partition lookup always answers
-"self", no record ever reaches the interconnect, routing and barrier
-charges are zero, and each superstep is exactly one iteration of the
-reference loop on the single PE's device.  The driver therefore *is*
-the reference engine at N=1 — same paths in the same order, same
-cycles, stats, port traffic and profile — and the reference engine is
-byte-identical to the vectorised engine by the PR 6 differential suite.
-``docs/TIMING_MODEL.md`` spells the argument out.
+Why N=1 is byte-identical to the single-PE engine
+-------------------------------------------------
+Each step is one batch (or refill) of the vectorised kernel, and the
+kernel's fold at the end of every call is exact because everything it
+folds is a plain sum.  With one PE every vertex is local, nothing is
+routed, and routing and barrier charges are zero, so the superstep loop
+runs the single-PE kernel's loop one step per call: same paths in the
+same order, same cycles, stats, port traffic and profile, by
+construction.  ``docs/TIMING_MODEL.md`` spells the argument out.
 """
 
 from __future__ import annotations
@@ -49,322 +50,21 @@ import time
 
 import numpy as np
 
-from repro.core.batching import batch_dfs, fifo_batch
-from repro.core.cache import CachedArray
 from repro.core.config import QueryBudget
-from repro.core.engine import EngineRunResult, EngineStats, _StageCost
-from repro.core.paths import BufferArea, DramArea, PathRecord, record_words
-from repro.core.verify import VerificationModule
-from repro.errors import QueryError
-from repro.fpga.device import Device, MultiPEDevice
+from repro.core.engine import (
+    EngineRunResult,
+    EngineStats,
+    _check_query,
+    _finish_run,
+    _Kernel,
+    _record_event,
+    _RunTables,
+)
+from repro.fpga.device import MultiPEDevice
 from repro.fpga.interconnect import RoundRobinArbiter, barrier_sync_cycles
 from repro.fpga.partition import VertexPartitioner
 from repro.fpga.profile import DeviceProfiler
 from repro.graph.csr import CSRGraph
-
-
-class _MergedCounters:
-    """Summed :class:`CachedArray` counters across PEs, for the profiler."""
-
-    def __init__(self, label: str, arrays) -> None:
-        self.label = label
-        self._arrays = arrays
-
-    def counters(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for arr in self._arrays:
-            for key, value in arr.counters().items():
-                out[key] = out.get(key, 0) + value
-        return out
-
-
-class _PEState:
-    """One processing element: device, path areas, caches, counters."""
-
-    def __init__(self, engine, index: int, graph: CSRGraph,
-                 barrier: np.ndarray, rec_w: int) -> None:
-        cfg = engine.config
-        self.engine = engine
-        self.index = index
-        self.device = Device(engine.device_config)
-        self.bram = self.device.bram
-        self.dram = self.device.dram
-        self.clock = self.device.clock
-        self.stats = EngineStats()
-        self.rec_w = rec_w
-
-        # Same static allocations as the single-PE engines, per PE: the
-        # configured BRAM/DRAM capacities are per-pipeline resources.
-        self.bram.allocate(cfg.theta2 * (rec_w + 2), "processing_area")
-        self.buffer_in_bram = cfg.use_cache
-        if self.buffer_in_bram:
-            self.bram.allocate(cfg.buffer_capacity_paths * rec_w,
-                               "buffer_area")
-            self.buffer = BufferArea(cfg.buffer_capacity_paths)
-        else:
-            self.buffer = BufferArea(2**62)
-            self.stats.buffer_domain = "dram"
-
-        # Every PE keeps the full CSR in its DRAM channel with the same
-        # BRAM prefix budgets (the graph is replicated per channel, as
-        # in multi-channel BFS accelerators); ownership only controls
-        # which PE *expands* a record.
-        vertex_budget = min(len(graph.indptr), cfg.graph_cache_words)
-        edge_budget = max(0, cfg.graph_cache_words - vertex_budget)
-        self.vertex_arr = CachedArray(graph.indptr, self.bram, self.dram,
-                                      vertex_budget, "vertex_arr",
-                                      enabled=cfg.use_cache)
-        self.edge_arr = CachedArray(graph.indices, self.bram, self.dram,
-                                    edge_budget, "edge_arr",
-                                    enabled=cfg.use_cache)
-        self.bar_arr = CachedArray(barrier, self.bram, self.dram,
-                                   cfg.barrier_cache_words, "bar_arr",
-                                   enabled=cfg.use_cache)
-
-        self.verifier = VerificationModule(engine.pipeline,
-                                           cfg.use_data_separation)
-        self.dram_area = DramArea()
-        self.inbox: list[PathRecord] = []
-        self.outbox: dict[int, list[PathRecord]] = {}
-
-    def has_work(self) -> bool:
-        return (not self.buffer.is_empty or not self.dram_area.is_empty
-                or bool(self.inbox))
-
-    def step(self, ctx: "_RunContext") -> tuple[str, int, dict | None]:
-        """One reference-loop iteration; returns ``(kind, delta, info)``.
-
-        ``kind`` is ``"idle"`` / ``"refill"`` / ``"batch"``; ``delta`` the
-        local clock advance (drain-flush stalls included); ``info`` the
-        profiler/tracer payload of a non-idle step.
-        """
-        engine, cfg, stats = self.engine, self.engine.config, self.stats
-        buffer, clock = self.buffer, self.clock
-        clock0 = clock.cycles
-        wall0 = time.perf_counter_ns() if ctx.tracer else 0
-        flush_cycles0 = stats.stage_cycles.get("flush", 0)
-        flushes0 = stats.flushes
-
-        # Drain the input FIFO into the buffer area.  The transfer itself
-        # was charged as interconnect streaming cycles at the previous
-        # superstep boundary; an overflow flush stalls this PE normally.
-        if self.inbox:
-            for rec in self.inbox:
-                if self.buffer_in_bram and buffer.is_full:
-                    before = clock.cycles
-                    engine._flush(buffer, self.rec_w, self.bram, self.dram,
-                                  self.dram_area, stats)
-                    stats.add_stage_cycles("flush", clock.cycles - before)
-                buffer.push(rec)
-            self.inbox.clear()
-
-        if buffer.is_empty:
-            if self.buffer_in_bram and not self.dram_area.is_empty:
-                block = self.dram_area.fetch_tail(cfg.theta1)
-                self.dram.burst_read(len(block) * self.rec_w)
-                self.bram.write(len(block) * self.rec_w)
-                for rec in block:
-                    buffer.push(rec)
-                stats.refills += 1
-                stats.refilled_paths += len(block)
-                refill_cycles = clock.cycles - clock0
-                stats.add_stage_cycles("refill", refill_cycles)
-                return ("refill", refill_cycles,
-                        {"paths": len(block), "wall0": wall0})
-            return ("idle", 0, None)
-
-        entries = ctx.batch_fn(buffer, cfg.theta2)
-        if not entries:
-            return ("idle", 0, None)
-        stats.batches += 1
-
-        costs: list[_StageCost] = []
-
-        # Stage 1: move the batch into the processing area.
-        load = engine._stage(self.bram, self.dram, costs)
-        with self.bram.with_clock(load[0]), self.dram.with_clock(load[1]):
-            moved = len(entries) * self.rec_w
-            if self.buffer_in_bram:
-                self.bram.read(moved)
-            else:
-                self.dram.burst_read(moved)
-                self.dram.random_write(2 * len(entries))
-            self.bram.write(moved)
-
-        # Stage 2: edge fetch — gather successor slices.
-        fetch = engine._stage(self.bram, self.dram, costs)
-        successor_lists: list[np.ndarray] = []
-        n_items = 0
-        with self.bram.with_clock(fetch[0]), self.dram.with_clock(fetch[1]):
-            for entry in entries:
-                plen = len(entry.vertices) - 1
-                stats.expansions_by_parent_length[plen] = (
-                    stats.expansions_by_parent_length.get(plen, 0)
-                    + entry.num_expansions
-                )
-                nbrs = self.edge_arr.read_range(entry.nbr_lo, entry.nbr_hi)
-                successor_lists.append(nbrs)
-                n_items += nbrs.size
-        stats.expansions += n_items
-
-        # Stage 3: barrier fetch — one gather per expansion.
-        barf = engine._stage(self.bram, self.dram, costs)
-        barrier_lists: list[np.ndarray] = []
-        with self.bram.with_clock(barf[0]), self.dram.with_clock(barf[1]):
-            for nbrs in successor_lists:
-                barrier_lists.append(self.bar_arr.read_vector(nbrs))
-
-        # Stage 4: verification (Algorithm 2).
-        target, max_hops = ctx.target, ctx.max_hops
-        batch_results: list[tuple[int, ...]] = []
-        valid_paths: list[tuple[int, ...]] = []
-        for entry, nbrs, bars in zip(entries, successor_lists,
-                                     barrier_lists):
-            if nbrs.size == 0:
-                continue
-            parent = entry.vertices
-            hops = len(parent) - 1
-            is_target = nbrs == target
-            n_target = int(np.count_nonzero(is_target))
-            stats.rejected_target += n_target
-            if n_target and hops + 1 <= max_hops:
-                full = parent + (target,)
-                batch_results.extend([full] * n_target)
-            rest = nbrs[~is_target]
-            rest_bars = bars[~is_target]
-            bar_ok = hops + 1 + rest_bars <= max_hops
-            stats.rejected_barrier += int(np.count_nonzero(~bar_ok))
-            candidates = rest[bar_ok]
-            if candidates.size:
-                fresh = ~np.isin(candidates, parent)
-                stats.rejected_visited += int(np.count_nonzero(~fresh))
-                for u in candidates[fresh]:
-                    valid_paths.append(parent + (int(u),))
-        verify_cost = _StageCost()
-        verify_cost.compute = self.verifier.batch_cycles(n_items)
-        costs.append(verify_cost)
-
-        dropped_results = False
-        if ctx.max_results is not None:
-            room = ctx.max_results - ctx.total_results
-            if len(batch_results) > room:
-                batch_results = batch_results[:room]
-                dropped_results = True
-
-        # Stage 5: write-back — results to DRAM, survivors to the buffer
-        # or, when the tail vertex is foreign, to the output FIFO.
-        wb = engine._stage(self.bram, self.dram, costs)
-        new_records: list[tuple[int, PathRecord]] = []
-        owners = ctx.owners
-        with self.bram.with_clock(wb[0]), self.dram.with_clock(wb[1]):
-            if batch_results:
-                if ctx.collect_paths:
-                    ctx.results.extend(batch_results)
-                if ctx.on_result is not None:
-                    for p in batch_results:
-                        ctx.on_result(p)
-                stats.results += len(batch_results)
-                ctx.total_results += len(batch_results)
-                self.dram.burst_write(sum(len(p) + 1
-                                          for p in batch_results))
-            if valid_paths:
-                tails = np.fromiter(
-                    (p[-1] for p in valid_paths), dtype=np.int64,
-                    count=len(valid_paths),
-                )
-                lows = self.vertex_arr.read_vector(tails)
-                highs = self.vertex_arr.read_vector(tails + 1)
-            else:
-                lows = highs = ()
-            for p, nlo, nhi in zip(valid_paths, lows, highs):
-                plen = len(p) - 2  # parent length
-                stats.new_paths_by_parent_length[plen] = (
-                    stats.new_paths_by_parent_length.get(plen, 0) + 1
-                )
-                stats.intermediate_paths += 1
-                if nlo >= nhi:
-                    continue  # dead end: no successors, drop now
-                # The push charge models the record write whether the
-                # destination is the local buffer or the output FIFO —
-                # both live in this PE's memory domain.
-                engine._charge_push(self.bram, self.dram, self.rec_w,
-                                    self.buffer_in_bram)
-                new_records.append(
-                    (owners[p[-1]], PathRecord(p, int(nlo), int(nhi)))
-                )
-
-        channels = engine.device_config.dram_channels
-        dram_bound = -(-sum(c.dram for c in costs) // channels)
-        batch_cycles = max(
-            max(c.total for c in costs),
-            dram_bound,
-        ) + cfg.batch_overhead_cycles
-        clock.advance(batch_cycles)
-        for name, cost in zip(
-            ("load", "edge_fetch", "barrier_fetch", "verify",
-             "writeback"), costs,
-        ):
-            stats.add_stage_cycles(name, cost.total)
-        stats.add_stage_cycles("overhead", cfg.batch_overhead_cycles)
-
-        # Apply the buffered pushes; local overflow stalls the pipeline,
-        # foreign records wait in the output FIFO for the superstep
-        # boundary.
-        for own, rec in new_records:
-            if own == self.index:
-                if self.buffer_in_bram and buffer.is_full:
-                    before = clock.cycles
-                    engine._flush(buffer, self.rec_w, self.bram,
-                                  self.dram, self.dram_area, stats)
-                    stats.add_stage_cycles("flush", clock.cycles - before)
-                buffer.push(rec)
-            else:
-                self.outbox.setdefault(own, []).append(rec)
-
-        delta = clock.cycles - clock0
-        stage_breakdown = dict(zip(
-            ("load", "edge_fetch", "barrier_fetch", "verify",
-             "writeback"),
-            (c.total for c in costs),
-        ))
-        info = {
-            "wall0": wall0,
-            "entries": len(entries),
-            "expansions": n_items,
-            "results": len(batch_results),
-            "new_paths": len(valid_paths),
-            "pipeline_cycles": batch_cycles - cfg.batch_overhead_cycles,
-            "overhead_cycles": cfg.batch_overhead_cycles,
-            "flush_cycles": (stats.stage_cycles.get("flush", 0)
-                             - flush_cycles0),
-            "flushes": stats.flushes - flushes0,
-            "dram_cycles": sum(c.dram for c in costs),
-            "buffer_paths": len(buffer),
-            "stage_cycles": stage_breakdown,
-            "dropped_results": dropped_results,
-        }
-        return ("batch", delta, info)
-
-
-class _RunContext:
-    """Shared per-run state the PE steps read and update."""
-
-    __slots__ = ("target", "max_hops", "owners", "batch_fn", "results",
-                 "collect_paths", "on_result", "max_results",
-                 "total_results", "tracer")
-
-    def __init__(self, target, max_hops, owners, batch_fn, collect_paths,
-                 on_result, max_results, tracer) -> None:
-        self.target = target
-        self.max_hops = max_hops
-        self.owners = owners
-        self.batch_fn = batch_fn
-        self.results: list[tuple[int, ...]] = []
-        self.collect_paths = collect_paths
-        self.on_result = on_result
-        self.max_results = max_results
-        self.total_results = 0
-        self.tracer = tracer
 
 
 def run_multi_pe(
@@ -386,88 +86,60 @@ def run_multi_pe(
     for every PE count (enumeration order may differ for N > 1 because
     partitioning reorders the shared frontier).
     """
-    if not 0 <= source < graph.num_vertices:
-        raise QueryError(f"source {source} not in graph")
-    if not 0 <= target < graph.num_vertices:
-        raise QueryError(f"target {target} not in graph")
-    if source == target:
-        raise QueryError("source equals target")
-    if max_hops < 1:
-        raise QueryError(f"hop constraint must be >= 1, got {max_hops}")
-    if len(barrier) != graph.num_vertices:
-        raise QueryError("barrier array size does not match graph")
-    max_hops = min(max_hops, graph.num_vertices - 1)
-
-    cfg = engine.config
+    max_hops = _check_query(graph, source, target, max_hops, barrier)
     dcfg = engine.device_config
     num_pes = dcfg.num_pes
     frequency = dcfg.frequency_hz
-    rec_w = record_words(max_hops)
-
-    partitioner = VertexPartitioner(graph.num_vertices, num_pes,
-                                    dcfg.pe_partition)
-    owners = partitioner.owners.tolist()
+    owners = VertexPartitioner(graph.num_vertices, num_pes,
+                               dcfg.pe_partition).owners.tolist()
     arbiter = RoundRobinArbiter(dcfg)
     barrier_cost = barrier_sync_cycles(dcfg)
-
-    pes = [_PEState(engine, i, graph, barrier, rec_w)
-           for i in range(num_pes)]
-    profiler = DeviceProfiler() if profile else None
-    max_results = budget.max_results if budget is not None else None
     max_cycles = budget.max_cycles if budget is not None else None
-    truncated = False
-    ctx = _RunContext(target, max_hops, owners,
-                      batch_dfs if cfg.use_batch_dfs else fifo_batch,
-                      collect_paths, on_result, max_results, tracer)
+    max_results = budget.max_results if budget is not None else None
+
+    # One set of run tables, stats and results for all PEs; the cycle
+    # budget is checked here against the global clock.
+    tables = _RunTables(engine, graph, target, max_hops, barrier)
+    stats = EngineStats()
+    results: list[tuple[int, ...]] = []
+    pes = [
+        _Kernel(engine, graph, barrier, tables, stats, results,
+                on_result=on_result, collect_paths=collect_paths,
+                max_results=max_results, index=i, owners=owners)
+        for i in range(num_pes)
+    ]
+    profiler = DeviceProfiler() if profile else None
+    #: this superstep's kernel events, in stepping order.
+    events: list[tuple] = []
+    if profiler is not None or tracer:
+        for pe in pes:
+            pe.observe = events.append
 
     # --- seed: only the owner of `source` starts with work ------------
-    setup_wall = time.perf_counter_ns() if tracer else 0
-    seed_pe = pes[owners[source]]
-    lo = seed_pe.vertex_arr.read(source)
-    hi = seed_pe.vertex_arr.read(source + 1)
-    if lo < hi:
-        engine._charge_push(seed_pe.bram, seed_pe.dram, rec_w,
-                            seed_pe.buffer_in_bram)
-        seed_pe.buffer.push(PathRecord((source,), lo, hi))
-    setup_cycles = seed_pe.clock.cycles
-    global_cycles = setup_cycles
-    if profiler is not None:
-        profiler.mark_setup(setup_cycles)
-    if tracer:
-        tracer.complete("kernel_setup", setup_wall,
-                        modelled_seconds=setup_cycles / frequency,
-                        cycles=setup_cycles)
-
-    def work_remaining() -> bool:
-        return any(pe.has_work() for pe in pes)
+    global_cycles = pes[owners[source]].seed(source, profiler, tracer)
 
     # --- superstep loop ------------------------------------------------
     superstep = 0
     inter_messages = 0
     inter_route = inter_arbiter = inter_stall = inter_barrier = 0
-    while True:
-        if max_cycles is not None and global_cycles >= max_cycles:
-            truncated = work_remaining()
-            break
-        if not work_remaining():
-            break
-
-        events = [pe.step(ctx) for pe in pes]
-
-        # Critical PE: the slowest non-idle step holds the superstep
-        # (ties resolve to the lowest PE index).
-        crit_idx = -1
+    while max_cycles is None or global_cycles < max_cycles:
+        # Every PE with work takes one step; the slowest holds the
+        # superstep (ties resolve to the lowest PE index).
+        events.clear()
+        stepped: list[tuple[int, int]] = []
+        crit = -1
         crit_delta = -1
-        for i, (kind, delta, _info) in enumerate(events):
-            if kind != "idle" and delta > crit_delta:
-                crit_idx, crit_delta = i, delta
-        if crit_idx < 0:
-            break  # defensive: work_remaining() guarantees a step ran
-        crit_kind, crit_delta, crit_info = events[crit_idx]
-        dropped_any = any(
-            kind == "batch" and info["dropped_results"]
-            for kind, _d, info in events
-        )
+        for pe in pes:
+            if not pe.has_work():
+                continue
+            before = pe.clock.cycles
+            pe.run(1)
+            delta = pe.clock.cycles - before
+            if delta > crit_delta:
+                crit, crit_delta = len(stepped), delta
+            stepped.append((pe.index, delta))
+        if not stepped:
+            break
 
         # Route foreign records through the per-destination FIFOs.
         # Destinations drain in parallel: the superstep pays the slowest
@@ -475,202 +147,81 @@ def run_multi_pe(
         route_total = 0
         crit_charge = None
         step_messages = 0
-        if any(pe.outbox for pe in pes):
-            for dest in range(num_pes):
-                queues = {src: pes[src].outbox.get(dest, ())
-                          for src in range(num_pes) if src != dest}
-                if not any(queues.values()):
-                    continue
-                delivered, charge = arbiter.merge(dest, queues)
-                pes[dest].inbox.extend(delivered)
-                step_messages += charge.messages
-                if charge.total > route_total:
-                    route_total = charge.total
-                    crit_charge = charge
-            for pe in pes:
-                pe.outbox = {}
-        bar_cycles = barrier_cost
-        inter_cycles = route_total + bar_cycles
+        for dest in range(num_pes):
+            queues = {pe.index: pe.outbox[dest] for pe in pes
+                      if pe.outbox[dest]}
+            if not queues:
+                continue
+            delivered, charge = arbiter.merge(dest, queues)
+            pes[dest].inbox.extend(delivered)
+            for queue in queues.values():
+                queue.clear()
+            step_messages += charge.messages
+            if charge.total > route_total:
+                route_total = charge.total
+                crit_charge = charge
+        inter_cycles = route_total + barrier_cost
 
         global_cycles += crit_delta + inter_cycles
         inter_messages += step_messages
+        route = arbitration = stall = 0
         if crit_charge is not None:
-            inter_route += crit_charge.hop_cycles + crit_charge.stream_cycles
-            inter_arbiter += crit_charge.arbiter_cycles
-            inter_stall += crit_charge.stall_cycles
-        inter_barrier += bar_cycles
+            route = crit_charge.hop_cycles + crit_charge.stream_cycles
+            arbitration = crit_charge.arbiter_cycles
+            stall = crit_charge.stall_cycles
+        inter_route += route
+        inter_arbiter += arbitration
+        inter_stall += stall
+        inter_barrier += barrier_cost
 
         # Profile/trace: the critical PE's event is the superstep's
         # device event; interconnect + barrier charges get their own.
-        if profiler is not None:
-            if crit_kind == "batch":
-                profiler.record_batch(
-                    entries=crit_info["entries"],
-                    expansions=crit_info["expansions"],
-                    results=crit_info["results"],
-                    new_paths=crit_info["new_paths"],
-                    cycles=crit_delta,
-                    pipeline_cycles=crit_info["pipeline_cycles"],
-                    overhead_cycles=crit_info["overhead_cycles"],
-                    flush_cycles=crit_info["flush_cycles"],
-                    flushes=crit_info["flushes"],
-                    dram_cycles=crit_info["dram_cycles"],
-                    buffer_paths=crit_info["buffer_paths"],
-                    stage_cycles=crit_info["stage_cycles"],
-                )
-            else:
-                profiler.record_refill(crit_delta, crit_info["paths"])
+        if events:
+            _record_event(profiler, tracer, frequency, events[crit])
             if inter_cycles:
-                crit = crit_charge
-                profiler.record_inter_pe(
-                    superstep=superstep,
-                    cycles=inter_cycles,
-                    messages=step_messages,
-                    route_cycles=(crit.hop_cycles + crit.stream_cycles
-                                  if crit else 0),
-                    arbiter_cycles=crit.arbiter_cycles if crit else 0,
-                    stall_cycles=crit.stall_cycles if crit else 0,
-                    barrier_cycles=bar_cycles,
-                )
-        if tracer:
-            if crit_kind == "batch":
-                stages = crit_info["stage_cycles"]
-                slowest = max(stages.values(), default=0)
-                tracer.complete(
-                    "batch", crit_info["wall0"],
-                    modelled_seconds=crit_delta / frequency,
-                    entries=crit_info["entries"],
-                    expansions=crit_info["expansions"],
-                    results=crit_info["results"],
-                    cycles=crit_delta,
-                    busy_cycles=slowest,
-                    stall_cycles=(crit_info["pipeline_cycles"] - slowest
-                                  + crit_info["flush_cycles"]),
-                    overhead_cycles=crit_info["overhead_cycles"],
-                    bound=("verify"
-                           if stages.get("verify", 0) == slowest
-                           and slowest > 0 else "expand"),
-                )
-            else:
-                tracer.complete(
-                    "refill", crit_info["wall0"],
-                    modelled_seconds=crit_delta / frequency,
-                    cycles=crit_delta,
-                    paths=crit_info["paths"],
-                )
-            if inter_cycles:
-                tracer.complete(
-                    "inter_pe", time.perf_counter_ns(),
-                    modelled_seconds=inter_cycles / frequency,
-                    cycles=inter_cycles,
-                    messages=step_messages,
-                    barrier_cycles=bar_cycles,
-                )
-            if num_pes > 1:
-                # Shadow spans: every non-idle PE's step on its own
-                # track.  Attribution folds only the critical batch /
-                # refill / inter_pe spans above; these are for the
-                # timeline view.
-                for i, (kind, delta, info) in enumerate(events):
-                    if kind == "idle":
-                        continue
+                if profiler is not None:
+                    profiler.record_inter_pe(
+                        superstep=superstep, cycles=inter_cycles,
+                        messages=step_messages, route_cycles=route,
+                        arbiter_cycles=arbitration, stall_cycles=stall,
+                        barrier_cycles=barrier_cost,
+                    )
+                if tracer:
                     tracer.complete(
-                        "pe_step", info["wall0"],
+                        "inter_pe", time.perf_counter_ns(),
+                        modelled_seconds=inter_cycles / frequency,
+                        cycles=inter_cycles, messages=step_messages,
+                        barrier_cycles=barrier_cost,
+                    )
+            if tracer and num_pes > 1:
+                # Shadow spans: every stepped PE on its own track.
+                # Attribution folds only the critical batch / refill /
+                # inter_pe spans above; these are for the timeline view.
+                for pos, ((i, delta), (kind, wall0, _)) in enumerate(
+                        zip(stepped, events)):
+                    tracer.complete(
+                        "pe_step", wall0,
                         modelled_seconds=delta / frequency,
                         track=f"pe{i}",
                         pe=i, kind=kind, cycles=delta,
-                        critical=(i == crit_idx),
+                        critical=(pos == crit),
                     )
 
         superstep += 1
-        if max_results is not None and ctx.total_results >= max_results:
-            truncated = dropped_any or work_remaining()
+        if max_results is not None and stats.results >= max_results:
             break
 
-    # --- merge per-PE state into the run result ------------------------
-    stats = _merge_stats(pes)
     stats.inter_pe_messages = inter_messages
     stats.inter_pe_route_cycles = inter_route
     stats.inter_pe_arbiter_cycles = inter_arbiter
     stats.inter_pe_stall_cycles = inter_stall
     stats.inter_pe_barrier_cycles = inter_barrier
-    total_inter = inter_route + inter_arbiter + inter_stall + inter_barrier
-    stats.add_stage_cycles("inter_pe", total_inter)
+    stats.add_stage_cycles(
+        "inter_pe", inter_route + inter_arbiter + inter_stall + inter_barrier)
 
     if num_pes == 1:
         device = pes[0].device
     else:
         device = MultiPEDevice(dcfg, [pe.device for pe in pes])
         device.clock.advance(global_cycles)
-
-    run_profile = None
-    if profiler is not None:
-        if num_pes == 1:
-            pe = pes[0]
-            cached = (pe.vertex_arr, pe.edge_arr, pe.bar_arr)
-        else:
-            cached = tuple(
-                _MergedCounters(label, [getattr(pe, attr) for pe in pes])
-                for label, attr in (("vertex_arr", "vertex_arr"),
-                                    ("edge_arr", "edge_arr"),
-                                    ("bar_arr", "bar_arr"))
-            )
-        run_profile = profiler.finish(
-            device,
-            cached,
-            stats.peak_buffer_paths,
-            stats.peak_dram_paths,
-            verify_funnel={
-                "expansions": stats.expansions,
-                "rejected_target": stats.rejected_target,
-                "rejected_barrier": stats.rejected_barrier,
-                "rejected_visited": stats.rejected_visited,
-                "survivors": stats.intermediate_paths,
-            },
-            buffer_domain=stats.buffer_domain,
-            num_pes=num_pes,
-        )
-
-    return EngineRunResult(
-        paths=ctx.results,
-        cycles=device.cycles,
-        seconds=device.elapsed_seconds(),
-        stats=stats,
-        device=device,
-        truncated=truncated,
-        profile=run_profile,
-    )
-
-
-def _merge_stats(pes: list[_PEState]) -> EngineStats:
-    """Sum the per-PE counters; peaks take the max across PEs."""
-    merged = EngineStats()
-    for pe in pes:
-        st = pe.stats
-        merged.batches += st.batches
-        merged.expansions += st.expansions
-        merged.results += st.results
-        merged.intermediate_paths += st.intermediate_paths
-        merged.rejected_target += st.rejected_target
-        merged.rejected_barrier += st.rejected_barrier
-        merged.rejected_visited += st.rejected_visited
-        merged.flushes += st.flushes
-        merged.flushed_paths += st.flushed_paths
-        merged.refills += st.refills
-        merged.refilled_paths += st.refilled_paths
-        for key, value in st.new_paths_by_parent_length.items():
-            merged.new_paths_by_parent_length[key] = (
-                merged.new_paths_by_parent_length.get(key, 0) + value
-            )
-        for key, value in st.expansions_by_parent_length.items():
-            merged.expansions_by_parent_length[key] = (
-                merged.expansions_by_parent_length.get(key, 0) + value
-            )
-        for stage, cycles in st.stage_cycles.items():
-            merged.add_stage_cycles(stage, cycles)
-        merged.peak_buffer_paths = max(merged.peak_buffer_paths,
-                                       pe.buffer.peak_occupancy)
-        merged.peak_dram_paths = max(merged.peak_dram_paths,
-                                     pe.dram_area.peak_occupancy)
-    merged.buffer_domain = pes[0].stats.buffer_domain
-    return merged
+    return _finish_run(pes, device, stats, results, profiler)

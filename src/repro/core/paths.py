@@ -122,6 +122,26 @@ class BufferArea:
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
 
+    def extend(self, records) -> None:
+        """Push ``(vertices, next_ptr, last_ptr)`` triples in order.
+
+        All of them must fit: the caller flushes first when they might
+        not.
+        """
+        if len(self) + len(records) > self.capacity_paths:
+            raise CapacityError(
+                f"buffer area overflow (capacity {self.capacity_paths}); "
+                "the engine must flush before pushing"
+            )
+        if records:
+            verts, next_ptrs, last_ptrs = zip(*records)
+            self._verts.extend(verts)
+            self._next.extend(next_ptrs)
+            self._last.extend(last_ptrs)
+        occupancy = len(self._verts) - self._head
+        if occupancy > self.peak_occupancy:
+            self.peak_occupancy = occupancy
+
     def record_at(self, index: int) -> PathRecord:
         """Materialise the record at logical ``index`` (a read-only view:
         mutating the returned object does not write back)."""

@@ -77,26 +77,34 @@ class RoundRobinArbiter:
         ``queues`` maps source PE index -> records bound for
         ``destination`` this superstep.  Returns the delivery list in
         grant order plus the cycle charge.
+
+        The arbiter visits sources cyclically from the grant pointer,
+        one record per grant, skipping empty queues.  That is a
+        round-by-round interleave: round ``r`` delivers the ``r``-th
+        record of every queue longer than ``r``, in cyclic order from the
+        pointer.  The pointer then rests one past the last granted
+        source.  One pass over the records builds it.
         """
-        messages = sum(len(q) for q in queues.values())
-        contenders = sum(1 for q in queues.values() if q)
+        n = self.num_pes
+        start = self._grant[destination]
+        active = sorted(
+            ((src - start) % n, src, q) for src, q in queues.items() if q
+        )
+        messages = sum(len(q) for _, _, q in active)
+        contenders = len(active)
         delivered: list = []
-        if messages:
-            pending = {src: list(q) for src, q in queues.items() if q}
-            cursor = self._grant[destination]
-            while pending:
-                # visit sources cyclically from the grant pointer, one
-                # record per grant
-                for _ in range(self.num_pes):
-                    src = cursor % self.num_pes
-                    cursor += 1
-                    q = pending.get(src)
-                    if q:
-                        delivered.append(q.pop(0))
-                        if not q:
-                            del pending[src]
-                        break
-            self._grant[destination] = cursor % self.num_pes
+        if active:
+            last = active[-1][1]
+            if contenders == 1:
+                delivered.extend(active[0][2])
+            else:
+                rnd = 0
+                while active:
+                    for _, last, q in active:
+                        delivered.append(q[rnd])
+                    rnd += 1
+                    active = [a for a in active if len(a[2]) > rnd]
+            self._grant[destination] = (last + 1) % n
         charge = RouteCharge(
             destination=destination,
             messages=messages,

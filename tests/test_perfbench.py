@@ -400,6 +400,25 @@ class TestBenchCLI:
         for name in SCENARIOS:
             assert name in out
 
-    def test_legacy_bench_seed_flag_still_parses(self, capsys):
+    def test_legacy_bench_seed_flag_still_parses(self, capsys, monkeypatch):
+        # Only the legacy dispatch is under test, so the experiment it
+        # looks up is a recording stub; Table II itself is covered by
+        # tests/test_reporting.py.
+        from repro.reporting import experiments
+
+        calls = []
+
+        class _Result:
+            def table(self):
+                return "Table II (stub)"
+
+        def lookup(name):
+            def experiment(seed, **kwargs):
+                calls.append((name, seed, kwargs))
+                return _Result()
+            return experiment, {}
+
+        monkeypatch.setattr(experiments, "experiment_by_name", lookup)
         assert main(["bench", "tab2", "--seed", "3"]) == 0
-        assert "Table II" in capsys.readouterr().out
+        assert calls == [("tab2", 3, {})]
+        assert "Table II (stub)" in capsys.readouterr().out
