@@ -2,6 +2,7 @@
 
 from repro.service.batch import (
     BACKENDS,
+    BatchOutcome,
     BatchQueryService,
     EngineServer,
     FlakyEngine,
@@ -16,18 +17,16 @@ from repro.service.metrics import (
     MetricsTimeline,
     percentile,
 )
-from repro.service.parallel import BatchOutcome, ProcessEnginePool
+from repro.service.parallel import ProcessEnginePool
 from repro.service.scheduler import (
     SCHEDULER_NAMES,
     SCHEDULERS,
     WORK_STEALING,
     estimate_query_work,
     group_by_source,
-    grouped_assignment,
-    grouped_steal_order,
     longest_first,
+    query_groups,
     requeue,
-    requeue_groups,
     round_robin,
     steal_order,
 )
@@ -52,11 +51,9 @@ __all__ = [
     "WORK_STEALING",
     "estimate_query_work",
     "group_by_source",
-    "grouped_assignment",
-    "grouped_steal_order",
     "longest_first",
+    "query_groups",
     "requeue",
-    "requeue_groups",
     "round_robin",
     "steal_order",
 ]

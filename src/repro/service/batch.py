@@ -7,22 +7,38 @@ Pre-BFS results) are shared across all of them, and the batch is dispatched
 over N engine instances — each a full :class:`PathEnumerationSystem` whose
 kernel runs keep their own per-device cycle accounting.
 
-Two dispatch backends serve the same contract:
+Dispatch is one loop over one kind of work:
 
-- ``backend="thread"`` (the default) runs one worker thread per engine.
-  This only *overlaps modelled device time*: each engine advances its own
-  simulated device clock independently, but the host-side enumeration that
-  produces those clocks is pure Python and therefore GIL-bound — N thread
-  workers add almost no wall-clock throughput over one.  Answers and
-  modelled timings are independent of thread interleaving either way.
-- ``backend="process"`` (see :mod:`repro.service.parallel`) runs one
-  engine per worker *process*: the graph and its reverse CSR ship to each
-  worker once, queries stream over a work queue, and answers, metrics,
-  trace spans and device profiles are marshalled back to the coordinator.
-  Host-side enumeration then runs genuinely in parallel, which is where
-  real wall-clock scaling comes from; every modelled number is identical
-  to the thread backend by construction (the differential test suite
-  asserts this).
+- every query is a member of a group (source groups under sharing,
+  singletons otherwise — :func:`repro.service.scheduler.query_groups`),
+  and the scheduler places whole groups;
+- :func:`dispatch` is the coordinator loop: each round runs the surviving
+  engines over their work source — a static list per engine, or one
+  shared steal queue — then regroups whatever failed engines left
+  unserved and either deals it over the survivors (static schedulers) or
+  seeds a fresh steal queue (work stealing);
+- :func:`serve_source` is the per-engine loop every executor runs: serve
+  each member through :class:`EngineServer`, hand the report back,
+  observe it, and return the unserved remainder on
+  :class:`~repro.errors.EngineFailure`.
+
+Three executors run a round:
+
+- inline (``use_threads=False``): the engines in order on the calling
+  thread;
+- a thread pool (``backend="thread"``, the default).  This only *overlaps
+  modelled device time*: each engine advances its own simulated device
+  clock independently, but the host-side enumeration that produces those
+  clocks is pure Python and therefore GIL-bound — N thread workers add
+  almost no wall-clock throughput over one.  Answers and modelled timings
+  are independent of thread interleaving either way;
+- worker processes (``backend="process"``, see
+  :mod:`repro.service.parallel`): the graph and its reverse CSR ship to
+  each worker once, and each worker runs :func:`serve_source` on its own
+  engine.  Host-side enumeration then runs genuinely in parallel, which
+  is where real wall-clock scaling comes from; answers and modelled
+  device numbers are identical to the other executors (the differential
+  test suite asserts this).
 
 Robustness layer
 ----------------
@@ -40,7 +56,8 @@ degradation end to end:
   its remaining queries to tightly budgeted runs instead of dropping them;
 - an engine that raises :class:`~repro.errors.EngineFailure` mid-batch
   (see :class:`FlakyEngine` for fault injection) is retired and its
-  unfinished queries are requeued onto the surviving engines.
+  unfinished queries are requeued onto the surviving engines in the next
+  round.
 
 Latency, throughput, cache, robustness and per-engine utilization metrics
 land in a :class:`repro.service.metrics.MetricsRegistry` and are summarised
@@ -71,7 +88,7 @@ from repro.host.cost_model import CpuCostModel, OpCounter
 from repro.host.query import Query
 from repro.host.system import PathEnumerationSystem, SystemReport
 from repro.observability.tracer import NULL_TRACER
-from repro.service.cache import GraphArtifactCache
+from repro.service.cache import CACHE_STAT_KEYS, GraphArtifactCache
 from repro.service.metrics import (
     LatencySummary,
     MetricsRegistry,
@@ -82,20 +99,9 @@ from repro.service.scheduler import (
     SCHEDULERS,
     WORK_STEALING,
     Assignment,
-    grouped_assignment,
-    grouped_steal_order,
+    query_groups,
     requeue,
-    requeue_groups,
     steal_order,
-)
-
-#: cache-stat keys folded into the metrics registry per batch.
-CACHE_STAT_KEYS = (
-    "reverse_hits", "reverse_misses",
-    "prebfs_hits", "prebfs_misses",
-    "forward_hits", "forward_misses",
-    "result_hits", "result_misses",
-    "build_failures",
 )
 
 #: sharing/lifecycle counters re-exported under their report-level names
@@ -377,12 +383,7 @@ def observe_profile(metrics: MetricsRegistry, prof,
 
 
 class _StealQueue:
-    """Shared work queue for the thread backend's work-stealing mode.
-
-    Items are batch indices (``int``) in the per-query mode, or whole
-    source groups (``list[int]``) under cross-query sharing — a group is
-    stolen, and put back, as one unit.
-    """
+    """The thread executor's shared steal queue of task groups."""
 
     __slots__ = ("_items", "_lock")
 
@@ -394,14 +395,141 @@ class _StealQueue:
         with self._lock:
             return self._items.popleft() if self._items else None
 
-    def put_back(self, item) -> None:
-        """Return work a failing engine could not finish."""
-        with self._lock:
-            self._items.appendleft(item)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
+def serve_source(server: EngineServer, engine_idx: int, source, tracer,
+                 metrics: MetricsRegistry, timeline: MetricsTimeline | None,
+                 deliver) -> list[int]:
+    """The per-engine serve loop every executor runs.
+
+    ``source`` yields groups of ``(batch index, query)`` tasks: a list
+    holding one engine's whole static task list, or an iterator over a
+    shared steal queue.  Each member is served, handed to
+    ``deliver(engine_idx, index, report, degraded)`` and observed into
+    ``metrics`` / ``timeline``; static sources also publish the engine's
+    queue depth (a steal queue's length depends on interleaving).  On
+    :class:`~repro.errors.EngineFailure` the loop stops and returns the
+    unserved rest of the group — requeueing it is the coordinator's job.
+    """
+    static = isinstance(source, list)
+    with (tracer or NULL_TRACER).track(f"engine{engine_idx}"):
+        for group in source:
+            for pos, (idx, query) in enumerate(group):
+                try:
+                    report, degraded = server.serve(query, tracer)
+                except EngineFailure:
+                    return [i for i, _ in group[pos:]]
+                deliver(engine_idx, idx, report, degraded)
+                t_end = server.host_busy + server.device_busy
+                observe_report(metrics, report, engine_idx,
+                               degraded=degraded, timeline=timeline,
+                               t_end=t_end)
+                if timeline is not None:
+                    if server.last_result_hit:
+                        timeline.record(t_end, "result_hits")
+                    if static:
+                        timeline.set_gauge(
+                            t_end, f"engine{engine_idx}/queue_depth",
+                            len(group) - pos - 1,
+                        )
+    return []
+
+
+@dataclass
+class BatchOutcome:
+    """What one batch's dispatch produced, before it becomes a report.
+
+    :func:`dispatch` fills the answers and the failure accounting; the
+    executor fills the busy times, and the process executor also the
+    per-(round, worker) registries, traces, timelines and cache deltas
+    its workers shipped back, in deterministic (round, worker) order.
+    """
+
+    reports: list
+    host_busy: list[float]
+    device_busy: list[float]
+    assignment: Assignment = field(default_factory=list)
+    #: engines retired: by an EngineFailure this batch, or by process
+    #: death (this batch or an earlier one).
+    failed_engines: list[int] = field(default_factory=list)
+    engine_failures: int = 0
+    requeued: int = 0
+    #: who served what, in serving order.
+    served_by: Assignment = field(default_factory=list)
+    metric_registries: list[MetricsRegistry] = field(default_factory=list)
+    #: span-record lists, one per worker round — every worker round
+    #: numbers its spans from 1, so each list must be ingested on its own
+    #: for parent links to remap without colliding.
+    trace_records: list[list] = field(default_factory=list)
+    timelines: list[MetricsTimeline] = field(default_factory=list)
+    #: summed per-round cache-stat deltas of worker-local caches.
+    worker_cache_stats: Counter = field(default_factory=Counter)
+
+    def deliver(self, engine_idx: int, idx: int, report,
+                degraded: bool = False) -> None:
+        self.reports[idx] = report
+        self.served_by[engine_idx].append(idx)
+
+
+def dispatch(queries: list[Query], sharing: bool, scheduler: str,
+             num_engines: int, run_round, graph: CSRGraph | None = None,
+             cache: GraphArtifactCache | None = None,
+             retired=()) -> BatchOutcome:
+    """The coordinator loop every backend runs; returns the outcome.
+
+    Groups the batch (:func:`~repro.service.scheduler.query_groups`),
+    places the groups with ``scheduler``, then runs rounds.
+    ``run_round(outcome, engines, work, steal)`` is the executor: it
+    serves ``work`` on ``engines`` — ``work[e]`` per engine when static,
+    or the groups seeding one shared steal queue when ``steal`` — and
+    returns ``(unserved indices, engines that failed)``.  After a round
+    the unserved indices are regrouped and dealt over the survivors
+    (static) or seed the next round's steal queue.  ``retired`` names
+    engines already lost before this batch; work dealt to them is
+    requeued too.  Raises :class:`~repro.errors.ServiceError` when no
+    engine survives.
+    """
+    outcome = BatchOutcome([None] * len(queries), [0.0] * num_engines,
+                           [0.0] * num_engines,
+                           served_by=[[] for _ in range(num_engines)])
+    groups = query_groups(queries, sharing)
+    steal = scheduler == WORK_STEALING
+    if steal:
+        order = steal_order(queries, graph=graph, cache=cache, groups=groups)
+        work = [groups[g] for g in order]
+        outcome.assignment = outcome.served_by
+    else:
+        work = outcome.assignment = SCHEDULERS[scheduler](
+            queries, num_engines, graph=graph, cache=cache, groups=groups,
+        )
+    failed = set(retired)
+    while True:
+        survivors = [e for e in range(num_engines) if e not in failed]
+        if steal:
+            engines = survivors if work else []
+            unserved = []
+        else:
+            engines = [e for e in survivors if work[e]]
+            unserved = [i for e in failed for i in work[e]]
+        if engines:
+            left, lost = run_round(outcome, engines, work, steal)
+            unserved += left
+            failed.update(lost)
+            outcome.engine_failures += len(lost)
+        if not unserved:
+            break
+        survivors = [e for e in survivors if e not in failed]
+        if not survivors:
+            raise ServiceError(
+                f"all {num_engines} engine(s) failed with {len(unserved)} "
+                f"of {len(queries)} queries unanswered"
+            )
+        unserved = sorted(set(unserved))
+        outcome.requeued += len(unserved)
+        regrouped = query_groups(queries, sharing, unserved)
+        work = regrouped if steal else requeue(regrouped, num_engines,
+                                               survivors)
+    outcome.failed_engines = sorted(failed)
+    return outcome
 
 
 @dataclass
@@ -833,23 +961,20 @@ class BatchQueryService:
         if self.backend == "process":
             outcome = self._dispatch_process(
                 queries, effective, batch_deadline_s,
-                degraded_cycle_budget, tracer, tr, profile, timeline,
-            )
-        elif self.scheduler == WORK_STEALING:
-            outcome = self._dispatch_thread_stealing(
-                queries, effective, batch_deadline_s,
-                degraded_cycle_budget, tracer, tr, profile, timeline,
+                degraded_cycle_budget, tr, profile, timeline,
             )
         else:
-            outcome = self._dispatch_thread_static(
+            outcome = self._dispatch_threads(
                 queries, effective, batch_deadline_s,
-                degraded_cycle_budget, tracer, tr, profile, timeline,
+                degraded_cycle_budget, tracer, profile, timeline,
             )
-        reports, assignment, host_busy, device_busy, failed, worker_stats = (
-            outcome
-        )
+        if outcome.engine_failures:
+            self.metrics.increment("engine_failures",
+                                   outcome.engine_failures)
+        if outcome.requeued:
+            self.metrics.increment("requeued_queries", outcome.requeued)
 
-        done = [r for r in reports if r is not None]
+        done = [r for r in outcome.reports if r is not None]
         if len(done) != len(queries):
             raise ServiceError(
                 f"engine workers lost {len(queries) - len(done)} of "
@@ -868,37 +993,33 @@ class BatchQueryService:
 
         wall_seconds = time.perf_counter() - wall_start
         cache_stats = dict(self.cache.stats())
+        worker_stats = outcome.worker_cache_stats
         deltas: dict[str, int] = {}
         for key in CACHE_STAT_KEYS:
-            delta = cache_stats[key] - stats_before[key]
-            if worker_stats is not None:
-                delta += worker_stats.get(key, 0)
+            delta = cache_stats[key] - stats_before[key] + worker_stats[key]
             deltas[key] = delta
             self.metrics.increment(key, delta)
         for alias, key in SHARING_COUNTER_ALIASES.items():
             self.metrics.increment(alias, deltas[key])
-        if worker_stats is not None:
-            # Fold the worker-process caches into the reported view; the
-            # coordinator cache itself only ever sees the warmup build.
-            self._worker_stats_total.update(worker_stats)
-            for key, value in self._worker_stats_total.items():
-                cache_stats[key] = cache_stats.get(key, 0) + value
+        # Fold the worker-process caches into the reported view; under the
+        # process backend the coordinator cache only sees the warmup build.
+        self._worker_stats_total.update(worker_stats)
+        for key, value in self._worker_stats_total.items():
+            cache_stats[key] = cache_stats.get(key, 0) + value
 
         report = ServiceBatchReport(
             reports=done,
-            assignment=assignment,
+            assignment=outcome.assignment,
             scheduler=self.scheduler,
             batch_transfer_seconds=batch_transfer,
             warmup_ops=warmup_ops,
             warmup_seconds=warmup_seconds,
-            engine_host_seconds=host_busy,
-            engine_device_seconds=device_busy,
+            engine_host_seconds=outcome.host_busy,
+            engine_device_seconds=outcome.device_busy,
             wall_seconds=wall_seconds,
             metrics=self.metrics,
             cache_stats=cache_stats,
-            failed_engines=[
-                e for e in range(self.num_engines) if failed[e]
-            ],
+            failed_engines=outcome.failed_engines,
             failure_plan=list(self.failure_plan),
             backend=self.backend,
             sharing=self.sharing,
@@ -940,23 +1061,13 @@ class BatchQueryService:
             "attribution/queue_wait_seconds_total", queue_wait
         )
 
-    # -- thread backend, static schedulers ----------------------------
-    def _dispatch_thread_static(
+    # -- executors -----------------------------------------------------
+    def _dispatch_threads(
         self, queries, effective, batch_deadline_s, degraded_cycle_budget,
-        tracer, tr, profile, timeline,
-    ):
-        if self.sharing:
-            assignment = grouped_assignment(
-                self.scheduler, queries, self.num_engines,
-                graph=self.graph, cache=self.cache,
-            )
-        else:
-            assignment = SCHEDULERS[self.scheduler](
-                queries, self.num_engines, graph=self.graph,
-                cache=self.cache,
-            )
-        reports: list[SystemReport | None] = [None] * len(queries)
-        failed = [False] * self.num_engines
+        tracer, profile, timeline,
+    ) -> BatchOutcome:
+        """Run :func:`dispatch` inline or on a thread pool, one engine per
+        thread, observing straight into the service registry."""
         servers = [
             EngineServer(system, effective, batch_deadline_s,
                          degraded_cycle_budget, profile,
@@ -964,43 +1075,21 @@ class BatchQueryService:
             for system in self.systems
         ]
 
-        def serve_engine(engine_idx: int, indices: list[int]) -> list[int]:
-            """Serve ``indices`` on one engine; return what it left behind."""
-            server = servers[engine_idx]
-            # Every query span this worker opens lands on the engine's
-            # own row of the trace timeline.
-            with tr.track(f"engine{engine_idx}"):
-                for pos, query_idx in enumerate(indices):
-                    try:
-                        report, degraded = server.serve(
-                            queries[query_idx], tracer
-                        )
-                    except EngineFailure:
-                        failed[engine_idx] = True
-                        self.metrics.increment("engine_failures")
-                        return indices[pos:]
-                    reports[query_idx] = report
-                    t_end = server.host_busy + server.device_busy
-                    observe_report(self.metrics, report, engine_idx,
-                                   degraded=degraded, timeline=timeline,
-                                   t_end=t_end)
-                    if timeline is not None:
-                        if server.last_result_hit:
-                            timeline.record(t_end, "result_hits")
-                        timeline.set_gauge(
-                            t_end, f"engine{engine_idx}/queue_depth",
-                            len(indices) - pos - 1,
-                        )
-            return []
+        def run_round(outcome, engines, work, steal):
+            if steal:
+                shared = _StealQueue(
+                    [(i, queries[i]) for i in group] for group in work
+                )
+                sources = {e: iter(shared.take, None) for e in engines}
+            else:
+                sources = {e: [[(i, queries[i]) for i in work[e]]]
+                           for e in engines}
 
-        work = [list(part) for part in assignment]
-        while True:
-            active = [
-                e for e in range(self.num_engines)
-                if work[e] and not failed[e]
-            ]
-            unserved: list[int] = []
-            if self.use_threads and len(active) > 1:
+            def serve(e: int) -> list[int]:
+                return serve_source(servers[e], e, sources[e], tracer,
+                                    self.metrics, timeline, outcome.deliver)
+
+            if self.use_threads and len(engines) > 1:
                 # The workers are CPU-bound Python holding the GIL, so
                 # frequent interpreter thread switches buy no overlap and
                 # cost cache/branch-predictor state on every handoff.
@@ -1009,133 +1098,30 @@ class BatchQueryService:
                 sys.setswitchinterval(0.1)
                 try:
                     with ThreadPoolExecutor(
-                        max_workers=len(active),
+                        max_workers=len(engines),
                         thread_name_prefix="pefp-engine",
                     ) as pool:
-                        futures = [
-                            pool.submit(serve_engine, e, work[e])
-                            for e in active
-                        ]
-                        for future in futures:
-                            unserved.extend(future.result())
+                        rests = list(pool.map(serve, engines))
                 finally:
                     sys.setswitchinterval(switch_interval)
             else:
-                for e in active:
-                    unserved.extend(serve_engine(e, work[e]))
-            if not unserved:
-                break
-            survivors = [
-                e for e in range(self.num_engines) if not failed[e]
-            ]
-            if not survivors:
-                raise ServiceError(
-                    f"all {self.num_engines} engine(s) failed with "
-                    f"{len(unserved)} of {len(queries)} queries unanswered"
-                )
-            unserved.sort()
-            self.metrics.increment("requeued_queries", len(unserved))
-            if self.sharing:
-                # Keep surviving source groups whole so the re-dispatch
-                # still shares forward frontiers and dedupes duplicates.
-                work = requeue_groups(queries, unserved,
-                                      self.num_engines, survivors)
-            else:
-                work = requeue(unserved, self.num_engines, survivors)
+                rests = [serve(e) for e in engines]
+            return ([i for rest in rests for i in rest],
+                    [e for e, rest in zip(engines, rests) if rest])
 
-        host_busy = [s.host_busy for s in servers]
-        device_busy = [s.device_busy for s in servers]
-        return reports, assignment, host_busy, device_busy, failed, None
+        outcome = dispatch(queries, self.sharing, self.scheduler,
+                           self.num_engines, run_round, graph=self.graph,
+                           cache=self.cache)
+        outcome.host_busy = [s.host_busy for s in servers]
+        outcome.device_busy = [s.device_busy for s in servers]
+        return outcome
 
-    # -- thread backend, work stealing ---------------------------------
-    def _dispatch_thread_stealing(
-        self, queries, effective, batch_deadline_s, degraded_cycle_budget,
-        tracer, tr, profile, timeline,
-    ):
-        if self.sharing:
-            items = grouped_steal_order(queries, graph=self.graph,
-                                        cache=self.cache)
-        else:
-            items = steal_order(queries, graph=self.graph,
-                                cache=self.cache)
-        queue = _StealQueue(items)
-        assignment: Assignment = [[] for _ in range(self.num_engines)]
-        reports: list[SystemReport | None] = [None] * len(queries)
-        failed = [False] * self.num_engines
-        servers = [
-            EngineServer(system, effective, batch_deadline_s,
-                         degraded_cycle_budget, profile,
-                         share=self.sharing)
-            for system in self.systems
-        ]
-
-        def steal_worker(engine_idx: int) -> None:
-            server = servers[engine_idx]
-            with tr.track(f"engine{engine_idx}"):
-                while True:
-                    item = queue.take()
-                    if item is None:
-                        return
-                    # Sharing steals whole source groups; the per-query
-                    # mode steals bare indices.
-                    members = item if isinstance(item, list) else [item]
-                    for pos, query_idx in enumerate(members):
-                        try:
-                            report, degraded = server.serve(
-                                queries[query_idx], tracer
-                            )
-                        except EngineFailure:
-                            failed[engine_idx] = True
-                            self.metrics.increment("engine_failures")
-                            rest = members[pos:]
-                            self.metrics.increment("requeued_queries",
-                                                   len(rest))
-                            queue.put_back(
-                                rest if isinstance(item, list) else rest[0]
-                            )
-                            return
-                        reports[query_idx] = report
-                        assignment[engine_idx].append(query_idx)
-                        t_end = server.host_busy + server.device_busy
-                        observe_report(self.metrics, report, engine_idx,
-                                       degraded=degraded,
-                                       timeline=timeline, t_end=t_end)
-                        # No queue-depth gauge here: the shared steal
-                        # queue's length depends on thread interleaving.
-                        if timeline is not None and server.last_result_hit:
-                            timeline.record(t_end, "result_hits")
-
-        while len(queue):
-            active = [
-                e for e in range(self.num_engines) if not failed[e]
-            ]
-            if not active:
-                raise ServiceError(
-                    f"all {self.num_engines} engine(s) failed with "
-                    f"{len(queue)} of {len(queries)} queries unanswered"
-                )
-            if self.use_threads and len(active) > 1:
-                with ThreadPoolExecutor(
-                    max_workers=len(active),
-                    thread_name_prefix="pefp-engine",
-                ) as pool:
-                    for future in [
-                        pool.submit(steal_worker, e) for e in active
-                    ]:
-                        future.result()
-            else:
-                for e in active:
-                    steal_worker(e)
-
-        host_busy = [s.host_busy for s in servers]
-        device_busy = [s.device_busy for s in servers]
-        return reports, assignment, host_busy, device_busy, failed, None
-
-    # -- process backend -----------------------------------------------
     def _dispatch_process(
         self, queries, effective, batch_deadline_s, degraded_cycle_budget,
-        tracer, tr, profile, timeline,
-    ):
+        tr, profile, timeline,
+    ) -> BatchOutcome:
+        """Run the batch on the worker-process pool and fold in what its
+        workers observed."""
         from repro.service.parallel import ProcessEnginePool
 
         if self._pool is None:
@@ -1170,31 +1156,17 @@ class BatchQueryService:
             self.metrics.merge(registry)
         if timeline is not None:
             # Worker shards arrive in (round, worker) order and merge
-            # exactly, so the combined timeline is byte-identical to the
-            # thread backend's (every merge here is commutative anyway;
-            # the sort just makes the iteration order self-evident).
+            # exactly, so the combined timeline equals the in-process
+            # executors' (every merge here is commutative anyway; the
+            # order just makes the iteration self-evident).
             for shard in outcome.timelines:
                 timeline.merge(shard)
-        if outcome.engine_failures:
-            self.metrics.increment("engine_failures",
-                                   outcome.engine_failures)
-        if outcome.requeued:
-            self.metrics.increment("requeued_queries", outcome.requeued)
         # One ingest per worker round: each round's tracer numbered its
         # spans from 1, so remapping them together would cross-wire
         # parent links between workers.
         for worker_round in outcome.trace_records:
             tr.ingest(worker_round)
-        failed = [
-            e in outcome.failed_engines for e in range(self.num_engines)
-        ]
-        return (outcome.reports, outcome.assignment, outcome.host_busy,
-                outcome.device_busy, failed, outcome.worker_cache_stats)
-
-    def _observe(
-        self, report: SystemReport, engine_idx: int, degraded: bool = False
-    ) -> None:
-        observe_report(self.metrics, report, engine_idx, degraded=degraded)
+        return outcome
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:

@@ -46,6 +46,17 @@ from repro.host.query import Query
 from repro.preprocess.bfs import charged_reverse, k_hop_bfs
 from repro.preprocess.prebfs import PreBFSResult, pre_bfs
 
+#: the hit/miss counters of :meth:`GraphArtifactCache.stats` — what the
+#: service folds into its metrics registry per batch.  ``stats()`` also
+#: reports the memo sizes (``*_entries``), which are levels, not counters.
+CACHE_STAT_KEYS = (
+    "reverse_hits", "reverse_misses",
+    "prebfs_hits", "prebfs_misses",
+    "forward_hits", "forward_misses",
+    "result_hits", "result_misses",
+    "build_failures",
+)
+
 
 class GraphArtifactCache:
     """Reverse-CSR, Pre-BFS, forward-frontier and result cache of a service.
@@ -390,20 +401,11 @@ class GraphArtifactCache:
     def stats(self) -> dict[str, int]:
         """Hit/miss counters as a plain dict (for metrics snapshots)."""
         with self._lock:
-            return {
-                "reverse_hits": self.reverse_hits,
-                "reverse_misses": self.reverse_misses,
-                "prebfs_hits": self.prebfs_hits,
-                "prebfs_misses": self.prebfs_misses,
-                "forward_hits": self.forward_hits,
-                "forward_misses": self.forward_misses,
-                "result_hits": self.result_hits,
-                "result_misses": self.result_misses,
-                "build_failures": self.build_failures,
-                "prebfs_entries": len(self._prebfs),
-                "forward_entries": len(self._forward),
-                "result_entries": len(self._results),
-            }
+            stats = {key: getattr(self, key) for key in CACHE_STAT_KEYS}
+            stats.update(prebfs_entries=len(self._prebfs),
+                         forward_entries=len(self._forward),
+                         result_entries=len(self._results))
+            return stats
 
     def clear(self) -> None:
         """Drop every cached artifact (counters are kept).

@@ -4,109 +4,62 @@ The thread backend in :mod:`repro.service.batch` is GIL-bound — its N
 engine workers overlap *modelled* device time but share one interpreter
 for the pure-Python host enumeration, so wall-clock throughput barely
 moves with N.  :class:`ProcessEnginePool` runs each engine in its own
-worker process instead:
+worker process instead.  It is the third executor of the one
+coordinator loop, :func:`repro.service.batch.dispatch`; each worker runs
+the same per-engine loop, :func:`repro.service.batch.serve_source`:
 
 - **artifacts ship once** — the coordinator warms its
   :class:`~repro.service.cache.GraphArtifactCache` first, so the pickled
   :class:`~repro.graph.csr.CSRGraph` each worker receives carries the
   reverse-CSR memo; the worker-local cache *adopts* it (no rebuild, no
   spurious miss) and Pre-BFS memoisation then happens per worker;
-- **queries stream** — static schedulers ship each worker its task list
-  per round; ``work-stealing`` feeds one shared task queue that idle
-  workers pull from, closed by one sentinel per participant;
+- **work streams per round** — a static round ships each worker its task
+  list; a stealing round feeds one shared task queue that idle workers
+  pull groups from, closed by one sentinel per participant;
 - **everything marshals back** — answers (full
   :class:`~repro.host.system.SystemReport` objects, device profiles
   included) stream per query; per-round worker metrics registries, trace
   span records, busy times and cache stats ride on a final ``round_done``
-  message and are merged on the coordinator.
+  message and are merged on the coordinator in (round, worker) order.
 
-Fault tolerance mirrors the thread backend: a worker whose engine raises
-:class:`~repro.errors.EngineFailure` reports its unserved queries and is
-retired for the batch (the process stays up for the next batch — a
-:class:`~repro.service.batch.FlakyEngine` keeps its run count across
-batches, exactly like the thread backend's engines).  A worker *process*
-that dies outright is detected by liveness polling, permanently removed
-from the pool, and its unserved queries are requeued onto the survivors;
-with no survivors the batch raises
-:class:`~repro.errors.ServiceError`.
-
-Every per-query decision (budget tightening, batch-deadline degradation)
-runs through the same :class:`~repro.service.batch.EngineServer` the
-thread backend uses, which is why the differential test suite can demand
-identical answers, counts and modelled device cycles from both backends.
+A worker whose engine raises :class:`~repro.errors.EngineFailure`
+reports its unserved queries and is retired for the batch (the process
+stays up for the next batch — a :class:`~repro.service.batch.FlakyEngine`
+keeps its run count across batches, exactly like the thread backend's
+engines).  A worker *process* that dies outright is detected by liveness
+polling and permanently removed from the pool.  Either way the
+coordinator loop requeues what was left unserved onto the survivors by
+the one requeue rule.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import queue as queue_mod
 import traceback
-from collections import Counter
-from dataclasses import dataclass, field
 
-from repro.errors import EngineFailure, ServiceError
+from repro.errors import ServiceError
+from repro.service.batch import BatchOutcome, dispatch
 from repro.service.cache import GraphArtifactCache
 from repro.service.metrics import MetricsRegistry, MetricsTimeline
-from repro.service.scheduler import (
-    SCHEDULERS,
-    WORK_STEALING,
-    Assignment,
-    group_by_source,
-    grouped_assignment,
-    grouped_steal_order,
-    requeue,
-    requeue_groups,
-    steal_order,
-)
 
 #: seconds the coordinator blocks on the result queue before polling
 #: worker liveness; also the workers' task-queue poll while stealing.
 POLL_INTERVAL = 0.2
-
-#: cache-stat keys folded into the service metrics.
-_CACHE_KEYS = ("reverse_hits", "reverse_misses",
-               "prebfs_hits", "prebfs_misses",
-               "forward_hits", "forward_misses",
-               "result_hits", "result_misses",
-               "build_failures", "prebfs_entries",
-               "forward_entries", "result_entries")
-
-
-@dataclass
-class BatchOutcome:
-    """Everything one batch produced, as seen by the coordinator."""
-
-    reports: list
-    assignment: Assignment
-    host_busy: list[float]
-    device_busy: list[float]
-    #: engines retired this batch (EngineFailure or process death).
-    failed_engines: list[int]
-    engine_failures: int
-    requeued: int
-    #: per-round worker registries, in deterministic (round, worker) order.
-    metric_registries: list[MetricsRegistry]
-    #: per-(round, worker) span-record lists, same order.  Kept separate —
-    #: every worker round numbers its spans from 1, so each list must be
-    #: ingested on its own for parent links to remap without colliding.
-    trace_records: list[list]
-    #: summed per-run cache-stat deltas of every worker-local cache.
-    worker_cache_stats: dict[str, int] = field(default_factory=dict)
-    #: per-(round, worker) telemetry timelines, same deterministic order
-    #: as ``metric_registries`` (only populated when the batch ran with
-    #: windowed telemetry on).
-    timelines: list[MetricsTimeline] = field(default_factory=list)
 
 
 def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
                  task_queue):
     """Engine worker loop: build once, then serve rounds until shutdown."""
     # Imported here (not at module top) only for clarity of what the
-    # worker side actually needs; repro.service.batch imports this module
-    # lazily, so there is no cycle either way.
+    # worker side actually needs.
     from repro.host.system import PathEnumerationSystem
-    from repro.observability.tracer import NULL_TRACER, Tracer
-    from repro.service.batch import EngineServer, FlakyEngine, observe_report
+    from repro.observability.tracer import Tracer
+    from repro.service.batch import EngineServer, FlakyEngine, serve_source
+
+    def deliver(w, idx, report, degraded):
+        result_queue.put(("result", w, idx, report, degraded))
 
     try:
         graph = spec["graph"]
@@ -154,84 +107,23 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
             # shared queue until a sentinel or an abort).
             metrics = MetricsRegistry()
             tracer = Tracer() if trace else None
-            tr = tracer or NULL_TRACER
             timeline = None
             if window_seconds is not None:
                 timeline = MetricsTimeline(
                     window_seconds,
                     **({"gamma": sketch_gamma} if sketch_gamma else {}),
                 )
+            if kind == "serve":
+                source = [cmd[1]]
+            else:
+                source = iter(
+                    functools.partial(_steal, task_queue, cmd_queue), None
+                )
             stats_before = cache.stats()
-            unserved: list[int] = []
-            failed_now = False
-            with tr.track(f"engine{worker_idx}"):
-                if kind == "serve":
-                    tasks = cmd[1]
-                    for pos, (idx, query) in enumerate(tasks):
-                        try:
-                            report, degraded = server.serve(query, tracer)
-                        except EngineFailure:
-                            failed_now = True
-                            unserved = [i for i, _ in tasks[pos:]]
-                            break
-                        result_queue.put(
-                            ("result", worker_idx, idx, report, degraded)
-                        )
-                        t_end = server.host_busy + server.device_busy
-                        observe_report(metrics, report, worker_idx,
-                                       degraded=degraded,
-                                       timeline=timeline, t_end=t_end)
-                        # Identical emission to the thread backend's
-                        # static dispatcher, so the merged timelines are
-                        # byte-for-byte the same.
-                        if timeline is not None:
-                            if server.last_result_hit:
-                                timeline.record(t_end, "result_hits")
-                            timeline.set_gauge(
-                                t_end,
-                                f"engine{worker_idx}/queue_depth",
-                                len(tasks) - pos - 1,
-                            )
-                else:
-                    while True:
-                        try:
-                            task = task_queue.get(timeout=POLL_INTERVAL)
-                        except queue_mod.Empty:
-                            if _pending_abort(cmd_queue):
-                                break
-                            continue
-                        if task is None:  # sentinel: round over
-                            break
-                        # Sharing mode steals a whole source group (a
-                        # list of tasks); per-query mode steals one task.
-                        members = task if isinstance(task, list) else [task]
-                        for pos, (idx, query) in enumerate(members):
-                            try:
-                                report, degraded = server.serve(
-                                    query, tracer
-                                )
-                            except EngineFailure:
-                                failed_now = True
-                                unserved = [i for i, _ in members[pos:]]
-                                break
-                            result_queue.put(
-                                ("result", worker_idx, idx, report,
-                                 degraded)
-                            )
-                            t_end = server.host_busy + server.device_busy
-                            observe_report(metrics, report, worker_idx,
-                                           degraded=degraded,
-                                           timeline=timeline, t_end=t_end)
-                            # No queue-depth gauge while stealing — the
-                            # shared queue's length is racy by design.
-                            if (timeline is not None
-                                    and server.last_result_hit):
-                                timeline.record(t_end, "result_hits")
-                        if failed_now:
-                            break
-            stats_after = cache.stats()
+            unserved = serve_source(server, worker_idx, source, tracer,
+                                    metrics, timeline, deliver)
             result_queue.put(("round_done", worker_idx, {
-                "failed": failed_now,
+                "failed": bool(unserved),
                 "unserved": unserved,
                 "host_busy": server.host_busy,
                 "device_busy": server.device_busy,
@@ -239,8 +131,8 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
                 "trace": tracer.records() if tracer else [],
                 "timeline": timeline,
                 "cache_delta": {
-                    key: stats_after.get(key, 0) - stats_before.get(key, 0)
-                    for key in _CACHE_KEYS
+                    key: value - stats_before[key]
+                    for key, value in cache.stats().items()
                 },
             }))
     except (KeyboardInterrupt, SystemExit):
@@ -258,17 +150,27 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
         raise
 
 
-def _pending_abort(cmd_queue) -> bool:
-    """Non-blocking check for a round abort while stealing.
+def _steal(task_queue, cmd_queue):
+    """The next task group off the shared queue; ``None`` ends the round.
 
-    During a steal round the coordinator sends a worker nothing except
-    (possibly) an abort, so consuming here cannot eat a future command.
+    A round ends at a sentinel, or on a round abort: during a steal round
+    the coordinator sends a worker nothing except (possibly) an abort, so
+    consuming the command queue here cannot eat a future command.
     """
-    try:
-        cmd = cmd_queue.get_nowait()
-    except queue_mod.Empty:
-        return False
-    return cmd[0] == "abort"
+    while True:
+        try:
+            task = task_queue.get(timeout=POLL_INTERVAL)
+        except queue_mod.Empty:
+            try:
+                if cmd_queue.get_nowait()[0] == "abort":
+                    return None
+            except queue_mod.Empty:
+                pass
+            continue
+        if task is None:
+            return None
+        # A singleton group travels as a bare (index, query) task.
+        return task if isinstance(task, list) else [task]
 
 
 class ProcessEnginePool:
@@ -283,8 +185,7 @@ class ProcessEnginePool:
 
     def __init__(self, graph, variant, num_engines, cost_model,
                  engine_kwargs, failure_plan, mp_context=None,
-                 sharing: bool = False,
-                 poll_interval: float = POLL_INTERVAL) -> None:
+                 sharing: bool = False) -> None:
         self.graph = graph
         self.variant = variant
         self.num_engines = num_engines
@@ -293,15 +194,12 @@ class ProcessEnginePool:
         self.failure_plan = list(failure_plan or [])
         self.mp_context = mp_context
         self.sharing = sharing
-        self.poll_interval = poll_interval
         self._procs = None
         self._cmd = None
         self._results = None
         self._tasks = None
         #: workers whose *process* died; never used again.
         self._crashed: set[int] = set()
-        #: crashes noticed during the round in flight.
-        self._round_crashes: set[int] = set()
         self._fatal_tracebacks: dict[int, str] = {}
 
     # -- lifecycle -----------------------------------------------------
@@ -397,210 +295,97 @@ class ProcessEnginePool:
                 "sketch_gamma": sketch_gamma,
             }))
 
-        state = _BatchState(len(queries), self.num_engines)
-        if scheduler == WORK_STEALING:
-            assignment = self._run_stealing(queries, graph, live, state,
-                                            cache=cache)
-        else:
-            assignment = self._run_static(queries, scheduler, graph, live,
-                                          state, cache=cache)
-
-        missing = [i for i, r in enumerate(state.reports) if r is None]
-        if missing:
+        try:
+            return dispatch(
+                queries, self.sharing, scheduler, self.num_engines,
+                functools.partial(self._round, queries), graph=graph,
+                cache=cache, retired=self._crashed,
+            )
+        except ServiceError as exc:
+            if not self._fatal_tracebacks:
+                raise
+            first = next(iter(self._fatal_tracebacks.values()))
             raise ServiceError(
-                f"engine worker processes lost {len(missing)} of "
-                f"{len(queries)} queries"
-            )
-        return BatchOutcome(
-            reports=state.reports,
-            assignment=assignment,
-            host_busy=state.host_busy,
-            device_busy=state.device_busy,
-            failed_engines=sorted(state.failed | self._crashed),
-            engine_failures=state.engine_failures,
-            requeued=state.requeued,
-            metric_registries=state.metric_registries,
-            trace_records=state.trace_records,
-            worker_cache_stats=dict(state.cache_totals),
-            timelines=state.timelines,
-        )
+                f"{exc}; first worker traceback:\n{first}"
+            ) from None
 
-    def _run_static(self, queries, scheduler, graph, live, state,
-                    cache=None):
-        if self.sharing:
-            assignment = grouped_assignment(
-                scheduler, queries, self.num_engines, graph=graph,
-                cache=cache,
-            )
-        else:
-            assignment = SCHEDULERS[scheduler](
-                queries, self.num_engines, graph=graph, cache=cache
-            )
-        work = [list(part) for part in assignment]
-        while True:
-            participants = [
-                w for w in live
-                if w not in state.failed and w not in self._crashed
-                and work[w]
-            ]
-            unserved = self._round(
-                "serve", participants, state,
-                tasks_of=lambda w: [(i, queries[i]) for i in work[w]],
-                round_indices={w: list(work[w]) for w in participants},
-            )
-            if not unserved:
-                return assignment
-            survivors = [
-                w for w in range(self.num_engines)
-                if w not in state.failed and w not in self._crashed
-            ]
-            if not survivors:
-                raise self._no_survivors(len(unserved), len(queries))
-            unserved = sorted(set(unserved))
-            state.requeued += len(unserved)
-            if self.sharing:
-                work = requeue_groups(queries, unserved,
-                                      self.num_engines, survivors)
-            else:
-                work = requeue(unserved, self.num_engines, survivors)
+    def _round(self, queries, outcome, engines, work, steal):
+        """Run one serving round; see :func:`repro.service.batch.dispatch`.
 
-    def _run_stealing(self, queries, graph, live, state, cache=None):
-        # ``pending`` holds whole source groups under sharing (stolen as
-        # one unit) and singleton groups otherwise — the wire format for
-        # singletons stays a bare (idx, query) tuple.
-        if self.sharing:
-            pending = grouped_steal_order(queries, graph=graph, cache=cache)
-        else:
-            pending = [[i] for i in steal_order(queries, graph=graph,
-                                                cache=cache)]
-        first = True
-        while pending:
-            participants = [
-                w for w in live
-                if w not in state.failed and w not in self._crashed
-            ]
-            flat = [i for group in pending for i in group]
-            if not participants:
-                raise self._no_survivors(len(flat), len(queries))
-            if not first:
-                state.requeued += len(flat)
-            for group in pending:
-                if self.sharing:
-                    self._tasks.put([(i, queries[i]) for i in group])
-                else:
-                    self._tasks.put((group[0], queries[group[0]]))
-            for _ in participants:
-                self._tasks.put(None)
-            unserved = self._round(
-                "steal", participants, state,
-                round_indices={None: flat},
-            )
-            first = False
-            unserved = sorted(set(unserved))
-            if self.sharing:
-                groups = group_by_source([queries[i] for i in unserved])
-                pending = [
-                    [unserved[j] for j in members] for members in groups
-                ]
-            else:
-                pending = [[i] for i in unserved]
-        return state.as_served_assignment()
-
-    def _round(self, kind, participants, state, tasks_of=None,
-               round_indices=None):
-        """Run one serving round and return the batch indices left unserved.
-
-        ``round_indices`` maps a worker to the indices it was told to
-        serve (static rounds) or ``None`` to the whole round's indices
-        (stealing rounds, where any live worker may serve any index).
+        Returns ``(unserved indices, engines lost)``: a worker is lost to
+        an ``EngineFailure`` (it reports its unserved remainder) or to
+        process death (whatever it had not streamed back is unserved).
         """
-        for w in participants:
-            if kind == "serve":
-                self._cmd[w].put(("serve", tasks_of(w)))
-            else:
-                self._cmd[w].put(("steal",))
-        pending = set(participants)
-        streamed: dict[int, set[int]] = {w: set() for w in participants}
-        round_served: set[int] = set()
-        unserved: list[int] = []
+        if steal:
+            for group in work:
+                tasks = [(i, queries[i]) for i in group]
+                self._tasks.put(tasks if len(tasks) > 1 else tasks[0])
+            for _ in engines:
+                self._tasks.put(None)
+        for w in engines:
+            self._cmd[w].put(
+                ("steal",) if steal
+                else ("serve", [(i, queries[i]) for i in work[w]])
+            )
+        pending = set(engines)
+        served: set[int] = set()
+        crashed: set[int] = set()
         done_payloads: list[tuple[int, dict]] = []
         aborted = False
         while pending:
             try:
-                msg = self._results.get(timeout=self.poll_interval)
+                msg = self._results.get(timeout=POLL_INTERVAL)
             except queue_mod.Empty:
-                dead = [w for w in pending
-                        if not self._procs[w].is_alive()]
-                for w in dead:
+                dead = {w for w in pending if not self._procs[w].is_alive()}
+                pending -= dead
+                crashed |= dead
+            else:
+                tag, w = msg[0], msg[1]
+                if tag == "result":
+                    outcome.deliver(*msg[1:])
+                    served.add(msg[2])
+                elif tag == "round_done":
                     pending.discard(w)
-                    self._mark_crashed(w, state)
-                if dead and kind == "steal" and not aborted:
-                    aborted = True
-                    for w in pending:
-                        self._cmd[w].put(("abort",))
-                continue
-            tag = msg[0]
-            if tag == "result":
-                _, w, idx, report, _degraded = msg
-                state.reports[idx] = report
-                state.served_by[w].append(idx)
-                if w in streamed:
-                    streamed[w].add(idx)
-                round_served.add(idx)
-            elif tag == "round_done":
-                _, w, payload = msg
-                pending.discard(w)
-                done_payloads.append((w, payload))
-            elif tag == "fatal":
-                _, w, tb = msg
-                self._fatal_tracebacks[w] = tb
-                pending.discard(w)
-                self._mark_crashed(w, state)
-                if kind == "steal" and not aborted:
-                    aborted = True
-                    for v in pending:
-                        self._cmd[v].put(("abort",))
+                    done_payloads.append((w, msg[2]))
+                elif tag == "fatal":
+                    self._fatal_tracebacks[w] = msg[2]
+                    pending.discard(w)
+                    crashed.add(w)
+            if crashed and steal and not aborted:
+                # The dead worker's stolen group is lost mid-queue: stop
+                # the round and requeue everything not served.
+                aborted = True
+                for w in pending:
+                    self._cmd[w].put(("abort",))
 
         # Fold worker payloads in worker order, so metric-merge and trace
         # order are deterministic regardless of message interleaving.
+        unserved: list[int] = []
+        lost = set(crashed)
         for w, payload in sorted(done_payloads, key=lambda t: t[0]):
-            state.host_busy[w] = payload["host_busy"]
-            state.device_busy[w] = payload["device_busy"]
-            state.metric_registries.append(payload["metrics"])
+            outcome.host_busy[w] = payload["host_busy"]
+            outcome.device_busy[w] = payload["device_busy"]
+            outcome.metric_registries.append(payload["metrics"])
             if payload["trace"]:
-                state.trace_records.append(payload["trace"])
+                outcome.trace_records.append(payload["trace"])
             if payload.get("timeline") is not None:
-                state.timelines.append(payload["timeline"])
-            state.cache_totals.update(payload["cache_delta"])
+                outcome.timelines.append(payload["timeline"])
+            outcome.worker_cache_stats.update(payload["cache_delta"])
             if payload["failed"]:
-                state.failed.add(w)
-                state.engine_failures += 1
+                lost.add(w)
                 unserved.extend(payload["unserved"])
-
-        if kind == "serve":
+        self._crashed |= crashed
+        if steal:
+            if lost:
+                self._drain_tasks()
+                unserved = [i for group in work for i in group
+                            if i not in served]
+        else:
             # A crashed worker streamed some answers before dying; what
             # it was assigned but never streamed must be requeued.
-            for w, indices in round_indices.items():
-                if w in self._round_crashes:
-                    unserved.extend(
-                        i for i in indices if i not in streamed.get(w, ())
-                    )
-        else:
-            if aborted or unserved or self._round_crashes:
-                self._drain_tasks()
-                unserved = [
-                    i for i in round_indices[None] if i not in round_served
-                ]
-        self._round_crashes.clear()
-        return unserved
-
-    def _mark_crashed(self, w: int, state) -> None:
-        if w in self._crashed:
-            return
-        self._crashed.add(w)
-        state.failed.add(w)
-        state.engine_failures += 1
-        self._round_crashes.add(w)
+            unserved.extend(i for w in crashed for i in work[w]
+                            if i not in served)
+        return unserved, sorted(lost)
 
     def _drain_tasks(self) -> None:
         """Empty the shared task queue (leftover tasks and sentinels)."""
@@ -609,38 +394,3 @@ class ProcessEnginePool:
                 self._tasks.get(timeout=0.05)
             except queue_mod.Empty:
                 return
-
-    def _no_survivors(self, unanswered: int, total: int) -> ServiceError:
-        detail = ""
-        if self._fatal_tracebacks:
-            first = next(iter(self._fatal_tracebacks.values()))
-            detail = f"; first worker traceback:\n{first}"
-        return ServiceError(
-            f"all {self.num_engines} engine(s) failed with "
-            f"{unanswered} of {total} queries unanswered{detail}"
-        )
-
-
-class _BatchState:
-    """Mutable per-batch bookkeeping shared across rounds."""
-
-    __slots__ = ("reports", "host_busy", "device_busy", "failed",
-                 "engine_failures", "requeued", "metric_registries",
-                 "trace_records", "timelines", "cache_totals", "served_by")
-
-    def __init__(self, num_queries: int, num_engines: int) -> None:
-        self.reports = [None] * num_queries
-        self.host_busy = [0.0] * num_engines
-        self.device_busy = [0.0] * num_engines
-        self.failed: set[int] = set()
-        self.engine_failures = 0
-        self.requeued = 0
-        self.metric_registries: list[MetricsRegistry] = []
-        self.trace_records: list[list] = []
-        self.timelines: list[MetricsTimeline] = []
-        self.cache_totals: Counter = Counter()
-        self.served_by: list[list[int]] = [[] for _ in range(num_engines)]
-
-    def as_served_assignment(self) -> Assignment:
-        """Post-hoc assignment for work stealing: who served what."""
-        return [list(indices) for indices in self.served_by]

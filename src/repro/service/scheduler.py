@@ -1,33 +1,38 @@
-"""Batch schedulers: assign queries of one batch to N engine instances.
+"""Batch schedulers: assign the query groups of one batch to N engines.
 
-Two static policies plus one dynamic mode, all deterministic in what
-each query is allowed to answer:
+Every query is a member of a group, and every policy places whole groups.
+:func:`query_groups` picks the grouping: one group per query source under
+cross-query sharing (:func:`group_by_source`), singleton groups
+``[[0], [1], ...]`` otherwise.  Over singletons each policy is exactly
+the classic per-query policy, so there is one implementation of each:
 
-- ``round-robin`` deals queries to engines in arrival order — the
+- ``round-robin`` deals groups to engines in arrival order — the
   baseline policy, oblivious to per-query cost.
-- ``longest-first`` is LPT (longest processing time first): sort queries
-  by a decreasing work estimate and repeatedly give the next one to the
-  least-loaded engine.  LPT's makespan is within 4/3 of optimal, and the
-  heaviest queries (largest k, densest neighbourhoods) stop serialising
-  behind each other on one engine.
+- ``longest-first`` is LPT (longest processing time first): sort groups
+  by a decreasing work estimate (the sum of their members' estimates) and
+  repeatedly give the next one to the least-loaded engine.  LPT's
+  makespan is within 4/3 of optimal, and the heaviest queries (largest
+  k, densest neighbourhoods) stop serialising behind each other on one
+  engine.
 - ``work-stealing`` has no static assignment at all: the batch becomes
-  one shared queue, seeded heaviest-first (see :func:`steal_order`), and
-  idle engines pull the next query the moment they finish — the greedy
-  list-scheduling policy.  Which engine serves which query then depends
-  on actual (wall) completion order, so the *assignment* is only known
-  after the batch; the *answers* stay interleaving-independent because
-  every query's execution is deterministic in isolation.
+  one shared queue of groups, seeded heaviest first (see
+  :func:`steal_order`), and idle engines pull the next group the moment
+  they finish — the greedy list-scheduling policy.  Which engine serves
+  which query then depends on actual (wall) completion order, so the
+  *assignment* is only known after the batch; the *answers* stay
+  interleaving-independent because every query's execution is
+  deterministic in isolation.
+- :func:`requeue` is the one rule for work a failed engine left behind:
+  the unserved indices are regrouped and the groups dealt round-robin
+  over the surviving engines.
+
+Keeping a source group on one engine is what lets its forward-frontier
+and result-cache reuse happen there, and what makes the thread backend
+(one shared cache) and the process backend (worker-local caches) see the
+same hit patterns.
 
 The work estimate never runs the query: it uses the hop budget and the
 out-degrees of the endpoints, the same signals Pre-BFS cost tracks.
-
-Cross-query sharing adds a *grouped* layer on top of each policy
-(:func:`grouped_assignment`, :func:`grouped_steal_order`,
-:func:`requeue_groups`): queries sharing a source are placed as one
-indivisible unit so a group's forward-frontier and result-cache reuse
-always happens on a single engine — which is also what makes the thread
-backend (one shared cache) and the process backend (worker-local caches)
-see identical hit patterns.
 """
 
 from __future__ import annotations
@@ -79,98 +84,6 @@ def estimate_query_work(graph: CSRGraph, query: Query,
     return query.max_hops * (1.0 + out_s + in_t)
 
 
-def _estimate_all(queries: Sequence[Query], graph: CSRGraph,
-                  cache=None) -> list[float]:
-    reverse = _scheduling_reverse(graph, cache)
-    return [estimate_query_work(graph, q, reverse) for q in queries]
-
-
-def round_robin(queries: Sequence[Query], num_engines: int,
-                graph: CSRGraph | None = None, cache=None) -> Assignment:
-    """Deal queries to engines in arrival order."""
-    _check(num_engines)
-    assignment: Assignment = [[] for _ in range(num_engines)]
-    for i in range(len(queries)):
-        assignment[i % num_engines].append(i)
-    return assignment
-
-
-def longest_first(queries: Sequence[Query], num_engines: int,
-                  graph: CSRGraph | None = None,
-                  weights: Sequence[float] | None = None,
-                  cache=None) -> Assignment:
-    """LPT: heaviest query first, always to the least-loaded engine.
-
-    ``weights`` overrides the built-in estimate (e.g. with measured
-    latencies from a previous batch); without it, ``graph`` must be given
-    so endpoint degrees can be read.
-    """
-    _check(num_engines)
-    if weights is None:
-        if graph is None:
-            raise ConfigError(
-                "longest-first needs the graph (or explicit weights) "
-                "to estimate per-query work"
-            )
-        weights = _estimate_all(queries, graph, cache)
-    elif len(weights) != len(queries):
-        raise ConfigError(
-            f"got {len(weights)} weights for {len(queries)} queries"
-        )
-    order = sorted(range(len(queries)),
-                   key=lambda i: (-weights[i], i))
-    assignment: Assignment = [[] for _ in range(num_engines)]
-    loads = [0.0] * num_engines
-    for i in order:
-        engine = min(range(num_engines), key=lambda e: (loads[e], e))
-        assignment[engine].append(i)
-        loads[engine] += weights[i]
-    return assignment
-
-
-def requeue(pending: Sequence[int], num_engines: int,
-            surviving: Sequence[int]) -> Assignment:
-    """Redistribute unfinished batch indices onto the surviving engines.
-
-    ``pending`` are query indices an engine failed to serve; ``surviving``
-    names the engines still alive.  Returns a full-width assignment (dead
-    engines get empty lists) with the pending queries dealt round-robin
-    over the survivors in order — deterministic, so a requeued batch's
-    answers do not depend on thread interleaving.
-    """
-    _check(num_engines)
-    alive = _surviving(num_engines, surviving)
-    assignment: Assignment = [[] for _ in range(num_engines)]
-    for i, query_idx in enumerate(pending):
-        assignment[alive[i % len(alive)]].append(query_idx)
-    return assignment
-
-
-def steal_order(queries: Sequence[Query],
-                graph: CSRGraph | None = None,
-                weights: Sequence[float] | None = None,
-                cache=None) -> list[int]:
-    """Seed order of the shared work-stealing queue: heaviest first.
-
-    Greedy list scheduling approximates LPT when the expensive queries
-    enter the queue first; ties break on batch index so the order is
-    deterministic.  ``weights`` overrides the built-in estimate exactly
-    as in :func:`longest_first`; with neither ``graph`` nor ``weights``
-    the queue falls back to arrival order.
-    """
-    if weights is None:
-        if graph is None:
-            return list(range(len(queries)))
-        weights = _estimate_all(queries, graph, cache)
-    elif len(weights) != len(queries):
-        raise ConfigError(
-            f"got {len(weights)} weights for {len(queries)} queries"
-        )
-    return sorted(range(len(queries)), key=lambda i: (-weights[i], i))
-
-
-# -- source-group scheduling (cross-query sharing) ---------------------
-
 def group_by_source(queries: Sequence[Query]) -> list[list[int]]:
     """Partition batch indices into groups sharing a query source.
 
@@ -186,86 +99,117 @@ def group_by_source(queries: Sequence[Query]) -> list[list[int]]:
     return list(by_source.values())
 
 
-def grouped_assignment(scheduler: str, queries: Sequence[Query],
-                       num_engines: int,
-                       graph: CSRGraph | None = None,
-                       cache=None) -> Assignment:
-    """Static assignment that never splits a source group across engines.
+def query_groups(queries: Sequence[Query], sharing: bool,
+                 indices: Sequence[int] | None = None) -> list[list[int]]:
+    """The groups the schedulers place: source groups or singletons.
 
-    ``round-robin`` deals whole groups in first-appearance order;
-    ``longest-first`` runs LPT over groups weighted by the sum of their
-    members' estimates.  Members stay contiguous and in batch order
-    inside their engine's list, so each group's queries run back to back
-    — the forward frontier is resident when the rest of the group needs
-    it.
+    Groups the batch indices ``indices`` (default: the whole batch) —
+    by source under ``sharing``, one index per group otherwise — so a
+    requeue regroups exactly what is left with the same rule.
+    """
+    pool = list(range(len(queries))) if indices is None else list(indices)
+    if not sharing:
+        return [[i] for i in pool]
+    members = group_by_source([queries[i] for i in pool])
+    return [[pool[j] for j in group] for group in members]
+
+
+def _group_weights(queries: Sequence[Query], groups: list[list[int]],
+                   graph: CSRGraph | None, weights: Sequence[float] | None,
+                   cache) -> list[float] | None:
+    """Summed work estimate per group; ``None`` with no graph or weights.
+
+    ``weights`` overrides the built-in per-query estimate (e.g. with
+    measured latencies from a previous batch).
+    """
+    if weights is None:
+        if graph is None:
+            return None
+        reverse = _scheduling_reverse(graph, cache)
+        weights = [estimate_query_work(graph, q, reverse) for q in queries]
+    elif len(weights) != len(queries):
+        raise ConfigError(
+            f"got {len(weights)} weights for {len(queries)} queries"
+        )
+    return [sum(weights[i] for i in members) for members in groups]
+
+
+def round_robin(queries: Sequence[Query], num_engines: int,
+                graph: CSRGraph | None = None, cache=None,
+                groups: list[list[int]] | None = None) -> Assignment:
+    """Deal groups (default: one per query) to engines in arrival order."""
+    if groups is None:
+        groups = query_groups(queries, sharing=False)
+    return requeue(groups, num_engines, range(num_engines))
+
+
+def longest_first(queries: Sequence[Query], num_engines: int,
+                  graph: CSRGraph | None = None,
+                  weights: Sequence[float] | None = None,
+                  cache=None,
+                  groups: list[list[int]] | None = None) -> Assignment:
+    """LPT: heaviest group first, always to the least-loaded engine.
+
+    ``groups`` defaults to one group per query.  A group's weight is the
+    sum of its members' ``weights`` (default: the built-in estimate, for
+    which ``graph`` must be given so endpoint degrees can be read).
+    Members stay contiguous and in group order inside their engine's
+    list, so a source group's queries run back to back.
     """
     _check(num_engines)
-    groups = group_by_source(queries)
-    assignment: Assignment = [[] for _ in range(num_engines)]
-    if scheduler == "round-robin":
-        for g, members in enumerate(groups):
-            assignment[g % num_engines].extend(members)
-        return assignment
-    if scheduler == "longest-first":
-        if graph is None:
-            raise ConfigError(
-                "longest-first needs the graph to estimate per-query work"
-            )
-        weights = _estimate_all(queries, graph, cache)
-        group_weights = [sum(weights[i] for i in members)
-                         for members in groups]
-        order = sorted(range(len(groups)),
-                       key=lambda g: (-group_weights[g], g))
-        loads = [0.0] * num_engines
-        for g in order:
-            engine = min(range(num_engines), key=lambda e: (loads[e], e))
-            assignment[engine].extend(groups[g])
-            loads[engine] += group_weights[g]
-        return assignment
-    raise ConfigError(f"unknown static scheduler {scheduler!r}")
-
-
-def grouped_steal_order(queries: Sequence[Query],
-                        graph: CSRGraph | None = None,
-                        cache=None) -> list[list[int]]:
-    """Work-stealing queue of whole source groups, heaviest group first.
-
-    An idle engine steals a *group*, not a query — sharing requires the
-    whole group to run on whichever engine takes it.  Without a graph the
-    queue falls back to first-appearance order.
-    """
-    groups = group_by_source(queries)
-    if graph is None:
-        return groups
-    weights = _estimate_all(queries, graph, cache)
-    group_weights = [sum(weights[i] for i in members) for members in groups]
+    if groups is None:
+        groups = query_groups(queries, sharing=False)
+    group_weights = _group_weights(queries, groups, graph, weights, cache)
+    if group_weights is None:
+        raise ConfigError(
+            "longest-first needs the graph (or explicit weights) "
+            "to estimate per-query work"
+        )
     order = sorted(range(len(groups)),
                    key=lambda g: (-group_weights[g], g))
-    return [groups[g] for g in order]
-
-
-def requeue_groups(queries: Sequence[Query], pending: Sequence[int],
-                   num_engines: int,
-                   surviving: Sequence[int]) -> Assignment:
-    """Redistribute unfinished batch indices, keeping source groups whole.
-
-    The group analogue of :func:`requeue`: the ``pending`` indices are
-    re-partitioned by source and the groups dealt round-robin over the
-    survivors in order, each kept whole — so a re-dispatched group still
-    shares its forward frontier and dedupes its duplicates on one engine.
-    """
-    _check(num_engines)
-    alive = _surviving(num_engines, surviving)
-    groups = group_by_source([queries[i] for i in pending])
     assignment: Assignment = [[] for _ in range(num_engines)]
-    for g, members in enumerate(groups):
-        assignment[alive[g % len(alive)]].extend(
-            pending[j] for j in members
-        )
+    loads = [0.0] * num_engines
+    for g in order:
+        engine = min(range(num_engines), key=lambda e: (loads[e], e))
+        assignment[engine].extend(groups[g])
+        loads[engine] += group_weights[g]
     return assignment
 
 
-def _surviving(num_engines: int, surviving: Sequence[int]) -> list[int]:
+def steal_order(queries: Sequence[Query],
+                graph: CSRGraph | None = None,
+                weights: Sequence[float] | None = None,
+                cache=None,
+                groups: list[list[int]] | None = None) -> list[int]:
+    """Seed order of the shared work-stealing queue: heaviest group first.
+
+    Returns positions into ``groups`` (default: one group per query, so
+    the positions are batch indices).  Greedy list scheduling
+    approximates LPT when the expensive groups enter the queue first;
+    ties break on position so the order is deterministic.  ``weights``
+    overrides the built-in estimate exactly as in :func:`longest_first`;
+    with neither ``graph`` nor ``weights`` the queue falls back to
+    arrival order.
+    """
+    if groups is None:
+        groups = query_groups(queries, sharing=False)
+    group_weights = _group_weights(queries, groups, graph, weights, cache)
+    if group_weights is None:
+        return list(range(len(groups)))
+    return sorted(range(len(groups)), key=lambda g: (-group_weights[g], g))
+
+
+def requeue(groups: Sequence[Sequence[int]], num_engines: int,
+            surviving: Sequence[int]) -> Assignment:
+    """Deal groups of batch indices round-robin over ``surviving`` engines.
+
+    The requeue rule: the indices failed engines left unserved are
+    regrouped (:func:`query_groups`) and dealt here.  Returns a
+    full-width assignment (dead engines get empty lists), each group kept
+    whole and in order — deterministic, so a requeued batch's answers do
+    not depend on thread interleaving.
+    """
+    _check(num_engines)
     alive = list(dict.fromkeys(surviving))
     for e in alive:
         if not 0 <= e < num_engines:
@@ -274,7 +218,10 @@ def _surviving(num_engines: int, surviving: Sequence[int]) -> list[int]:
             )
     if not alive:
         raise ConfigError("requeue needs at least one surviving engine")
-    return alive
+    assignment: Assignment = [[] for _ in range(num_engines)]
+    for g, members in enumerate(groups):
+        assignment[alive[g % len(alive)]].extend(members)
+    return assignment
 
 
 def _check(num_engines: int) -> None:
@@ -282,7 +229,7 @@ def _check(num_engines: int) -> None:
         raise ConfigError(f"need at least one engine, got {num_engines}")
 
 
-#: name -> scheduler callable, as exposed by the CLI.
+#: name -> static scheduler callable, as exposed by the CLI.
 SCHEDULERS: dict[str, Callable[..., Assignment]] = {
     "round-robin": round_robin,
     "longest-first": longest_first,

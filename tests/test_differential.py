@@ -8,6 +8,11 @@ modelled device cycles — across worker counts and schedulers.  Modelled
 *preprocessing* seconds are compared only where the Pre-BFS memo topology
 matches (worker-private memos can turn a shared-cache hit into a miss on
 duplicate queries; these batches are duplicate-free, so totals match).
+Injected faults break that topology too: a surviving worker cannot see
+the memos a failed worker built before it died, so under faults a
+survivor's host seconds (with sharing also its device seconds) and the
+timelines may differ between backends; answers, assignment and the
+failure counters still agree.
 """
 
 from __future__ import annotations

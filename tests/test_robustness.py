@@ -310,14 +310,14 @@ class TestFailureRecovery:
             BatchQueryService(self.graph, num_engines=2, inject_failures=-1)
 
     def test_requeue_round_robins_over_survivors(self):
-        assignment = requeue([4, 7, 9, 11, 12], 4, [1, 3])
+        assignment = requeue([[4], [7], [9], [11], [12]], 4, [1, 3])
         assert assignment == [[], [4, 9, 12], [], [7, 11]]
 
     def test_requeue_rejects_bad_survivors(self):
         with pytest.raises(ConfigError):
-            requeue([0], 2, [])
+            requeue([[0]], 2, [])
         with pytest.raises(ConfigError):
-            requeue([0], 2, [5])
+            requeue([[0]], 2, [5])
 
 
 class TestBusyAccountingSplit:

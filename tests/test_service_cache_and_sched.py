@@ -11,14 +11,14 @@ from repro.host.query import Query
 from repro.preprocess.bfs import charged_reverse
 from repro.preprocess.prebfs import pre_bfs
 from repro.service.cache import GraphArtifactCache
+from repro.service import BatchQueryService
 from repro.service.scheduler import (
     SCHEDULERS,
     estimate_query_work,
     group_by_source,
-    grouped_assignment,
-    grouped_steal_order,
     longest_first,
-    requeue_groups,
+    query_groups,
+    requeue,
     round_robin,
     steal_order,
 )
@@ -450,8 +450,9 @@ class TestSchedulers:
         queries = [Query(0, 5, 3), Query(1, 6, 5), Query(0, 7, 4)]
         longest_first(queries, 2, graph=cold)
         steal_order(queries, graph=cold)
-        grouped_assignment("longest-first", queries, 2, graph=cold)
-        grouped_steal_order(queries, graph=cold)
+        groups = group_by_source(queries)
+        longest_first(queries, 2, graph=cold, groups=groups)
+        steal_order(queries, graph=cold, groups=groups)
         assert cold.rev_builds == 0
 
     def test_scheduling_uses_cache_reverse(self, graph):
@@ -481,14 +482,17 @@ class TestGrouping:
         assert group_by_source(queries) == [[0, 2], [1]]
 
     def test_grouped_round_robin_deals_whole_groups(self):
-        assignment = grouped_assignment("round-robin", self.queries(), 2)
+        queries = self.queries()
+        assignment = round_robin(queries, 2,
+                                 groups=group_by_source(queries))
         assert assignment == [[0, 2, 5, 3], [1, 4]]
 
     def test_grouped_assignment_never_splits_groups(self, graph):
         queries = [Query(i % 3, 5 + i, 4) for i in range(9)]
         for scheduler in ("round-robin", "longest-first"):
-            assignment = grouped_assignment(scheduler, queries, 4,
-                                            graph=graph)
+            assignment = SCHEDULERS[scheduler](
+                queries, 4, graph=graph, groups=group_by_source(queries)
+            )
             placement = {}
             for e, part in enumerate(assignment):
                 for i in part:
@@ -499,37 +503,44 @@ class TestGrouping:
             assert sorted(placement) == list(range(9))
 
     def test_grouped_longest_first_is_lpt_over_groups(self, graph):
-        assignment = grouped_assignment("longest-first", self.queries(),
-                                        2, graph=graph)
+        queries = self.queries()
+        assignment = longest_first(queries, 2, graph=graph,
+                                   groups=group_by_source(queries))
         flat = sorted(i for part in assignment for i in part)
         assert flat == list(range(6))
 
-    def test_grouped_assignment_rejects_unknown(self):
+    def test_grouped_assignment_rejects_unknown(self, graph):
         with pytest.raises(ConfigError):
-            grouped_assignment("mystery", self.queries(), 2)
+            BatchQueryService(graph, scheduler="mystery", sharing=True)
 
     def test_grouped_longest_first_needs_graph(self):
+        queries = self.queries()
         with pytest.raises(ConfigError):
-            grouped_assignment("longest-first", self.queries(), 2)
+            longest_first(queries, 2, groups=group_by_source(queries))
 
     def test_grouped_steal_order_heaviest_group_first(self, graph):
-        order = grouped_steal_order(self.queries(), graph=graph)
-        assert sorted(i for g in order for i in g) == list(range(6))
-        groups = group_by_source(self.queries())
-        assert sorted(map(tuple, order)) == sorted(map(tuple, groups))
+        queries = self.queries()
+        groups = group_by_source(queries)
+        order = steal_order(queries, graph=graph, groups=groups)
+        assert sorted(order) == list(range(len(groups)))
+        weights = [sum(estimate_query_work(graph, queries[i]) for i in g)
+                   for g in groups]
+        assert [weights[g] for g in order] == sorted(weights, reverse=True)
 
     def test_grouped_steal_order_without_graph(self):
-        assert grouped_steal_order(self.queries()) == [[0, 2, 5], [1, 4],
-                                                       [3]]
+        groups = group_by_source(self.queries())
+        assert steal_order(self.queries(), groups=groups) == [0, 1, 2]
 
     def test_requeue_groups_keeps_groups_whole(self):
         queries = self.queries()
         pending = [0, 3, 5, 4]  # sources 3, 2, 3, 1
-        assignment = requeue_groups(queries, pending, 3, surviving=[0, 2])
+        assignment = requeue(query_groups(queries, True, pending), 3,
+                             surviving=[0, 2])
         # groups over pending: source 3 -> [0, 5], source 2 -> [3],
         # source 1 -> [4]; dealt round-robin over engines 0, 2.
         assert assignment == [[0, 5, 4], [], [3]]
 
     def test_requeue_groups_needs_survivors(self):
         with pytest.raises(ConfigError):
-            requeue_groups(self.queries(), [0, 1], 2, surviving=[])
+            requeue(query_groups(self.queries(), True, [0, 1]), 2,
+                    surviving=[])
