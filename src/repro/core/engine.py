@@ -83,7 +83,11 @@ from repro.errors import QueryError
 from repro.fpga.clock import Clock
 from repro.fpga.device import Device, DeviceConfig
 from repro.fpga.pipeline import PipelineModel
-from repro.fpga.profile import DeviceProfile, DeviceProfiler
+from repro.fpga.profile import (
+    DeviceProfile,
+    DeviceProfiler,
+    split_batch_cycles,
+)
 from repro.graph.csr import CSRGraph
 
 
@@ -307,12 +311,12 @@ def _record_event(profiler, tracer, frequency: float, event) -> None:
     if profiler is not None:
         profiler.record_batch(**ev)
     if tracer:
-        # The exact cycle split the attribution layer reads (see
-        # repro.observability.analysis): the pipeline window is bounded
-        # by its slowest stage (busy) or the DRAM channels (stall);
+        # The exact cycle split the attribution layer reads:
         # busy + stall + overhead tiles the batch's clock delta exactly.
-        stages = ev["stage_cycles"]
-        slowest = max(stages.values())
+        busy, stall, overhead, bound = split_batch_cycles(
+            ev["pipeline_cycles"], ev["overhead_cycles"],
+            ev["flush_cycles"], ev["stage_cycles"],
+        )
         tracer.complete(
             "batch", wall0,
             modelled_seconds=cycles / frequency,
@@ -320,12 +324,10 @@ def _record_event(profiler, tracer, frequency: float, event) -> None:
             expansions=ev["expansions"],
             results=ev["results"],
             cycles=cycles,
-            busy_cycles=slowest,
-            stall_cycles=(ev["pipeline_cycles"] - slowest
-                          + ev["flush_cycles"]),
-            overhead_cycles=ev["overhead_cycles"],
-            bound=("verify" if stages["verify"] == slowest and slowest > 0
-                   else "expand"),
+            busy_cycles=busy,
+            stall_cycles=stall,
+            overhead_cycles=overhead,
+            bound=bound,
         )
 
 

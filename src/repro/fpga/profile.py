@@ -32,6 +32,40 @@ BATCH_STAGES = ("load", "edge_fetch", "barrier_fetch", "verify",
                 "writeback")
 
 
+def split_batch_cycles(pipeline_cycles: int, overhead_cycles: int,
+                       flush_cycles: int,
+                       stage_cycles: dict) -> tuple[int, int, int, str]:
+    """Split one batch's cycles into ``(busy, stall, overhead, bound)``.
+
+    The overlapped pipeline window is bounded by its slowest resource:
+    the slowest dataflow stage (busy compute) or the shared DRAM
+    channels (a stall).  The busy share is attributed wholly to the
+    bounding stage — ``verify`` when the verification stage is the
+    slowest, ``expand`` otherwise — and the remainder of the window plus
+    the flush stall is wait time.  The split is exhaustive by
+    construction::
+
+        busy + stall + overhead == pipeline + flush + overhead
+                                == BatchProfile.cycles
+
+    The single definition behind the engine's batch-span attributes,
+    :attr:`BatchProfile.stall_cycles` and the attribution layer, which
+    is what makes trace- and report-based attribution agree batch for
+    batch.
+    """
+    slowest = max(
+        (int(stage_cycles.get(s, 0)) for s in BATCH_STAGES), default=0
+    )
+    busy = min(slowest, pipeline_cycles)
+    stall = max(0, pipeline_cycles - slowest) + flush_cycles
+    bound = (
+        "verify"
+        if int(stage_cycles.get("verify", 0)) == slowest and slowest > 0
+        else "expand"
+    )
+    return busy, stall, overhead_cycles, bound
+
+
 @dataclass(frozen=True)
 class BatchProfile:
     """Cycle breakdown of one processing batch.
@@ -74,13 +108,12 @@ class BatchProfile:
 
         The DRAM-bound wait (pipeline cost beyond the slowest stage's own
         cycles — off-chip traffic serialising on the channel) plus the
-        flush stall charged after write-back.
+        flush stall charged after write-back; see
+        :func:`split_batch_cycles`.
         """
-        slowest = max(
-            (self.stage_cycles.get(s, 0) for s in BATCH_STAGES),
-            default=0,
-        )
-        return max(0, self.pipeline_cycles - slowest) + self.flush_cycles
+        return split_batch_cycles(self.pipeline_cycles,
+                                  self.overhead_cycles, self.flush_cycles,
+                                  self.stage_cycles)[1]
 
     def occupancy(self, stage: str) -> float:
         """Fraction of this batch's pipeline window ``stage`` was busy."""

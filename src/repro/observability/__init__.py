@@ -23,7 +23,7 @@ Three pieces, all opt-in and zero-cost when off:
 
 Device-side profiling counters live with the FPGA model in
 :mod:`repro.fpga.profile`; the batch service folds them into registry
-histograms.  See ``docs/OBSERVABILITY.md`` for the span taxonomy and the
+sample series.  See ``docs/OBSERVABILITY.md`` for the span taxonomy and the
 reconciliation invariants the test suite enforces.
 """
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.fpga.profile import BATCH_STAGES
+from repro.fpga.profile import split_batch_cycles
 from repro.observability.tracer import SpanRecord
 
 #: kernel-cycle segments of one query, in waterfall order.
@@ -69,39 +69,6 @@ def _engine_sort_key(track: str) -> tuple[int, int, str]:
     if match:
         return (0, int(match.group(1)), track)
     return (1, 0, track)
-
-
-def split_batch_cycles(pipeline_cycles: int, overhead_cycles: int,
-                       flush_cycles: int,
-                       stage_cycles: dict) -> tuple[int, int, int, str]:
-    """Split one batch's cycles into ``(busy, stall, overhead, bound)``.
-
-    The overlapped pipeline window is bounded by its slowest resource:
-    the slowest dataflow stage (busy compute) or the shared DRAM
-    channels (a stall).  The busy share is attributed wholly to the
-    bounding stage — ``verify`` when the verification stage is the
-    slowest, ``expand`` otherwise — and the remainder of the window plus
-    the flush stall is wait time.  The split is exhaustive by
-    construction::
-
-        busy + stall + overhead == pipeline + flush + overhead
-                                == BatchProfile.cycles
-
-    This is the single definition both the engine's trace attributes and
-    the profile-based builder use, which is what makes trace- and
-    report-based attribution agree batch for batch.
-    """
-    slowest = max(
-        (int(stage_cycles.get(s, 0)) for s in BATCH_STAGES), default=0
-    )
-    busy = min(slowest, pipeline_cycles)
-    stall = max(0, pipeline_cycles - slowest) + flush_cycles
-    bound = (
-        "verify"
-        if int(stage_cycles.get("verify", 0)) == slowest and slowest > 0
-        else "expand"
-    )
-    return busy, stall, overhead_cycles, bound
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 :func:`render_prometheus` turns a registry snapshot into the Prometheus
 text format (version 0.0.4): counters become ``counter`` metrics, gauges
 (point-in-time levels such as the attribution layer's segment shares)
-become ``gauge`` metrics, sample series become ``summary`` metrics
-(quantiles from the reservoir, exact ``_sum``/``_count``), histograms
-become ``histogram`` metrics with cumulative ``le`` buckets.
+become ``gauge`` metrics, and every sample series — latencies and device
+distributions alike — becomes a ``summary`` metric (p50/p95/p99
+quantiles, ``_sum`` the series' exact correctly-rounded total,
+``_count`` its observation count).
 :class:`MetricsHTTPServer` serves the rendering at ``/metrics`` from a
 background thread, so a long-running service can be scraped while
 batches are in flight — the registry is locked per snapshot, never per
@@ -54,7 +55,7 @@ def _exposition_names(snap: dict, prefix: str) -> dict[tuple[str, str], str]:
     already sanitises to.  Deterministic: depends only on the set of
     names present.
     """
-    kinds = ("counters", "gauges", "series", "histograms")
+    kinds = ("counters", "gauges", "series")
     claims: dict[str, list[tuple[str, str]]] = {}
     for kind in kinds:
         for name in snap.get(kind, ()):
@@ -121,18 +122,8 @@ def render_prometheus(registry: MetricsRegistry,
         for q, value in (("0.5", summary.p50), ("0.95", summary.p95),
                          ("0.99", summary.p99)):
             lines.append(f'{metric}{{quantile="{q}"}} {_fmt(value)}')
-        lines.append(f"{metric}_sum {_fmt(summary.mean * summary.count)}")
+        lines.append(f"{metric}_sum {_fmt(summary.total)}")
         lines.append(f"{metric}_count {summary.count}")
-
-    for name in sorted(snap["histograms"]):
-        hist = snap["histograms"][name]
-        metric = header("histograms", name, "histogram")
-        for le, cumulative in hist.cumulative():
-            lines.append(
-                f'{metric}_bucket{{le="{_fmt(le)}"}} {cumulative}'
-            )
-        lines.append(f"{metric}_sum {_fmt(hist.total)}")
-        lines.append(f"{metric}_count {hist.count}")
 
     return "\n".join(lines) + "\n"
 
@@ -201,7 +192,6 @@ class MetricsHTTPServer:
                 "counters": len(snap["counters"]),
                 "gauges": len(snap.get("gauges", ())),
                 "series": len(snap["series"]),
-                "histograms": len(snap["histograms"]),
             },
         }
 

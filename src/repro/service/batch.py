@@ -119,21 +119,6 @@ BACKENDS = ("thread", "process")
 #: explicit ``degraded_cycle_budget`` is given.
 DEGRADED_BUDGET_FRACTION = 0.01
 
-#: histogram bucket upper edges for per-batch device cycle counts
-#: (a 1-2.5-5 ladder from 10 cycles to 5e7; +Inf catches the rest).
-CYCLE_BUCKETS = tuple(
-    base * 10.0 ** exp for exp in range(1, 8) for base in (1.0, 2.5, 5.0)
-)
-
-#: histogram bucket upper edges for occupancy fractions and hit rates.
-FRACTION_BUCKETS = tuple(i / 10 for i in range(1, 11))
-
-#: histogram bucket upper edges for path/entry counts per batch.
-COUNT_BUCKETS = tuple(
-    base * 10.0 ** exp for exp in range(0, 7) for base in (1.0, 2.5, 5.0)
-)
-
-
 class FlakyEngine:
     """Fault-injection wrapper: an engine that dies after ``fail_after`` runs.
 
@@ -287,99 +272,81 @@ def observe_report(metrics: MetricsRegistry, report: SystemReport,
     are merged on the coordinator afterwards — both backends must observe
     identically for the merged view to match the thread backend's.
 
-    With a ``timeline``, every counter bump and latency sample is also
-    recorded into the tumbling window of ``t_end`` — the serving engine's
-    modelled completion time for this query (its accumulated host +
-    device busy seconds), which every backend computes identically.  A
-    per-engine ``engine{i}_device_seconds`` series is dual-written to the
-    registry and the timeline so per-window utilization stays
-    reconcilable against a terminal total.
+    The query's counter increments and samples are built once and
+    applied to the registry and, with a ``timeline``, to the tumbling
+    window of ``t_end`` — the serving engine's modelled completion time
+    for this query (its accumulated host + device busy seconds), which
+    every backend computes identically.  The timeline gets one call per
+    event.  With a timeline, a per-engine ``engine{i}_device_seconds``
+    series is written to both so per-window utilization stays
+    reconcilable against a terminal total.  A device profile's
+    per-batch distributions go to the registry only.
     """
-    metrics.observe("latency_seconds", report.total_seconds)
-    metrics.observe("preprocess_seconds", report.preprocess_seconds)
-    metrics.observe("query_seconds", report.query_seconds)
-    metrics.increment("queries")
-    metrics.increment("paths_found", report.num_paths)
-    metrics.increment(f"engine{engine_idx}_queries")
+    counts = [
+        ("queries", 1),
+        ("paths_found", report.num_paths),
+        (f"engine{engine_idx}_queries", 1),
+    ]
+    samples = [
+        ("latency_seconds", report.total_seconds),
+        ("preprocess_seconds", report.preprocess_seconds),
+        ("query_seconds", report.query_seconds),
+    ]
     if report.device is None:
-        metrics.increment("empty_queries")
+        counts.append(("empty_queries", 1))
     if report.truncated:
-        metrics.increment("truncated_queries")
+        counts.append(("truncated_queries", 1))
     if degraded:
-        metrics.increment("degraded_queries")
-        metrics.observe("degraded_latency_seconds", report.total_seconds)
+        counts.append(("degraded_queries", 1))
+        samples.append(("degraded_latency_seconds", report.total_seconds))
     if timeline is not None:
-        metrics.observe(f"engine{engine_idx}_device_seconds",
-                        report.query_seconds)
-        timeline.observe(t_end, "latency_seconds", report.total_seconds)
-        timeline.observe(t_end, "preprocess_seconds",
-                         report.preprocess_seconds)
-        timeline.observe(t_end, "query_seconds", report.query_seconds)
-        timeline.observe(t_end, f"engine{engine_idx}_device_seconds",
-                         report.query_seconds)
-        timeline.record(t_end, "queries")
-        timeline.record(t_end, "paths_found", report.num_paths)
-        timeline.record(t_end, f"engine{engine_idx}_queries")
-        if report.device is None:
-            timeline.record(t_end, "empty_queries")
-        if report.truncated:
-            timeline.record(t_end, "truncated_queries")
-        if degraded:
-            timeline.record(t_end, "degraded_queries")
-            timeline.observe(t_end, "degraded_latency_seconds",
-                             report.total_seconds)
+        samples.append((f"engine{engine_idx}_device_seconds",
+                        report.query_seconds))
+    device_samples = []
     if report.profile is not None:
-        observe_profile(metrics, report.profile, timeline=timeline,
-                        t_end=t_end)
+        device_samples = _profile_events(report.profile, counts)
+    metrics.update(counts, samples + device_samples)
+    if timeline is not None:
+        for name, n in counts:
+            timeline.record(t_end, name, n)
+        for name, value in samples:
+            timeline.observe(t_end, name, value)
 
 
-def observe_profile(metrics: MetricsRegistry, prof,
-                    timeline: MetricsTimeline | None = None,
-                    t_end: float | None = None) -> None:
-    """Fold one kernel run's device profile into a registry."""
-    metrics.increment("profiled_queries")
-    metrics.increment("device_cycles", prof.total_cycles)
-    metrics.increment("device_expand_cycles", prof.expand_cycles)
-    metrics.increment("device_verify_cycles", prof.verify_cycles)
-    metrics.increment("device_stall_cycles", prof.stall_cycles)
+def _profile_events(prof, counts: list) -> list:
+    """Append one kernel run's device counters to ``counts``; return its
+    per-batch and end-of-run distribution samples."""
+    counts += [
+        ("profiled_queries", 1),
+        ("device_cycles", prof.total_cycles),
+        ("device_expand_cycles", prof.expand_cycles),
+        ("device_verify_cycles", prof.verify_cycles),
+        ("device_stall_cycles", prof.stall_cycles),
+    ]
     inter_pe_cycles = getattr(prof, "inter_pe_cycles", 0)
     if inter_pe_cycles:
-        metrics.increment("device_inter_pe_cycles", inter_pe_cycles)
-        metrics.increment("inter_pe_messages",
-                          getattr(prof, "inter_pe_messages", 0))
-    if timeline is not None:
-        timeline.record(t_end, "profiled_queries")
-        timeline.record(t_end, "device_cycles", prof.total_cycles)
-        timeline.record(t_end, "device_expand_cycles", prof.expand_cycles)
-        timeline.record(t_end, "device_verify_cycles", prof.verify_cycles)
-        timeline.record(t_end, "device_stall_cycles", prof.stall_cycles)
-        if inter_pe_cycles:
-            timeline.record(t_end, "device_inter_pe_cycles",
-                            inter_pe_cycles)
-            timeline.record(t_end, "inter_pe_messages",
-                            getattr(prof, "inter_pe_messages", 0))
+        counts += [
+            ("device_inter_pe_cycles", inter_pe_cycles),
+            ("inter_pe_messages", getattr(prof, "inter_pe_messages", 0)),
+        ]
+    samples = []
     for batch in prof.batches:
-        metrics.observe_hist("batch_cycles", batch.cycles,
-                             bounds=CYCLE_BUCKETS)
-        metrics.observe_hist("batch_entries", batch.entries,
-                             bounds=COUNT_BUCKETS)
-        metrics.observe_hist("verify_occupancy",
-                             batch.occupancy("verify"),
-                             bounds=FRACTION_BUCKETS)
-    metrics.observe_hist("buffer_peak_paths", prof.buffer_peak_paths,
-                         bounds=COUNT_BUCKETS)
-    metrics.observe_hist("dram_peak_paths", prof.dram_peak_paths,
-                         bounds=COUNT_BUCKETS)
+        samples += [
+            ("batch_cycles", batch.cycles),
+            ("batch_entries", batch.entries),
+            ("verify_occupancy", batch.occupancy("verify")),
+        ]
+    samples += [
+        ("buffer_peak_paths", prof.buffer_peak_paths),
+        ("dram_peak_paths", prof.dram_peak_paths),
+    ]
     for label, counters in prof.cache_counters.items():
-        metrics.increment(f"{label}_hits", counters["hits"])
-        metrics.increment(f"{label}_misses", counters["misses"])
-        if timeline is not None:
-            timeline.record(t_end, f"{label}_hits", counters["hits"])
-            timeline.record(t_end, f"{label}_misses", counters["misses"])
-        metrics.observe_hist(
-            f"{label}_hit_rate", prof.cache_hit_rate(label),
-            bounds=FRACTION_BUCKETS,
-        )
+        counts += [
+            (f"{label}_hits", counters["hits"]),
+            (f"{label}_misses", counters["misses"]),
+        ]
+        samples.append((f"{label}_hit_rate", prof.cache_hit_rate(label)))
+    return samples
 
 
 class _StealQueue:
@@ -880,7 +847,7 @@ class BatchQueryService:
         ``engine{i}`` track, PCIe transfers on a ``pcie`` track.
         ``profile=True`` collects a per-batch device cycle breakdown for
         every kernel run (attached to each :class:`SystemReport` and fed
-        into the registry's histograms).  Both default off and cost
+        into the registry's device series).  Both default off and cost
         nothing when off.
 
         ``timeline`` (a :class:`repro.service.metrics.MetricsTimeline`)
@@ -1147,9 +1114,6 @@ class BatchQueryService:
             trace=bool(tr),
             window_seconds=(
                 timeline.window_seconds if timeline is not None else None
-            ),
-            sketch_gamma=(
-                timeline.gamma if timeline is not None else None
             ),
         )
         for registry in outcome.metric_registries:

@@ -4,23 +4,20 @@ A :class:`MetricsRegistry` is a small, thread-safe store of three metric
 kinds:
 
 - **counters** — monotonically increasing integers;
-- **sample series** — latency-style observations summarised into
-  :class:`LatencySummary` (count, mean, min, max, nearest-rank
-  p50/p95/p99).  Raw samples are bounded by *reservoir sampling*
-  (Vitter's Algorithm R): the first ``max_samples_per_series``
-  observations are kept verbatim, after which each new observation
-  replaces a uniformly random reservoir slot with probability
-  ``capacity / count``.  Count, min and max stay exact; the running sum
-  is kept as an :class:`ExactSum` (Shewchuk partials), so the mean is
-  the correctly-rounded sum of every observation no matter the
-  observation or merge order.  Each series also feeds a
-  :class:`HistogramSketch` — a mergeable log-bucketed histogram — and
-  quantiles switch from the (exact) retained samples to the sketch once
-  the series outgrows the reservoir, so merged shards never over-weight
-  a small worker (see :meth:`MetricsRegistry.merge`);
-- **histograms** — Prometheus-style cumulative-bucket distributions for
-  high-volume device counters (per-batch cycles, stage occupancy) where
-  even a reservoir is more than needed.
+- **gauges** — point-in-time levels (last write wins);
+- **sample series** — every distribution the service tracks (latencies,
+  per-batch device cycles, stage occupancy, cache hit rates), summarised
+  into :class:`LatencySummary` (count, exact sum, mean, min, max,
+  nearest-rank p50/p95/p99).  A series is one :class:`HistogramSketch`
+  — a mergeable log-bucketed histogram at the fixed growth factor
+  :data:`SKETCH_GAMMA` — plus the list of raw observations, kept only
+  while it holds every observation and at most :data:`EXACT_SAMPLES` of
+  them.  Count, sum, mean, min and max come from the sketch, whose sum
+  is an :class:`ExactSum` (Shewchuk partials), so the mean is the
+  correctly-rounded sum of every observation no matter the observation
+  or merge order.  Percentiles are exact while the raw list exists and
+  sketch estimates once it is dropped, so merged shards never
+  over-weight a small worker (see :meth:`MetricsRegistry.merge`).
 
 The registry snapshots into a plain dict for rendering or export, and
 :mod:`repro.observability.prometheus` renders it in the Prometheus text
@@ -53,37 +50,41 @@ registry's exact count and correctly-rounded total.  The
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
-import random
 import threading
 from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
-#: raw samples retained per series before reservoir sampling kicks in.
-DEFAULT_RESERVOIR_SIZE = 4096
-
-#: default histogram buckets for modelled seconds: a 1-2.5-5 ladder from
-#: 1 µs to 100 s (upper bounds; an implicit +Inf bucket catches the rest).
-DEFAULT_SECONDS_BUCKETS = tuple(
-    base * 10.0 ** exp
-    for exp in range(-6, 2)
-    for base in (1.0, 2.5, 5.0)
-)
+#: raw observations a series keeps for exact percentiles; past this the
+#: list is dropped and quantiles come from the sketch.
+EXACT_SAMPLES = 4096
 
 #: log-bucket growth factor of :class:`HistogramSketch`: 2^(1/8) per
 #: bucket (~9.05% wide), bounding a mid-bucket quantile estimate to
 #: ~4.4% relative error while keeping a microsecond..minute latency
-#: range inside ~300 buckets.
+#: range inside ~300 buckets.  Fixed, so every sketch merges with every
+#: other; it is still written into :meth:`HistogramSketch.to_dict` and
+#: timeline files, and reading a file with another value is an error.
 SKETCH_GAMMA = 2.0 ** 0.125
+_LOG_GAMMA = math.log(SKETCH_GAMMA)
 
 #: default tumbling-window width of :class:`MetricsTimeline`, in
 #: modelled seconds (batch makespans on the bundled datasets are a few
 #: to a few tens of milliseconds, so 1 ms yields a useful series).
 DEFAULT_WINDOW_SECONDS = 1e-3
+
+
+def _check_gamma(d: dict) -> None:
+    """Reject a serialised sketch or timeline written at another gamma."""
+    gamma = d.get("gamma", SKETCH_GAMMA)
+    if gamma != SKETCH_GAMMA:
+        raise ConfigError(
+            f"sketch gamma {gamma!r} is not the fixed SKETCH_GAMMA "
+            f"{SKETCH_GAMMA!r}; its bucket indices would be misread"
+        )
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -153,26 +154,22 @@ class ExactSum:
 class HistogramSketch:
     """Mergeable log-bucketed histogram of one sample series.
 
-    Values land in geometric buckets ``[gamma^i, gamma^(i+1))`` (split
-    by sign, with a dedicated zero bucket), so a bucket index is a pure
-    function of the value: two shards that observed the same multiset of
-    values hold identical bucket maps, and merging shards is exact —
-    integer bucket counts add commutatively, the total is an
-    :class:`ExactSum`, min/max combine losslessly.  Quantiles are
-    bucket-resolution estimates (the geometric bucket midpoint, clamped
-    to the observed min/max): deterministic, shard-order independent,
-    and within ``(gamma - 1) / 2`` relative error — unlike concatenating
-    bounded reservoirs, which silently over-weights small shards.
+    Values land in geometric buckets ``[gamma^i, gamma^(i+1))`` with
+    ``gamma = SKETCH_GAMMA`` (split by sign, with a dedicated zero
+    bucket), so a bucket index is a pure function of the value: two
+    shards that observed the same multiset of values hold identical
+    bucket maps, and merging shards is exact — integer bucket counts add
+    commutatively, the total is an :class:`ExactSum`, min/max combine
+    losslessly.  Quantiles are bucket-resolution estimates (the
+    geometric bucket midpoint, clamped to the observed min/max):
+    deterministic, shard-order independent, and within
+    ``(gamma - 1) / 2`` relative error.
     """
 
-    __slots__ = ("gamma", "_log_gamma", "count", "_total", "minimum",
-                 "maximum", "zero", "positive", "negative")
+    __slots__ = ("count", "_total", "minimum", "maximum", "zero",
+                 "positive", "negative")
 
-    def __init__(self, gamma: float = SKETCH_GAMMA) -> None:
-        if not gamma > 1.0:
-            raise ConfigError(f"sketch gamma must be > 1, got {gamma}")
-        self.gamma = float(gamma)
-        self._log_gamma = math.log(self.gamma)
+    def __init__(self) -> None:
         self.count = 0
         self._total = ExactSum()
         self.minimum = float("inf")
@@ -186,8 +183,9 @@ class HistogramSketch:
         """Correctly rounded sum of every observed value."""
         return self._total.value
 
-    def _index(self, magnitude: float) -> int:
-        return math.floor(math.log(magnitude) / self._log_gamma)
+    @staticmethod
+    def _index(magnitude: float) -> int:
+        return math.floor(math.log(magnitude) / _LOG_GAMMA)
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -207,12 +205,7 @@ class HistogramSketch:
             self.zero += 1
 
     def merge(self, other: "HistogramSketch") -> None:
-        """Add another sketch's buckets (exact; bounds must agree)."""
-        if other.gamma != self.gamma:
-            raise ConfigError(
-                f"cannot merge sketches with different gamma: "
-                f"{self.gamma} vs {other.gamma}"
-            )
+        """Add another sketch's buckets (exact, order-independent)."""
         self.count += other.count
         self._total.merge(other._total)
         self.minimum = min(self.minimum, other.minimum)
@@ -226,11 +219,11 @@ class HistogramSketch:
     def _buckets_ascending(self):
         """(representative value, count) pairs in ascending value order."""
         for idx in sorted(self.negative, reverse=True):
-            yield -(self.gamma ** (idx + 0.5)), self.negative[idx]
+            yield -(SKETCH_GAMMA ** (idx + 0.5)), self.negative[idx]
         if self.zero:
             yield 0.0, self.zero
         for idx in sorted(self.positive):
-            yield self.gamma ** (idx + 0.5), self.positive[idx]
+            yield SKETCH_GAMMA ** (idx + 0.5), self.positive[idx]
 
     def quantile(self, q: float) -> float:
         """Nearest-rank quantile estimate (``q`` in [0, 1])."""
@@ -261,17 +254,17 @@ class HistogramSketch:
         if threshold >= 0.0:
             n += self.zero + sum(self.negative.values())
             for idx, count in self.positive.items():
-                if self.gamma ** (idx + 1) <= threshold:
+                if SKETCH_GAMMA ** (idx + 1) <= threshold:
                     n += count
         else:
             magnitude = -threshold
             for idx, count in self.negative.items():
-                if self.gamma ** idx >= magnitude:
+                if SKETCH_GAMMA ** idx >= magnitude:
                     n += count
         return n
 
     def copy(self) -> "HistogramSketch":
-        dup = HistogramSketch(self.gamma)
+        dup = HistogramSketch()
         dup.count = self.count
         dup._total = self._total.copy()
         dup.minimum = self.minimum
@@ -284,7 +277,7 @@ class HistogramSketch:
     def to_dict(self) -> dict:
         """JSON-safe view (totals rounded; infinities mapped to None)."""
         return {
-            "gamma": self.gamma,
+            "gamma": SKETCH_GAMMA,
             "count": self.count,
             "total": self.total,
             "minimum": self.minimum if self.count else None,
@@ -298,7 +291,8 @@ class HistogramSketch:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HistogramSketch":
-        sketch = cls(d.get("gamma", SKETCH_GAMMA))
+        _check_gamma(d)
+        sketch = cls()
         sketch.count = int(d["count"])
         sketch._total = ExactSum((d["total"],) if d["total"] else ())
         sketch.minimum = (float("inf") if d.get("minimum") is None
@@ -318,6 +312,8 @@ class LatencySummary:
     """Summary statistics of one sample series."""
 
     count: int
+    #: correctly rounded sum of every observation.
+    total: float
     mean: float
     minimum: float
     maximum: float
@@ -330,9 +326,11 @@ class LatencySummary:
         """Summarise a non-empty sample series."""
         if not samples:
             raise ValueError("cannot summarise an empty sample series")
+        total = math.fsum(samples)
         return cls(
             count=len(samples),
-            mean=sum(samples) / len(samples),
+            total=total,
+            mean=total / len(samples),
             minimum=min(samples),
             maximum=max(samples),
             p50=percentile(samples, 50),
@@ -342,146 +340,70 @@ class LatencySummary:
 
 
 class _Series:
-    """One sample series: exact aggregates + reservoir + log sketch."""
+    """One sample series: a log sketch, plus every raw observation while
+    there are at most :data:`EXACT_SAMPLES` of them (``exact`` is
+    ``None`` after that)."""
 
-    __slots__ = ("count", "_total", "minimum", "maximum", "reservoir",
-                 "sketch")
+    __slots__ = ("sketch", "exact")
 
     def __init__(self) -> None:
-        self.count = 0
-        self._total = ExactSum()
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-        self.reservoir: list[float] = []
         self.sketch = HistogramSketch()
+        self.exact: list[float] | None = []
 
-    @property
-    def total(self) -> float:
-        return self._total.value
-
-    def observe(self, value: float, capacity: int,
-                rng: random.Random) -> None:
-        self.count += 1
-        self._total.add(value)
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
+    def observe(self, value: float) -> None:
         self.sketch.observe(value)
-        if len(self.reservoir) < capacity:
-            self.reservoir.append(value)
+        exact = self.exact
+        if exact is not None:
+            if len(exact) < EXACT_SAMPLES:
+                exact.append(value)
+            else:
+                self.exact = None
+
+    def merge(self, other: "_Series") -> None:
+        self.sketch.merge(other.sketch)
+        if (self.exact is not None and other.exact is not None
+                and len(self.exact) + len(other.exact) <= EXACT_SAMPLES):
+            self.exact.extend(other.exact)
         else:
-            # Algorithm R: keep each of the `count` observations with
-            # equal probability capacity / count.
-            slot = rng.randrange(self.count)
-            if slot < capacity:
-                self.reservoir[slot] = value
+            self.exact = None
+
+    def copy(self) -> "_Series":
+        dup = _Series()
+        dup.sketch = self.sketch.copy()
+        dup.exact = None if self.exact is None else list(self.exact)
+        return dup
 
     def summary(self) -> LatencySummary:
-        # While every observation is still retained the reservoir *is*
-        # the series and its nearest-rank percentiles are exact; past
-        # that (overflow, or a merge that combined more samples than the
-        # cap) quantiles come from the sketch — deterministic and free
-        # of the small-shard bias a truncated reservoir concat has.
-        if self.count == len(self.reservoir):
-            p50 = percentile(self.reservoir, 50)
-            p95 = percentile(self.reservoir, 95)
-            p99 = percentile(self.reservoir, 99)
+        sketch = self.sketch
+        if self.exact is not None:
+            p50 = percentile(self.exact, 50)
+            p95 = percentile(self.exact, 95)
+            p99 = percentile(self.exact, 99)
         else:
-            p50 = self.sketch.quantile(0.50)
-            p95 = self.sketch.quantile(0.95)
-            p99 = self.sketch.quantile(0.99)
+            p50 = sketch.quantile(0.50)
+            p95 = sketch.quantile(0.95)
+            p99 = sketch.quantile(0.99)
+        total = sketch.total
         return LatencySummary(
-            count=self.count,
-            mean=self.total / self.count,
-            minimum=self.minimum,
-            maximum=self.maximum,
+            count=sketch.count,
+            total=total,
+            mean=total / sketch.count,
+            minimum=sketch.minimum,
+            maximum=sketch.maximum,
             p50=p50,
             p95=p95,
             p99=p99,
         )
 
 
-@dataclass(frozen=True)
-class HistogramSnapshot:
-    """Frozen view of one histogram.
-
-    ``bounds`` are the bucket upper edges; ``counts`` has one entry per
-    bound plus a final overflow (+Inf) entry.  ``cumulative()`` gives the
-    Prometheus ``le`` view.
-    """
-
-    bounds: tuple[float, ...]
-    counts: tuple[int, ...]
-    count: int
-    total: float
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def cumulative(self) -> list[tuple[float, int]]:
-        """``(le, cumulative count)`` pairs, ending with ``(inf, count)``."""
-        out, running = [], 0
-        for bound, n in zip(self.bounds, self.counts):
-            running += n
-            out.append((bound, running))
-        out.append((float("inf"), self.count))
-        return out
-
-
-class _Histogram:
-    """Mutable histogram: fixed bucket bounds, integer counts."""
-
-    __slots__ = ("bounds", "counts", "count", "total")
-
-    def __init__(self, bounds: tuple[float, ...]) -> None:
-        if not bounds:
-            raise ConfigError("histogram needs at least one bucket bound")
-        ordered = tuple(sorted(float(b) for b in bounds))
-        if len(set(ordered)) != len(ordered):
-            raise ConfigError("histogram bucket bounds must be distinct")
-        self.bounds = ordered
-        self.counts = [0] * (len(ordered) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
-
-    def snapshot(self) -> HistogramSnapshot:
-        return HistogramSnapshot(
-            bounds=self.bounds,
-            counts=tuple(self.counts),
-            count=self.count,
-            total=self.total,
-        )
-
-
 class MetricsRegistry:
-    """Thread-safe counters + sample series + histograms for one service.
+    """Thread-safe counters, gauges and sample series for one service."""
 
-    ``max_samples_per_series`` bounds the memory of every sample series
-    (reservoir sampling past that size); ``seed`` makes the reservoir's
-    replacement choices deterministic for reproducible snapshots.
-    """
-
-    def __init__(self, max_samples_per_series: int = DEFAULT_RESERVOIR_SIZE,
-                 seed: int = 0) -> None:
-        if max_samples_per_series < 1:
-            raise ConfigError(
-                f"max_samples_per_series must be >= 1, "
-                f"got {max_samples_per_series}"
-            )
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Counter[str] = Counter()
         self._gauges: dict[str, float] = {}
         self._series: dict[str, _Series] = {}
-        self._histograms: dict[str, _Histogram] = {}
-        self._capacity = max_samples_per_series
-        self._rng = random.Random(seed)
 
     # -- pickling (locks cannot cross process boundaries) --------------
     def __getstate__(self) -> dict:
@@ -490,19 +412,13 @@ class MetricsRegistry:
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
                 "series": self._series,
-                "histograms": self._histograms,
-                "capacity": self._capacity,
-                "rng": self._rng,
             }
 
     def __setstate__(self, state: dict) -> None:
         self._lock = threading.Lock()
         self._counters = Counter(state["counters"])
-        self._gauges = dict(state.get("gauges", {}))
+        self._gauges = dict(state["gauges"])
         self._series = state["series"]
-        self._histograms = state["histograms"]
-        self._capacity = state["capacity"]
-        self._rng = state["rng"]
 
     # -- counters ------------------------------------------------------
     def increment(self, name: str, n: int = 1) -> None:
@@ -532,30 +448,44 @@ class MetricsRegistry:
             return self._gauges.get(name)
 
     # -- sample series -------------------------------------------------
+    def _observe(self, name: str, value: float) -> None:
+        # Caller holds the lock.
+        series = self._series.get(name)
+        if series is None:
+            series = self._series[name] = _Series()
+        series.observe(float(value))
+
     def observe(self, name: str, value: float) -> None:
         """Record one sample into series ``name``."""
         with self._lock:
-            series = self._series.get(name)
-            if series is None:
-                series = self._series[name] = _Series()
-            series.observe(float(value), self._capacity, self._rng)
+            self._observe(name, value)
 
-    def samples(self, name: str) -> list[float]:
-        """Copy of the *retained* samples of series ``name``.
+    def update(self, counts, samples) -> None:
+        """Apply ``(name, n)`` counter increments and ``(name, value)``
+        samples under one lock acquisition."""
+        with self._lock:
+            for name, n in counts:
+                self._counters[name] += n
+            for name, value in samples:
+                self._observe(name, value)
 
-        Up to ``max_samples_per_series`` observations this is every
-        sample; past it, a uniform reservoir.  Use :meth:`summary` for
-        exact count/mean/min/max.
+    def samples(self, name: str) -> list[float] | None:
+        """Copy of every observation of series ``name``, in arrival order.
+
+        ``None`` once the series has outgrown :data:`EXACT_SAMPLES` (only
+        its sketch remains); an unknown series has no samples, ``[]``.
         """
         with self._lock:
             series = self._series.get(name)
-            return list(series.reservoir) if series else []
+            if series is None:
+                return []
+            return None if series.exact is None else list(series.exact)
 
     def sample_count(self, name: str) -> int:
         """Exact number of observations made to series ``name``."""
         with self._lock:
             series = self._series.get(name)
-            return series.count if series else 0
+            return series.sketch.count if series else 0
 
     def sample_total(self, name: str) -> float | None:
         """Correctly rounded sum of every observation of series ``name``.
@@ -567,7 +497,7 @@ class MetricsRegistry:
         """
         with self._lock:
             series = self._series.get(name)
-            return series.total if series else None
+            return series.sketch.total if series else None
 
     def sketch(self, name: str) -> HistogramSketch | None:
         """Copy of series ``name``'s log-bucketed sketch, or ``None``."""
@@ -578,36 +508,14 @@ class MetricsRegistry:
     def summary(self, name: str) -> LatencySummary | None:
         """Summary of series ``name``, or ``None`` when it has no samples.
 
-        Count, mean, min and max are exact; percentiles are exact while
-        every observation is retained and sketch estimates (bounded
-        relative error, deterministic) past the reservoir cap.
+        Count, sum, mean, min and max are exact; percentiles are exact
+        while the series holds every observation and sketch estimates
+        (bounded relative error, deterministic) past
+        :data:`EXACT_SAMPLES`.
         """
         with self._lock:
             series = self._series.get(name)
             return series.summary() if series else None
-
-    # -- histograms ----------------------------------------------------
-    def observe_hist(self, name: str, value: float,
-                     bounds: tuple[float, ...] | None = None) -> None:
-        """Record ``value`` into histogram ``name``.
-
-        ``bounds`` (bucket upper edges) are fixed on first use — defaults
-        to :data:`DEFAULT_SECONDS_BUCKETS` — and ignored afterwards.
-        """
-        with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = self._histograms[name] = _Histogram(
-                    bounds if bounds is not None
-                    else DEFAULT_SECONDS_BUCKETS
-                )
-            hist.observe(float(value))
-
-    def histogram(self, name: str) -> HistogramSnapshot | None:
-        """Snapshot of histogram ``name`` (``None`` if never observed)."""
-        with self._lock:
-            hist = self._histograms.get(name)
-            return hist.snapshot() if hist else None
 
     # -- cross-registry aggregation ------------------------------------
     def merge(self, other: "MetricsRegistry") -> None:
@@ -615,70 +523,36 @@ class MetricsRegistry:
 
         The process-parallel serving backend gives each worker its own
         registry (a lock cannot span processes) and merges them on the
-        coordinator: counters add, sample series combine their exact
-        aggregates (count/mean/min/max stay exact — the totals are
-        :class:`ExactSum` partials, so even float sums merge to the
-        correctly rounded result), histogram bucket counts add (their
-        bounds must match, else :class:`~repro.errors.ConfigError`), and
-        the per-series :class:`HistogramSketch` buckets add exactly —
-        merged quantiles come from the combined sketch, never from the
-        truncated reservoir concatenation (which kept an over-weighted
-        share of a small worker's samples).  The reservoir itself is
-        still concatenated and truncated, but only as the *retained
-        sample* view (:meth:`samples`); quantiles stop reading it the
-        moment it no longer holds every observation.
+        coordinator: counters add, and each series merges its sketch
+        exactly (integer bucket counts add, the :class:`ExactSum` totals
+        combine, so count/sum/mean/min/max match the pooled population
+        whatever the merge order).  The raw observation lists are
+        concatenated while both sides still hold theirs and the result
+        fits :data:`EXACT_SAMPLES`; otherwise the list is dropped and
+        merged quantiles come from the combined sketch.
         """
         if other is self:
             raise ConfigError("cannot merge a registry into itself")
         with other._lock:
             counters = dict(other._counters)
             gauges = dict(other._gauges)
-            series = {
-                name: (s.count, s._total.copy(), s.minimum, s.maximum,
-                       list(s.reservoir), s.sketch.copy())
-                for name, s in other._series.items()
-            }
-            histograms = {
-                name: (h.bounds, list(h.counts), h.count, h.total)
-                for name, h in other._histograms.items()
-            }
+            series = {name: s.copy() for name, s in other._series.items()}
         with self._lock:
             for name, n in counters.items():
                 self._counters[name] += n
             # Gauges are levels, not totals: the merged-in (newer)
             # registry's value wins.
             self._gauges.update(gauges)
-            for name, (count, total, mn, mx, reservoir,
-                       sketch) in series.items():
+            for name, theirs in series.items():
                 mine = self._series.get(name)
                 if mine is None:
-                    mine = self._series[name] = _Series()
-                mine.count += count
-                mine._total.merge(total)
-                mine.minimum = min(mine.minimum, mn)
-                mine.maximum = max(mine.maximum, mx)
-                mine.reservoir = (
-                    mine.reservoir + reservoir
-                )[: self._capacity]
-                mine.sketch.merge(sketch)
-            for name, (bounds, counts, count, total) in histograms.items():
-                mine_h = self._histograms.get(name)
-                if mine_h is None:
-                    mine_h = self._histograms[name] = _Histogram(bounds)
-                elif mine_h.bounds != bounds:
-                    raise ConfigError(
-                        f"cannot merge histogram {name!r}: bucket bounds "
-                        f"differ"
-                    )
-                mine_h.counts = [
-                    a + b for a, b in zip(mine_h.counts, counts)
-                ]
-                mine_h.count += count
-                mine_h.total += total
+                    self._series[name] = theirs
+                else:
+                    mine.merge(theirs)
 
     # -- export --------------------------------------------------------
     def snapshot(self) -> dict[str, object]:
-        """Plain-dict view: counters, per-series summaries, histograms.
+        """Plain-dict view: counters, gauges, per-series summaries.
 
         Taken under a single lock acquisition so the counters and every
         series summary describe the same instant — re-acquiring the lock
@@ -687,24 +561,12 @@ class MetricsRegistry:
         series but not yet in its paired counter).
         """
         with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            series = {
-                name: s.summary()
-                for name, s in self._series.items()
-                if s.count
+            return {
+                "counters": dict(self._counters),
+                "gauges": dict(self._gauges),
+                "series": {name: s.summary()
+                           for name, s in self._series.items()},
             }
-            histograms = {
-                name: h.snapshot()
-                for name, h in self._histograms.items()
-                if h.count
-            }
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "series": series,
-            "histograms": histograms,
-        }
 
 
 class _Window:
@@ -733,15 +595,14 @@ class MetricsTimeline:
     coordinator the same way it ships registries).
     """
 
-    def __init__(self, window_seconds: float = DEFAULT_WINDOW_SECONDS,
-                 gamma: float = SKETCH_GAMMA) -> None:
+    def __init__(self,
+                 window_seconds: float = DEFAULT_WINDOW_SECONDS) -> None:
         window_seconds = float(window_seconds)
         if not window_seconds > 0.0:
             raise ConfigError(
                 f"window_seconds must be positive, got {window_seconds}"
             )
         self.window_seconds = window_seconds
-        self.gamma = float(gamma)
         self._lock = threading.Lock()
         self._windows: dict[int, _Window] = {}
 
@@ -750,13 +611,11 @@ class MetricsTimeline:
         with self._lock:
             return {
                 "window_seconds": self.window_seconds,
-                "gamma": self.gamma,
                 "windows": self._windows,
             }
 
     def __setstate__(self, state: dict) -> None:
         self.window_seconds = state["window_seconds"]
-        self.gamma = state["gamma"]
         self._lock = threading.Lock()
         self._windows = state["windows"]
 
@@ -786,7 +645,7 @@ class MetricsTimeline:
             win = self._window(t)
             sketch = win.series.get(name)
             if sketch is None:
-                sketch = win.series[name] = HistogramSketch(self.gamma)
+                sketch = win.series[name] = HistogramSketch()
             sketch.observe(value)
 
     def set_gauge(self, t: float, name: str, value: float) -> None:
@@ -991,14 +850,19 @@ class MetricsTimeline:
         return {
             "version": 1,
             "window_seconds": self.window_seconds,
-            "gamma": self.gamma,
+            "gamma": SKETCH_GAMMA,
             "windows": windows,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsTimeline":
-        timeline = cls(d["window_seconds"], gamma=d.get("gamma",
-                                                        SKETCH_GAMMA))
+        """Rebuild a timeline from :meth:`to_dict` output.
+
+        Raises :class:`~repro.errors.ConfigError` when the document was
+        written at a sketch gamma other than :data:`SKETCH_GAMMA`.
+        """
+        _check_gamma(d)
+        timeline = cls(d["window_seconds"])
         for entry in d.get("windows", ()):
             win = timeline._windows[int(entry["index"])] = _Window()
             win.counters = Counter({

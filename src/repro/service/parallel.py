@@ -81,7 +81,6 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
         server = None
         trace = False
         window_seconds = None
-        sketch_gamma = None
         while True:
             cmd = cmd_queue.get()
             kind = cmd[0]
@@ -100,7 +99,6 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
                 )
                 trace = opts["trace"]
                 window_seconds = opts.get("window_seconds")
-                sketch_gamma = opts.get("sketch_gamma")
                 continue
 
             # kind is "serve" (a task list) or "steal" (pull from the
@@ -109,10 +107,7 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
             tracer = Tracer() if trace else None
             timeline = None
             if window_seconds is not None:
-                timeline = MetricsTimeline(
-                    window_seconds,
-                    **({"gamma": sketch_gamma} if sketch_gamma else {}),
-                )
+                timeline = MetricsTimeline(window_seconds)
             if kind == "serve":
                 source = [cmd[1]]
             else:
@@ -266,12 +261,11 @@ class ProcessEnginePool:
     # -- batch serving -------------------------------------------------
     def run_batch(self, queries, scheduler, graph, budget,
                   batch_deadline_s, degraded_cycle_budget, profile,
-                  trace, cache=None, window_seconds=None,
-                  sketch_gamma=None) -> BatchOutcome:
+                  trace, cache=None, window_seconds=None) -> BatchOutcome:
         """Serve one batch over the worker pool; see the module docstring.
 
-        ``window_seconds`` (with optional ``sketch_gamma``) turns on
-        windowed telemetry: each worker accumulates a per-round
+        ``window_seconds`` turns on windowed telemetry: each worker
+        accumulates a per-round
         :class:`~repro.service.metrics.MetricsTimeline` shipped back on
         ``round_done`` and surfaced as ``BatchOutcome.timelines`` in
         deterministic (round, worker) order.
@@ -292,7 +286,6 @@ class ProcessEnginePool:
                 "profile": profile,
                 "trace": trace,
                 "window_seconds": window_seconds,
-                "sketch_gamma": sketch_gamma,
             }))
 
         try:

@@ -268,9 +268,8 @@ class TestPrometheusExposition:
         registry.increment("queries", 3)
         for v in (0.1, 0.2, 0.3):
             registry.observe("latency_seconds", v)
-        registry.observe_hist("batch_cycles", 120.0,
-                              bounds=(100.0, 1000.0))
-        registry.observe_hist("batch_cycles", 5000.0)
+        registry.observe("batch_cycles", 120.0)
+        registry.observe("batch_cycles", 5000.0)
         return registry
 
     def test_render_text_format(self):
@@ -280,9 +279,11 @@ class TestPrometheusExposition:
         assert "# TYPE pefp_latency_seconds summary" in text
         assert 'pefp_latency_seconds{quantile="0.5"} 0.2' in text
         assert "pefp_latency_seconds_count 3" in text
-        assert "# TYPE pefp_batch_cycles histogram" in text
-        assert 'pefp_batch_cycles_bucket{le="1000"} 1' in text
-        assert 'pefp_batch_cycles_bucket{le="+Inf"} 2' in text
+        assert "# TYPE pefp_batch_cycles summary" in text
+        assert 'pefp_batch_cycles{quantile="0.99"} 5000' in text
+        assert "pefp_batch_cycles_sum 5120" in text
+        assert "pefp_batch_cycles_count 2" in text
+        assert " histogram" not in text
         assert text.endswith("\n")
 
     def test_http_endpoint(self):
@@ -337,10 +338,13 @@ class TestServiceTracing:
 
     def test_profile_feeds_registry_histograms(self, served):
         service, _, report = served
-        hist = service.metrics.histogram("batch_cycles")
-        assert hist is not None
-        assert hist.count == sum(
+        batch_cycles = service.metrics.summary("batch_cycles")
+        assert batch_cycles is not None
+        assert batch_cycles.count == sum(
             p.num_batches for p in report.device_profiles
+        )
+        assert batch_cycles.total == sum(
+            b.cycles for p in report.device_profiles for b in p.batches
         )
         assert service.metrics.counter("device_cycles") == sum(
             p.total_cycles for p in report.device_profiles

@@ -33,6 +33,18 @@ class TestEmptyAndNonFinite:
         assert "p_level 3\n" in render_prometheus(registry, prefix="p")
 
 
+class TestSummarySum:
+    def test_sum_is_the_exact_total(self):
+        # mean * count rounds twice: 12.149999999999999 for these values,
+        # whose correctly rounded sum is 12.15.
+        registry = MetricsRegistry()
+        for v in (6.92, 3.45, 1.78):
+            registry.observe("x", v)
+        text = render_prometheus(registry, prefix="p")
+        assert f"p_x_sum {registry.sample_total('x')!r}\n" in text
+        assert "p_x_sum 12.15\n" in text
+
+
 class TestNameCollisions:
     def test_colliding_names_both_survive(self):
         registry = MetricsRegistry()
@@ -96,7 +108,7 @@ class TestMetricsHTTPServer:
             assert health["status"] == "ok"
             assert health["uptime_seconds"] >= 0.0
             assert health["registry"] == {
-                "counters": 1, "gauges": 1, "series": 1, "histograms": 0}
+                "counters": 1, "gauges": 1, "series": 1}
             status, body = self._get(base + "/metrics")
             assert status == 200
             assert "pefp_queries 3" in body

@@ -1,10 +1,12 @@
 """Unit tests for the service metrics registry and percentile math."""
 
+import math
 import threading
 
 import pytest
 
 from repro.service.metrics import (
+    EXACT_SAMPLES,
     LatencySummary,
     MetricsRegistry,
     percentile,
@@ -48,6 +50,7 @@ class TestLatencySummary:
     def test_fields(self):
         s = LatencySummary.from_samples([1.0, 2.0, 3.0, 4.0])
         assert s.count == 4
+        assert s.total == 10.0
         assert s.mean == pytest.approx(2.5)
         assert s.minimum == 1.0
         assert s.maximum == 4.0
@@ -111,114 +114,98 @@ class TestMetricsRegistry:
 
 
 class TestReservoirSampling:
+    """The raw observation list behind exact percentiles, capped at
+    ``EXACT_SAMPLES``; past the cap only the sketch remains."""
+
     def test_exact_below_capacity(self):
-        registry = MetricsRegistry(max_samples_per_series=10)
+        registry = MetricsRegistry()
         for v in range(7):
             registry.observe("x", float(v))
-        assert sorted(registry.samples("x")) == [float(v) for v in range(7)]
+        assert registry.samples("x") == [float(v) for v in range(7)]
         assert registry.sample_count("x") == 7
 
     def test_capped_above_capacity(self):
-        registry = MetricsRegistry(max_samples_per_series=64)
-        for v in range(10_000):
+        registry = MetricsRegistry()
+        for v in range(EXACT_SAMPLES):
             registry.observe("x", float(v))
-        assert len(registry.samples("x")) == 64
-        assert registry.sample_count("x") == 10_000
+        assert len(registry.samples("x")) == EXACT_SAMPLES
+        registry.observe("x", 0.5)
+        assert registry.samples("x") is None
+        assert registry.sample_count("x") == EXACT_SAMPLES + 1
 
     def test_aggregates_stay_exact_past_cap(self):
-        registry = MetricsRegistry(max_samples_per_series=16)
-        values = [float(v) for v in range(1, 1001)]
+        registry = MetricsRegistry()
+        values = [v / 7 for v in range(1, 10_001)]
         for v in values:
             registry.observe("x", v)
         summary = registry.summary("x")
-        assert summary.count == 1000
-        assert summary.mean == pytest.approx(sum(values) / 1000)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 1000.0
-
-    def test_reservoir_is_seed_deterministic(self):
-        def fill(seed):
-            registry = MetricsRegistry(max_samples_per_series=32,
-                                       seed=seed)
-            for v in range(2000):
-                registry.observe("x", float(v))
-            return registry.samples("x")
-
-        assert fill(5) == fill(5)
+        assert summary.count == 10_000
+        assert summary.total == math.fsum(values)
+        assert summary.mean == math.fsum(values) / 10_000
+        assert summary.minimum == values[0]
+        assert summary.maximum == values[-1]
 
     def test_reservoir_percentiles_are_plausible(self):
-        registry = MetricsRegistry(max_samples_per_series=512)
-        for v in range(20_000):
+        registry = MetricsRegistry()
+        for v in range(1, 20_001):
             registry.observe("x", float(v))
         summary = registry.summary("x")
-        # A uniform 512-sample reservoir puts p50 well inside the middle.
-        assert 20_000 * 0.3 < summary.p50 < 20_000 * 0.7
-
-    def test_capacity_validated(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            MetricsRegistry(max_samples_per_series=0)
+        # Past the cap quantiles come from the 2^(1/8) sketch: within
+        # ~4.5% of the nearest-rank truth.
+        assert summary.p50 == pytest.approx(10_000, rel=0.05)
+        assert summary.p99 == pytest.approx(19_800, rel=0.05)
 
 
 class TestHistograms:
+    """Device distributions (per-batch cycles, occupancy, hit rates) are
+    ordinary sample series, rendered as Prometheus summaries."""
+
     def test_bucketing_and_overflow(self):
         registry = MetricsRegistry()
-        for v in (5.0, 50.0, 500.0, 5000.0):
-            registry.observe_hist("cycles", v, bounds=(10.0, 100.0, 1000.0))
-        hist = registry.histogram("cycles")
-        assert hist.counts == (1, 1, 1, 1)
-        assert hist.count == 4
-        assert hist.total == 5555.0
-        assert hist.cumulative() == [
-            (10.0, 1), (100.0, 2), (1000.0, 3), (float("inf"), 4)
-        ]
-
-    def test_bounds_fixed_on_first_use(self):
-        registry = MetricsRegistry()
-        registry.observe_hist("h", 1.0, bounds=(2.0,))
-        registry.observe_hist("h", 3.0, bounds=(100.0,))  # ignored
-        assert registry.histogram("h").bounds == (2.0,)
+        for v in (5.0, 50.0, 500.0, 5e9):
+            registry.observe("cycles", v)
+        sketch = registry.sketch("cycles")
+        # Every magnitude gets its own log bucket; nothing overflows.
+        assert len(sketch.positive) == 4
+        summary = registry.summary("cycles")
+        assert summary.count == 4
+        assert summary.total == 5e9 + 555.0
+        assert summary.maximum == 5e9
+        assert summary.p50 == 50.0
 
     def test_missing_histogram_is_none(self):
-        assert MetricsRegistry().histogram("nope") is None
-
-    def test_invalid_bounds_rejected(self):
-        from repro.errors import ConfigError
-
         registry = MetricsRegistry()
-        with pytest.raises(ConfigError):
-            registry.observe_hist("h", 1.0, bounds=())
-        with pytest.raises(ConfigError):
-            registry.observe_hist("h", 1.0, bounds=(1.0, 1.0))
+        assert registry.sketch("nope") is None
+        assert registry.summary("nope") is None
+        assert registry.samples("nope") == []
 
     def test_snapshot_includes_histograms(self):
         registry = MetricsRegistry()
-        registry.observe_hist("h", 1.0, bounds=(2.0,))
+        registry.observe("batch_cycles", 1.0)
         snap = registry.snapshot()
-        assert snap["histograms"]["h"].count == 1
+        assert set(snap) == {"counters", "gauges", "series"}
+        assert snap["series"]["batch_cycles"].count == 1
 
 
 class TestMergeQuantileBias:
     """Regression: merged quantiles must not over-weight small workers.
 
-    ``merge`` concatenates and truncates reservoirs, so a tiny shard's
-    samples can make up a far larger share of the merged reservoir than
-    of the merged population.  Quantiles therefore route through the
-    mergeable sketch (exact per-shard counts) once a series outgrows its
-    reservoir; the retained samples stay available via ``samples()``.
+    Once a merged series holds more than ``EXACT_SAMPLES`` observations
+    its raw list is dropped and quantiles come from the merged sketch,
+    whose bucket counts are exact per shard — never from a truncated
+    concatenation of the shards' samples.
     """
 
     def test_merged_p95_matches_pooled_truth(self):
         from repro.service.metrics import percentile
 
-        # Big worker: 2000 fast queries.  Small worker: 10 slow ones.
-        big = MetricsRegistry(max_samples_per_series=64)
-        fast = [1.0 + i * 1e-6 for i in range(2000)]
+        # Big worker: 5000 fast queries.  Small worker: 30 slow ones.
+        big = MetricsRegistry()
+        fast = [1.0 + i * 1e-6 for i in range(5000)]
         for v in fast:
             big.observe("latency_seconds", v)
-        small = MetricsRegistry(max_samples_per_series=64)
-        slow = [100.0] * 10
+        small = MetricsRegistry()
+        slow = [100.0] * 30
         for v in slow:
             small.observe("latency_seconds", v)
 
@@ -227,14 +214,12 @@ class TestMergeQuantileBias:
         pooled = fast + slow
         truth = percentile(pooled, 95)
 
-        # The slow shard is 0.5% of the population but would be ~13% of
-        # a concatenated 74-sample reservoir, dragging p95 to 100.0.
         assert truth < 2.0
         assert merged.p95 == pytest.approx(truth, rel=0.05)
-        # Exact aggregates are untouched by the sketch switch.
-        assert merged.count == 2010
-        assert merged.mean * merged.count == pytest.approx(sum(pooled))
+        assert merged.count == 5030
+        assert merged.total == math.fsum(pooled)
         assert merged.maximum == 100.0
+        assert big.samples("latency_seconds") is None
 
     def test_small_series_keeps_exact_quantiles(self):
         a = MetricsRegistry()
@@ -243,7 +228,7 @@ class TestMergeQuantileBias:
             a.observe("x", v)
         b.observe("x", 4.0)
         a.merge(b)
-        # Both shards fit their reservoirs, so the merged reservoir is
-        # the full population and quantiles stay nearest-rank exact.
+        # Both shards kept every observation and the union fits the cap,
+        # so quantiles stay nearest-rank exact.
         assert a.summary("x").p50 == 2.0
-        assert sorted(a.samples("x")) == [1.0, 2.0, 3.0, 4.0]
+        assert a.samples("x") == [1.0, 2.0, 3.0, 4.0]

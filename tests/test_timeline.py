@@ -109,8 +109,18 @@ class TestHistogramSketch:
         assert shard_a.to_dict() == pooled.to_dict()
 
     def test_gamma_mismatch_rejected(self):
+        # Gamma is fixed; a document written at another gamma is foreign
+        # input whose bucket indices would be silently misread.
+        timeline = MetricsTimeline()
+        timeline.observe(0.0, "x", 1.5)
+        doc = timeline.to_dict()
+        assert MetricsTimeline.from_dict(doc).canonical_bytes() == (
+            timeline.canonical_bytes())
         with pytest.raises(ConfigError):
-            HistogramSketch(gamma=2.0).merge(HistogramSketch(gamma=4.0))
+            MetricsTimeline.from_dict({**doc, "gamma": 2.0})
+        sketch_doc = doc["windows"][0]["series"]["x"]
+        with pytest.raises(ConfigError):
+            HistogramSketch.from_dict({**sketch_doc, "gamma": 2.0})
 
     def test_dict_round_trip(self):
         sketch = HistogramSketch()
@@ -262,6 +272,11 @@ class TestTimelineExport:
         dup.write_text(header + "\n" + header + "\n")
         with pytest.raises(ConfigError):
             read_timeline_jsonl(dup)
+        foreign = tmp_path / "foreign.jsonl"
+        foreign.write_text(header.replace("1.0905077326652577", "2.0")
+                           + "\n")
+        with pytest.raises(ConfigError):
+            read_timeline_jsonl(foreign)
 
     def test_derived_metrics(self):
         tl = self._sample_timeline()
