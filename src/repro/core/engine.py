@@ -61,8 +61,10 @@ With ``DeviceConfig.num_pes > 1`` it hands over to
 refill or batch per superstep.
 
 ``docs/TIMING_MODEL.md`` derives why the charges are unchanged; the
-differential suite asserts byte-identical results, stats, cycles, traffic
-and profiles against the reference loop.
+differential suite asserts byte-identical results, stats, cycles,
+traffic, profiles and device spans against the reference loop.  Both
+loops report their device events to one
+:class:`~repro.fpga.profile.DeviceProfiler` per run.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -83,11 +84,7 @@ from repro.errors import QueryError
 from repro.fpga.clock import Clock
 from repro.fpga.device import Device, DeviceConfig
 from repro.fpga.pipeline import PipelineModel
-from repro.fpga.profile import (
-    DeviceProfile,
-    DeviceProfiler,
-    split_batch_cycles,
-)
+from repro.fpga.profile import DeviceProfile, DeviceProfiler
 from repro.graph.csr import CSRGraph
 
 
@@ -264,14 +261,13 @@ class PEFPEngine:
             max_results=budget.max_results if budget is not None else None,
             max_cycles=budget.max_cycles if budget is not None else None,
         )
-        profiler = DeviceProfiler() if profile else None
-        kernel.seed(source, profiler, tracer)
-        if profiler is not None or tracer:
-            kernel.observe = partial(_record_event, profiler, tracer,
-                                     self.device_config.frequency_hz)
+        sink = DeviceProfiler(self.device_config.frequency_hz, profile,
+                              tracer)
+        kernel.seed(source, sink.record)
+        if sink.observing:
+            kernel.observe = sink.record
         kernel.run()
-        return _finish_run([kernel], kernel.device, stats, results,
-                           profiler)
+        return _finish_run([kernel], kernel.device, stats, results, sink)
 
 
 def _check_query(graph: CSRGraph, source: int, target: int, max_hops: int,
@@ -295,59 +291,8 @@ def _check_query(graph: CSRGraph, source: int, target: int, max_hops: int,
     return min(max_hops, graph.num_vertices - 1)
 
 
-def _record_event(profiler, tracer, frequency: float, event) -> None:
-    """Forward one kernel event ``(kind, wall_ns, fields)`` to the
-    profiler and the tracer."""
-    kind, wall0, ev = event
-    cycles = ev["cycles"]
-    if kind == "refill":
-        if profiler is not None:
-            profiler.record_refill(**ev)
-        if tracer:
-            tracer.complete("refill", wall0,
-                            modelled_seconds=cycles / frequency,
-                            cycles=cycles, paths=ev["paths"])
-        return
-    if profiler is not None:
-        profiler.record_batch(**ev)
-    if tracer:
-        # The exact cycle split the attribution layer reads:
-        # busy + stall + overhead tiles the batch's clock delta exactly.
-        busy, stall, overhead, bound = split_batch_cycles(
-            ev["pipeline_cycles"], ev["overhead_cycles"],
-            ev["flush_cycles"], ev["stage_cycles"],
-        )
-        tracer.complete(
-            "batch", wall0,
-            modelled_seconds=cycles / frequency,
-            entries=ev["entries"],
-            expansions=ev["expansions"],
-            results=ev["results"],
-            cycles=cycles,
-            busy_cycles=busy,
-            stall_cycles=stall,
-            overhead_cycles=overhead,
-            bound=bound,
-        )
-
-
-class _MergedCounters:
-    """Summed :class:`CachedArray` counters across PEs, for the profiler."""
-
-    def __init__(self, label: str, arrays) -> None:
-        self.label = label
-        self._arrays = arrays
-
-    def counters(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for arr in self._arrays:
-            for key, value in arr.counters().items():
-                out[key] = out.get(key, 0) + value
-        return out
-
-
 def _finish_run(kernels: list["_Kernel"], device, stats: EngineStats,
-                results: list, profiler) -> EngineRunResult:
+                results: list, sink: DeviceProfiler) -> EngineRunResult:
     """Close a run of one or more kernels that shared ``stats``.
 
     Peaks take the max across PEs.  The run is truncated when a kernel
@@ -355,24 +300,12 @@ def _finish_run(kernels: list["_Kernel"], device, stats: EngineStats,
     """
     stats.peak_buffer_paths = max(k.buffer.peak_occupancy for k in kernels)
     stats.peak_dram_paths = max(k.dram_area.peak_occupancy for k in kernels)
-    profile = None
-    if profiler is not None:
-        profile = profiler.finish(
-            device,
-            [_MergedCounters(label, [getattr(k, label) for k in kernels])
-             for label in ("vertex_arr", "edge_arr", "bar_arr")],
-            stats.peak_buffer_paths,
-            stats.peak_dram_paths,
-            verify_funnel={
-                "expansions": stats.expansions,
-                "rejected_target": stats.rejected_target,
-                "rejected_barrier": stats.rejected_barrier,
-                "rejected_visited": stats.rejected_visited,
-                "survivors": stats.intermediate_paths,
-            },
-            buffer_domain=stats.buffer_domain,
-            num_pes=len(kernels),
-        )
+    profile = sink.finish(
+        device, stats,
+        [arr for k in kernels for arr in (k.vertex_arr, k.edge_arr,
+                                          k.bar_arr)],
+        num_pes=len(kernels),
+    )
     return EngineRunResult(
         paths=results,
         cycles=device.cycles,
@@ -464,8 +397,9 @@ class _Kernel:
     survivors whose tail vertex another PE owns go to ``outbox[owner]``
     as ``(vertices, next_ptr, last_ptr)`` records, and records routed to
     this PE wait in ``inbox`` until the next call.  ``observe``, when
-    set, receives one ``(kind, wall_ns, fields)`` event per refill or
-    batch, ``fields`` being the profiler's keyword arguments.
+    set, is called as ``observe(kind, wall_ns, fields)`` once per refill
+    or batch — the signature of :meth:`DeviceProfiler.record`, ``fields``
+    being the typed event's constructor arguments.
     """
 
     def __init__(self, engine: PEFPEngine, graph: CSRGraph,
@@ -522,10 +456,11 @@ class _Kernel:
         return (len(self.buffer) > 0 or not self.dram_area.is_empty
                 or bool(self.inbox))
 
-    def seed(self, source: int, profiler, tracer) -> int:
+    def seed(self, source: int, record) -> int:
         """Push the path consisting of just ``source``; returns the
-        setup cycles and records them as the ``kernel_setup`` span."""
-        setup_wall = time.perf_counter_ns() if tracer else 0
+        setup cycles and passes them to ``record`` (a
+        :meth:`DeviceProfiler.record`) as the ``kernel_setup`` event."""
+        setup_wall = time.perf_counter_ns()
         lo = self.vertex_arr.read(source)
         hi = self.vertex_arr.read(source + 1)
         if lo < hi:
@@ -535,13 +470,7 @@ class _Kernel:
                 self.dram.burst_write(self.tables.rec_w)
             self.buffer.push(PathRecord((source,), lo, hi))
         cycles = self.clock.cycles
-        if profiler is not None:
-            profiler.mark_setup(cycles)
-        if tracer:
-            tracer.complete(
-                "kernel_setup", setup_wall,
-                modelled_seconds=cycles / self.device.config.frequency_hz,
-                cycles=cycles)
+        record("kernel_setup", setup_wall, {"cycles": cycles})
         return cycles
 
     def flush(self) -> None:
@@ -576,8 +505,8 @@ class _Kernel:
         cycles = clock.cycles - before
         stats.add_stage_cycles("refill", cycles)
         if self.observe is not None:
-            self.observe(("refill", wall0,
-                          {"cycles": cycles, "paths": len(block)}))
+            self.observe("refill", wall0,
+                         {"cycles": cycles, "paths": len(block)})
 
     def _drain_inbox(self) -> None:
         """Push the records routed here at the last superstep boundary.
@@ -699,12 +628,6 @@ class _Kernel:
         exp_list = [0] * (key_span + 1)
         new_list = [0] * (key_span + 1)
         acc_t1 = acc_t2 = acc_t3 = acc_t4 = acc_t5 = acc_ov = 0
-        ins_t1 = "load" in stage_cycles
-        ins_t2 = "edge_fetch" in stage_cycles
-        ins_t3 = "barrier_fetch" in stage_cycles
-        ins_t4 = "verify" in stage_cycles
-        ins_t5 = "writeback" in stage_cycles
-        ins_ov = "overhead" in stage_cycles
         steps_left = -1 if max_steps is None else max_steps  # -1: no cap
 
         # --- main loop (Algorithms 1 and 3) ----------------------------
@@ -1016,39 +939,12 @@ class _Kernel:
                 mx = dram_bound
             batch_cycles = mx + overhead
             clock_advance(batch_cycles)
-            # accumulate raw stage totals; the first non-zero occurrence
-            # of each key is inserted immediately so the stage_cycles dict
-            # keeps the reference loop's insertion order
-            if ins_t1:
-                acc_t1 += t1
-            elif t1:
-                stage_cycles["load"] = t1
-                ins_t1 = True
-            if ins_t2:
-                acc_t2 += t2
-            elif t2:
-                stage_cycles["edge_fetch"] = t2
-                ins_t2 = True
-            if ins_t3:
-                acc_t3 += t3
-            elif t3:
-                stage_cycles["barrier_fetch"] = t3
-                ins_t3 = True
-            if ins_t4:
-                acc_t4 += t4
-            elif t4:
-                stage_cycles["verify"] = t4
-                ins_t4 = True
-            if ins_t5:
-                acc_t5 += t5
-            elif t5:
-                stage_cycles["writeback"] = t5
-                ins_t5 = True
-            if ins_ov:
-                acc_ov += overhead
-            elif overhead:
-                stage_cycles["overhead"] = overhead
-                ins_ov = True
+            acc_t1 += t1
+            acc_t2 += t2
+            acc_t3 += t3
+            acc_t4 += t4
+            acc_t5 += t5
+            acc_ov += overhead
 
             # Survivors owned by another PE wait in the outbox for the
             # superstep boundary; the rest are pushed here, and overflow
@@ -1094,7 +990,7 @@ class _Kernel:
                     (t1, t2, t3, t4, t5),
                 ))
                 flush_now = stage_cycles.get("flush", 0)
-                observe(("batch", iter_wall0, {
+                observe("batch", iter_wall0, {
                     "entries": n_e,
                     "expansions": n_items,
                     "results": len(batch_results),
@@ -1107,7 +1003,7 @@ class _Kernel:
                     "dram_cycles": dram_cycles,
                     "buffer_paths": len(buffer),
                     "stage_cycles": stage_breakdown,
-                }))
+                })
                 iter_cycles0 = clock.cycles
                 iter_wall0 = time.perf_counter_ns()
                 flush_cycles0 = flush_now
@@ -1154,7 +1050,7 @@ class _Kernel:
                           ("barrier_fetch", acc_t3), ("verify", acc_t4),
                           ("writeback", acc_t5), ("overhead", acc_ov)):
             if acc:
-                stage_cycles[name] += acc
+                stage_cycles[name] = stage_cycles.get(name, 0) + acc
 
 
 class _CostClock(Clock):

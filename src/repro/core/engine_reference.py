@@ -8,9 +8,10 @@ preserves the original loop that charges every memory access through the
 methods one call at a time.  Both engines must agree *byte for byte* —
 same paths in the same order, same cycle totals, same
 :class:`~repro.core.engine.EngineStats`, same port traffic, same
-:class:`~repro.fpga.profile.DeviceProfile` — which the differential suite
-(``tests/test_engine_vectorized_differential.py``) asserts across cache,
-batching, budget and flush/refill configurations.
+:class:`~repro.fpga.profile.DeviceProfile` and device spans (both record
+through :class:`~repro.fpga.profile.DeviceProfiler`) — which the
+differential suite (``tests/test_engine_vectorized_differential.py``)
+asserts across cache, batching, budget and flush/refill configurations.
 
 Do not optimise this file: its value is that every charge is an explicit
 method call on the memory models, so discrepancies localise immediately.
@@ -29,12 +30,12 @@ from repro.core.engine import (
     EngineRunResult,
     EngineStats,
     PEFPEngine,
+    _check_query,
     _CostClock,
     _StageCost,
 )
 from repro.core.paths import BufferArea, DramArea, PathRecord, record_words
 from repro.core.verify import VerificationModule
-from repro.errors import QueryError
 from repro.fpga.device import Device
 from repro.fpga.profile import DeviceProfiler
 from repro.graph.csr import CSRGraph
@@ -59,17 +60,7 @@ class ReferencePEFPEngine(PEFPEngine):
         profile: bool = False,
     ) -> EngineRunResult:
         """Enumerate all s-t k-paths; see :meth:`PEFPEngine.run`."""
-        if not 0 <= source < graph.num_vertices:
-            raise QueryError(f"source {source} not in graph")
-        if not 0 <= target < graph.num_vertices:
-            raise QueryError(f"target {target} not in graph")
-        if source == target:
-            raise QueryError("source equals target")
-        if max_hops < 1:
-            raise QueryError(f"hop constraint must be >= 1, got {max_hops}")
-        if len(barrier) != graph.num_vertices:
-            raise QueryError("barrier array size does not match graph")
-        max_hops = min(max_hops, graph.num_vertices - 1)
+        max_hops = _check_query(graph, source, target, max_hops, barrier)
 
         cfg = self.config
         device = Device(self.device_config)
@@ -99,26 +90,21 @@ class ReferencePEFPEngine(PEFPEngine):
         verifier = VerificationModule(self.pipeline, cfg.use_data_separation)
         batch_fn = batch_dfs if cfg.use_batch_dfs else fifo_batch
         dram_area = DramArea()
-        profiler = DeviceProfiler() if profile else None
-        observing = profiler is not None or bool(tracer)
-        frequency = self.device_config.frequency_hz
+        sink = DeviceProfiler(self.device_config.frequency_hz, profile,
+                              tracer)
         results: list[tuple[int, ...]] = []
         max_results = budget.max_results if budget is not None else None
         max_cycles = budget.max_cycles if budget is not None else None
         truncated = False
 
         # --- seed: the path consisting of just `source` ----------------
-        setup_wall = time.perf_counter_ns() if tracer else 0
+        setup_wall = time.perf_counter_ns()
         lo = vertex_arr.read(source)
         hi = vertex_arr.read(source + 1)
         if lo < hi:
             self._charge_push(bram, dram, rec_w, buffer_in_bram)
             buffer.push(PathRecord((source,), lo, hi))
-        if profiler is not None:
-            profiler.mark_setup(clock.cycles)
-        if tracer:
-            tracer.complete("kernel_setup", setup_wall,
-                            modelled_seconds=clock.cycles / frequency)
+        sink.record("kernel_setup", setup_wall, {"cycles": clock.cycles})
 
         # --- main loop (Algorithms 1 and 3) ----------------------------
         while True:
@@ -128,7 +114,7 @@ class ReferencePEFPEngine(PEFPEngine):
             if buffer.is_empty:
                 if buffer_in_bram and not dram_area.is_empty:
                     before = clock.cycles
-                    refill_wall = time.perf_counter_ns() if tracer else 0
+                    refill_wall = time.perf_counter_ns()
                     block = dram_area.fetch_tail(cfg.theta1)
                     dram.burst_read(len(block) * rec_w)
                     bram.write(len(block) * rec_w)
@@ -138,20 +124,15 @@ class ReferencePEFPEngine(PEFPEngine):
                     stats.refilled_paths += len(block)
                     refill_cycles = clock.cycles - before
                     stats.add_stage_cycles("refill", refill_cycles)
-                    if profiler is not None:
-                        profiler.record_refill(refill_cycles, len(block))
-                    if tracer:
-                        tracer.complete(
-                            "refill", refill_wall,
-                            modelled_seconds=refill_cycles / frequency,
-                            paths=len(block),
-                        )
+                    sink.record("refill", refill_wall,
+                                {"cycles": refill_cycles,
+                                 "paths": len(block)})
                     continue
                 else:
                     break
-            if observing:
+            if sink.observing:
                 iter_cycles0 = clock.cycles
-                iter_wall0 = time.perf_counter_ns() if tracer else 0
+                iter_wall0 = time.perf_counter_ns()
                 flush_cycles0 = stats.stage_cycles.get("flush", 0)
                 flushes0 = stats.flushes
             entries = batch_fn(buffer, cfg.theta2)
@@ -289,38 +270,27 @@ class ReferencePEFPEngine(PEFPEngine):
                     stats.add_stage_cycles("flush", clock.cycles - before)
                 buffer.push(rec)
 
-            if observing:
-                iter_cycles = clock.cycles - iter_cycles0
-                stage_breakdown = dict(zip(
-                    ("load", "edge_fetch", "barrier_fetch", "verify",
-                     "writeback"),
-                    (c.total for c in costs),
-                ))
-                if profiler is not None:
-                    profiler.record_batch(
-                        entries=len(entries),
-                        expansions=n_items,
-                        results=len(batch_results),
-                        new_paths=len(valid_paths),
-                        cycles=iter_cycles,
-                        pipeline_cycles=(batch_cycles
-                                         - cfg.batch_overhead_cycles),
-                        overhead_cycles=cfg.batch_overhead_cycles,
-                        flush_cycles=(stats.stage_cycles.get("flush", 0)
-                                      - flush_cycles0),
-                        flushes=stats.flushes - flushes0,
-                        dram_cycles=sum(c.dram for c in costs),
-                        buffer_paths=len(buffer),
-                        stage_cycles=stage_breakdown,
-                    )
-                if tracer:
-                    tracer.complete(
-                        "batch", iter_wall0,
-                        modelled_seconds=iter_cycles / frequency,
-                        entries=len(entries),
-                        expansions=n_items,
-                        results=len(batch_results),
-                    )
+            if sink.observing:
+                sink.record("batch", iter_wall0, {
+                    "entries": len(entries),
+                    "expansions": n_items,
+                    "results": len(batch_results),
+                    "new_paths": len(valid_paths),
+                    "cycles": clock.cycles - iter_cycles0,
+                    "pipeline_cycles": (batch_cycles
+                                        - cfg.batch_overhead_cycles),
+                    "overhead_cycles": cfg.batch_overhead_cycles,
+                    "flush_cycles": (stats.stage_cycles.get("flush", 0)
+                                     - flush_cycles0),
+                    "flushes": stats.flushes - flushes0,
+                    "dram_cycles": sum(c.dram for c in costs),
+                    "buffer_paths": len(buffer),
+                    "stage_cycles": dict(zip(
+                        ("load", "edge_fetch", "barrier_fetch", "verify",
+                         "writeback"),
+                        (c.total for c in costs),
+                    )),
+                })
 
             if max_results is not None and stats.results >= max_results:
                 truncated = (
@@ -339,23 +309,8 @@ class ReferencePEFPEngine(PEFPEngine):
             stats=stats,
             device=device,
             truncated=truncated,
-            profile=(
-                profiler.finish(
-                    device,
-                    (vertex_arr, edge_arr, bar_arr),
-                    buffer.peak_occupancy,
-                    dram_area.peak_occupancy,
-                    verify_funnel={
-                        "expansions": stats.expansions,
-                        "rejected_target": stats.rejected_target,
-                        "rejected_barrier": stats.rejected_barrier,
-                        "rejected_visited": stats.rejected_visited,
-                        "survivors": stats.intermediate_paths,
-                    },
-                    buffer_domain=stats.buffer_domain,
-                )
-                if profiler is not None else None
-            ),
+            profile=sink.finish(device, stats,
+                                (vertex_arr, edge_arr, bar_arr)),
         )
 
     # ------------------------------------------------------------------

@@ -27,11 +27,13 @@ Each iteration of the global loop is one *superstep*:
 
 The global clock advances by ``max(PE step deltas) + routing + barrier``
 — the slowest PE holds the superstep, the rest overlap under it.  The
-:class:`~repro.fpga.profile.DeviceProfiler` records the *critical*
-(slowest, ties to the lowest index) PE's batch or refill event plus one
-``inter_pe`` event per superstep boundary, so
-``DeviceProfile.accounted_cycles == total_cycles`` holds exactly, with
-the same integer-tiling guarantees as the single-PE engine.
+run's device event sink (:class:`~repro.fpga.profile.DeviceProfiler`)
+records the *critical* (slowest, ties to the lowest index) PE's batch or
+refill event plus one ``inter_pe`` event per superstep boundary that
+cost cycles, so ``DeviceProfile.accounted_cycles == total_cycles`` holds
+exactly, with the same integer-tiling guarantees as the single-PE
+engine.  The per-PE ``pe_step`` spans are a timeline view only: they
+are emitted here, not through the sink.
 
 Why N=1 is byte-identical to the single-PE engine
 -------------------------------------------------
@@ -57,7 +59,6 @@ from repro.core.engine import (
     _check_query,
     _finish_run,
     _Kernel,
-    _record_event,
     _RunTables,
 )
 from repro.fpga.device import MultiPEDevice
@@ -108,15 +109,15 @@ def run_multi_pe(
                 max_results=max_results, index=i, owners=owners)
         for i in range(num_pes)
     ]
-    profiler = DeviceProfiler() if profile else None
+    sink = DeviceProfiler(frequency, profile, tracer)
     #: this superstep's kernel events, in stepping order.
     events: list[tuple] = []
-    if profiler is not None or tracer:
+    if sink.observing:
         for pe in pes:
-            pe.observe = events.append
+            pe.observe = lambda *event: events.append(event)
 
     # --- seed: only the owner of `source` starts with work ------------
-    global_cycles = pes[owners[source]].seed(source, profiler, tracer)
+    global_cycles = pes[owners[source]].seed(source, sink.record)
 
     # --- superstep loop ------------------------------------------------
     superstep = 0
@@ -177,22 +178,14 @@ def run_multi_pe(
         # Profile/trace: the critical PE's event is the superstep's
         # device event; interconnect + barrier charges get their own.
         if events:
-            _record_event(profiler, tracer, frequency, events[crit])
+            sink.record(*events[crit])
             if inter_cycles:
-                if profiler is not None:
-                    profiler.record_inter_pe(
-                        superstep=superstep, cycles=inter_cycles,
-                        messages=step_messages, route_cycles=route,
-                        arbiter_cycles=arbitration, stall_cycles=stall,
-                        barrier_cycles=barrier_cost,
-                    )
-                if tracer:
-                    tracer.complete(
-                        "inter_pe", time.perf_counter_ns(),
-                        modelled_seconds=inter_cycles / frequency,
-                        cycles=inter_cycles, messages=step_messages,
-                        barrier_cycles=barrier_cost,
-                    )
+                sink.record("inter_pe", time.perf_counter_ns(), {
+                    "superstep": superstep, "cycles": inter_cycles,
+                    "messages": step_messages, "route_cycles": route,
+                    "arbiter_cycles": arbitration, "stall_cycles": stall,
+                    "barrier_cycles": barrier_cost,
+                })
             if tracer and num_pes > 1:
                 # Shadow spans: every stepped PE on its own track.
                 # Attribution folds only the critical batch / refill /
@@ -224,4 +217,4 @@ def run_multi_pe(
     else:
         device = MultiPEDevice(dcfg, [pe.device for pe in pes])
         device.clock.advance(global_cycles)
-    return _finish_run(pes, device, stats, results, profiler)
+    return _finish_run(pes, device, stats, results, sink)

@@ -6,21 +6,32 @@ the visibility the paper's micro-architectural claims (BRAM caching,
 Batch-DFS locality, data-separated verification) need to be inspected
 rather than trusted.
 
-A :class:`DeviceProfiler` is handed to ``PEFPEngine.run(profile=True)``
-and collects:
+Every engine run builds one :class:`DeviceProfiler`, the run's device
+event sink.  The kernel reports each event to :meth:`DeviceProfiler.record`,
+which builds the typed event once, keeps it when the run is profiled
+(``PEFPEngine.run(profile=True)``) and emits its span when a tracer is
+attached.  The events are:
 
+- the ``kernel_setup`` cycles (seed lookups and push);
 - one :class:`BatchProfile` per Batch-DFS processing batch: the clock
   delta of the whole iteration plus the raw (pre-overlap) cycle cost of
   each dataflow stage, the DRAM share, and any flush stall the batch
   triggered;
 - one :class:`RefillProfile` per Θ1 refill stall;
-- end-of-run counters: BRAM/DRAM hit-miss per cached array, memory-port
-  traffic, and the buffer/DRAM path-stack high-water marks.
+- one :class:`InterPeProfile` per multi-PE superstep boundary that cost
+  cycles.
+
+:meth:`DeviceProfiler.finish` adds the end-of-run counters (BRAM/DRAM
+hit-miss per cached array, memory-port traffic, the buffer/DRAM
+path-stack high-water marks) and freezes a :class:`DeviceProfile`.  A
+span's attributes are the event's ``span_attrs()``, and report-sourced
+attribution folds :meth:`DeviceProfile.span_events` — the same
+projection — so trace and profile cannot disagree.
 
 The per-event clock deltas are *exhaustive*: ``setup_cycles`` plus every
-batch and refill delta reconciles exactly with the device's total cycle
-count (``DeviceProfile.accounted_cycles == total_cycles``) — a property
-the test suite asserts against ``SystemReport.fpga_cycles``.
+batch, refill and inter-PE delta reconciles exactly with the device's
+total cycle count (``DeviceProfile.accounted_cycles == total_cycles``) —
+a property the test suite asserts against ``SystemReport.fpga_cycles``.
 """
 
 from __future__ import annotations
@@ -48,10 +59,8 @@ def split_batch_cycles(pipeline_cycles: int, overhead_cycles: int,
         busy + stall + overhead == pipeline + flush + overhead
                                 == BatchProfile.cycles
 
-    The single definition behind the engine's batch-span attributes,
-    :attr:`BatchProfile.stall_cycles` and the attribution layer, which
-    is what makes trace- and report-based attribution agree batch for
-    batch.
+    The single definition behind :meth:`BatchProfile.span_attrs` and
+    :attr:`BatchProfile.stall_cycles`.
     """
     slowest = max(
         (int(stage_cycles.get(s, 0)) for s in BATCH_STAGES), default=0
@@ -115,6 +124,25 @@ class BatchProfile:
                                   self.overhead_cycles, self.flush_cycles,
                                   self.stage_cycles)[1]
 
+    def span_attrs(self) -> dict:
+        """The ``batch`` span's attributes: the exact cycle split the
+        attribution layer reads (busy + stall + overhead tiles
+        ``cycles``)."""
+        busy, stall, overhead, bound = split_batch_cycles(
+            self.pipeline_cycles, self.overhead_cycles, self.flush_cycles,
+            self.stage_cycles,
+        )
+        return {
+            "entries": self.entries,
+            "expansions": self.expansions,
+            "results": self.results,
+            "cycles": self.cycles,
+            "busy_cycles": busy,
+            "stall_cycles": stall,
+            "overhead_cycles": overhead,
+            "bound": bound,
+        }
+
     def occupancy(self, stage: str) -> float:
         """Fraction of this batch's pipeline window ``stage`` was busy."""
         if self.pipeline_cycles <= 0:
@@ -130,6 +158,9 @@ class RefillProfile:
 
     cycles: int
     paths: int
+
+    def span_attrs(self) -> dict:
+        return {"cycles": self.cycles, "paths": self.paths}
 
 
 @dataclass(frozen=True)
@@ -150,6 +181,10 @@ class InterPeProfile:
     arbiter_cycles: int
     stall_cycles: int
     barrier_cycles: int
+
+    def span_attrs(self) -> dict:
+        return {"cycles": self.cycles, "messages": self.messages,
+                "barrier_cycles": self.barrier_cycles}
 
 
 @dataclass(frozen=True)
@@ -251,6 +286,16 @@ class DeviceProfile:
             stage: min(1.0, totals.get(stage, 0) / window)
             for stage in BATCH_STAGES
         }
+
+    def span_events(self):
+        """``(span name, span attributes)`` of every recorded event — the
+        projection the tracer emitted while the run was observed."""
+        yield "kernel_setup", {"cycles": self.setup_cycles}
+        for kind, events in (("batch", self.batches),
+                             ("refill", self.refills),
+                             ("inter_pe", self.inter_pe)):
+            for event in events:
+                yield kind, event.span_attrs()
 
     def cache_hit_rate(self, label: str) -> float:
         counters = self.cache_counters.get(label)
@@ -362,56 +407,89 @@ def aggregate_profiles(profiles: list[DeviceProfile]) -> dict:
 
 
 class DeviceProfiler:
-    """Mutable collector the engine writes into during one run."""
+    """The device event sink of one engine run.
 
-    def __init__(self) -> None:
+    :meth:`record` builds each event once, keeps it when ``profile`` is
+    set and emits its span on ``tracer`` (modelled seconds
+    ``cycles / frequency_hz``, attributes ``span_attrs()``).
+    """
+
+    def __init__(self, frequency_hz: float, profile: bool = False,
+                 tracer=None) -> None:
+        self.frequency_hz = frequency_hz
+        self.profile = profile
+        self.tracer = tracer if tracer else None
+        #: whether events need building at all; the engines install
+        #: :meth:`record` as the kernel's hook only when this is set.
+        self.observing = profile or self.tracer is not None
         self.setup_cycles = 0
         self._batches: list[BatchProfile] = []
         self._refills: list[RefillProfile] = []
         self._inter_pe: list[InterPeProfile] = []
 
-    def mark_setup(self, cycles: int) -> None:
-        """Cycles consumed before the main loop (seed reads + push)."""
-        self.setup_cycles = cycles
+    def record(self, kind: str, wall_ns: int, fields: dict) -> None:
+        """Record one ``kernel_setup``, ``batch``, ``refill`` or
+        ``inter_pe`` event that started at wall time ``wall_ns``;
+        ``fields`` are the typed event's constructor arguments."""
+        if kind == "kernel_setup":
+            self.setup_cycles = fields["cycles"]
+            event = None
+        else:
+            if kind == "batch":
+                events = self._batches
+                event = BatchProfile(index=len(events), **fields)
+            elif kind == "refill":
+                events = self._refills
+                event = RefillProfile(**fields)
+            else:
+                events = self._inter_pe
+                event = InterPeProfile(**fields)
+            if self.profile:
+                events.append(event)
+        if self.tracer is not None:
+            attrs = fields if event is None else event.span_attrs()
+            self.tracer.complete(
+                kind, wall_ns,
+                modelled_seconds=attrs["cycles"] / self.frequency_hz,
+                **attrs)
 
-    def record_batch(self, **kwargs) -> None:
-        self._batches.append(BatchProfile(index=len(self._batches),
-                                          **kwargs))
+    def finish(self, device, stats, cached_arrays,
+               num_pes: int = 1) -> DeviceProfile | None:
+        """Freeze the kept events into a :class:`DeviceProfile`, or
+        ``None`` when the run was not profiled.
 
-    def record_refill(self, cycles: int, paths: int) -> None:
-        self._refills.append(RefillProfile(cycles=cycles, paths=paths))
-
-    def record_inter_pe(self, **kwargs) -> None:
-        self._inter_pe.append(InterPeProfile(**kwargs))
-
-    def finish(self, device, cached_arrays, buffer_peak_paths: int,
-               dram_peak_paths: int,
-               verify_funnel: dict[str, int] | None = None,
-               buffer_domain: str = "bram",
-               num_pes: int = 1) -> DeviceProfile:
-        """Freeze the collected events into a :class:`DeviceProfile`.
-
-        ``cached_arrays`` is the engine's list of
-        :class:`~repro.core.cache.CachedArray` instances; their hit/miss
-        counters and the device's memory-port traffic are snapshotted
-        here, after the clock stopped.  ``verify_funnel`` carries the
-        engine's per-check rejection counters (see
-        :attr:`DeviceProfile.verify_funnel`).
+        ``stats`` is the run's :class:`~repro.core.engine.EngineStats`
+        (peaks, buffer domain and the verification funnel);
+        ``cached_arrays`` are every PE's
+        :class:`~repro.core.cache.CachedArray` instances, whose counters
+        are summed per label.  Counters and the device's memory-port
+        traffic are snapshotted here, after the clock stopped.
         """
+        if not self.profile:
+            return None
+        cache_counters: dict[str, dict[str, int]] = {}
+        for arr in cached_arrays:
+            merged = cache_counters.setdefault(arr.label, {})
+            for key, value in arr.counters().items():
+                merged[key] = merged.get(key, 0) + value
         return DeviceProfile(
             frequency_hz=device.config.frequency_hz,
             total_cycles=device.cycles,
             setup_cycles=self.setup_cycles,
             batches=tuple(self._batches),
             refills=tuple(self._refills),
-            cache_counters={
-                arr.label: arr.counters() for arr in cached_arrays
-            },
+            cache_counters=cache_counters,
             memory_counters=device.memory_counters(),
-            buffer_peak_paths=buffer_peak_paths,
-            dram_peak_paths=dram_peak_paths,
-            verify_funnel=dict(verify_funnel or {}),
-            buffer_domain=buffer_domain,
+            buffer_peak_paths=stats.peak_buffer_paths,
+            dram_peak_paths=stats.peak_dram_paths,
+            verify_funnel={
+                "expansions": stats.expansions,
+                "rejected_target": stats.rejected_target,
+                "rejected_barrier": stats.rejected_barrier,
+                "rejected_visited": stats.rejected_visited,
+                "survivors": stats.intermediate_paths,
+            },
+            buffer_domain=stats.buffer_domain,
             inter_pe=tuple(self._inter_pe),
             num_pes=num_pes,
         )

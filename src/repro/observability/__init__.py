@@ -27,6 +27,7 @@ sample series.  See ``docs/OBSERVABILITY.md`` for the span taxonomy and the
 reconciliation invariants the test suite enforces.
 """
 
+from repro.fpga.profile import split_batch_cycles
 from repro.observability.analysis import (
     DEVICE_SEGMENTS,
     SERVICE_SEGMENTS,
@@ -41,7 +42,6 @@ from repro.observability.analysis import (
     analyze_trace,
     attribute_regression,
     diff_segment_seconds,
-    split_batch_cycles,
 )
 from repro.observability.chrome import (
     chrome_trace,

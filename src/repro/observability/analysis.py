@@ -44,7 +44,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.fpga.profile import split_batch_cycles
 from repro.observability.tracer import SpanRecord
 
 #: kernel-cycle segments of one query, in waterfall order.
@@ -476,9 +475,10 @@ def waterfalls_from_trace(
                 kernel_seconds = child.modelled_seconds or 0.0
                 total_cycles = int(child.attrs.get("cycles", 0))
                 frequency = child.attrs.get("frequency_hz")
-                detailed &= _fold_kernel_children(
-                    children.get(child.span_id, ()), device_cycles,
-                    frequency,
+                detailed &= _fold_device_events(
+                    ((span.name, _span_cycles(span, frequency), span.attrs)
+                     for span in children.get(child.span_id, ())),
+                    device_cycles,
                 )
         waterfall = QueryWaterfall(
             engine=record.track,
@@ -544,37 +544,34 @@ def _associate_dma(ordered: list[SpanRecord],
         per_engine[track][position] = wf
 
 
-def _fold_kernel_children(spans: list[SpanRecord],
-                          device_cycles: dict[str, int],
-                          frequency: float | None) -> bool:
-    """Fold one kernel's child spans into the device-segment cycles.
+def _fold_device_events(events, device_cycles: dict[str, int]) -> bool:
+    """Fold one kernel's device events into the device-segment cycles.
 
-    Returns ``False`` when any batch span predates the cycle-split
-    attributes and the expand/verify/stall split had to fall back to
-    attributing the whole batch to ``kernel_expand`` (totals still
-    reconcile).
+    ``events`` are ``(span name, cycles, span attributes)`` triples:
+    the kernel's child spans of a trace, or a profile's
+    :meth:`~repro.fpga.profile.DeviceProfile.span_events` — the same
+    projection, so both attributions split cycles identically.  Returns
+    ``False`` when any batch span predates the cycle-split attributes
+    and the expand/verify/stall split had to fall back to attributing
+    the whole batch to ``kernel_expand`` (totals still reconcile).
     """
     detailed = True
-    for span in spans:
-        if span.name == "kernel_setup":
-            device_cycles["kernel_setup"] += _span_cycles(span, frequency)
-        elif span.name == "refill":
-            device_cycles["kernel_stall"] += _span_cycles(span, frequency)
-        elif span.name == "inter_pe":
-            device_cycles["kernel_inter_pe"] += _span_cycles(span,
-                                                             frequency)
-        elif span.name == "batch":
-            cycles = _span_cycles(span, frequency)
-            if "busy_cycles" in span.attrs:
-                busy = int(span.attrs["busy_cycles"])
-                stall = int(span.attrs["stall_cycles"])
-                overhead = int(span.attrs["overhead_cycles"])
-                bound = span.attrs.get("bound", "expand")
+    for name, cycles, attrs in events:
+        if name == "kernel_setup":
+            device_cycles["kernel_setup"] += cycles
+        elif name == "refill":
+            device_cycles["kernel_stall"] += cycles
+        elif name == "inter_pe":
+            device_cycles["kernel_inter_pe"] += cycles
+        elif name == "batch":
+            if "busy_cycles" in attrs:
+                bound = attrs.get("bound", "expand")
                 key = ("kernel_verify" if bound == "verify"
                        else "kernel_expand")
-                device_cycles[key] += busy
-                device_cycles["kernel_stall"] += stall
-                device_cycles["kernel_overhead"] += overhead
+                device_cycles[key] += int(attrs["busy_cycles"])
+                device_cycles["kernel_stall"] += int(attrs["stall_cycles"])
+                device_cycles["kernel_overhead"] += int(
+                    attrs["overhead_cycles"])
             else:
                 device_cycles["kernel_expand"] += cycles
                 detailed = False
@@ -647,20 +644,11 @@ def _waterfall_from_system_report(r, engine: str, position: int,
     detailed = True
     if profile is not None:
         frequency = profile.frequency_hz
-        device_cycles["kernel_setup"] = profile.setup_cycles
-        for batch in profile.batches:
-            busy, stall, overhead, bound = split_batch_cycles(
-                batch.pipeline_cycles, batch.overhead_cycles,
-                batch.flush_cycles, batch.stage_cycles,
-            )
-            key = ("kernel_verify" if bound == "verify"
-                   else "kernel_expand")
-            device_cycles[key] += busy
-            device_cycles["kernel_stall"] += stall
-            device_cycles["kernel_overhead"] += overhead
-        device_cycles["kernel_stall"] += profile.refill_cycles
-        device_cycles["kernel_inter_pe"] += getattr(
-            profile, "inter_pe_cycles", 0)
+        _fold_device_events(
+            ((name, attrs["cycles"], attrs)
+             for name, attrs in profile.span_events()),
+            device_cycles,
+        )
     elif r.fpga_cycles:
         device_cycles["kernel_expand"] = r.fpga_cycles
         detailed = False
@@ -677,8 +665,7 @@ def _waterfall_from_system_report(r, engine: str, position: int,
         frequency_hz=frequency,
         device_cycles=device_cycles,
         dma_to_device_seconds=r.transfer_seconds,
-        dma_from_device_seconds=getattr(
-            r, "result_transfer_seconds", 0.0) or 0.0,
+        dma_from_device_seconds=r.result_transfer_seconds,
         paths=r.num_paths,
         truncated=r.truncated,
         empty=r.device is None,

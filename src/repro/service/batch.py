@@ -323,11 +323,10 @@ def _profile_events(prof, counts: list) -> list:
         ("device_verify_cycles", prof.verify_cycles),
         ("device_stall_cycles", prof.stall_cycles),
     ]
-    inter_pe_cycles = getattr(prof, "inter_pe_cycles", 0)
-    if inter_pe_cycles:
+    if prof.inter_pe_cycles:
         counts += [
-            ("device_inter_pe_cycles", inter_pe_cycles),
-            ("inter_pe_messages", getattr(prof, "inter_pe_messages", 0)),
+            ("device_inter_pe_cycles", prof.inter_pe_cycles),
+            ("inter_pe_messages", prof.inter_pe_messages),
         ]
     samples = []
     for batch in prof.batches:

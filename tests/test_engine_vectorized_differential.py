@@ -24,6 +24,7 @@ from repro.core.engine import PEFPEngine
 from repro.core.engine_reference import ReferencePEFPEngine
 from repro.graph import generators as G
 from repro.host.query import Query
+from repro.observability.tracer import Tracer
 from repro.preprocess.prebfs import pre_bfs
 
 
@@ -35,7 +36,13 @@ def _graphs():
     ]
 
 
-def _assert_identical(fast, ref):
+def _spans(tracer):
+    """The modelled span stream: name, track, parent, seconds, attrs."""
+    return [(r.name, r.track, r.parent_id, r.modelled_seconds, r.attrs)
+            for r in tracer.records()]
+
+
+def _assert_identical(fast, ref, tracers=None):
     assert fast.paths == ref.paths  # exact order, exact tuples
     assert fast.cycles == ref.cycles
     assert fast.truncated == ref.truncated
@@ -51,6 +58,9 @@ def _assert_identical(fast, ref):
         assert fast.profile.refills == ref.profile.refills
         assert (fast.profile.accounted_cycles
                 == fast.profile.total_cycles)
+    if tracers is not None:
+        fast_tracer, ref_tracer = tracers
+        assert _spans(fast_tracer) == _spans(ref_tracer)
 
 
 def _run_both(graph, s, t, k, config=None, budget=None, profile=False,
@@ -61,11 +71,14 @@ def _run_both(graph, s, t, k, config=None, budget=None, profile=False,
             return None
         graph, s, t, barrier = (sub.subgraph, sub.source, sub.target,
                                 sub.barrier)
+    tracers = (Tracer(), Tracer()) if profile else None
     fast = PEFPEngine(config=config).run(
-        graph, s, t, k, barrier, budget=budget, profile=profile)
+        graph, s, t, k, barrier, budget=budget, profile=profile,
+        tracer=tracers and tracers[0])
     ref = ReferencePEFPEngine(config=config).run(
-        graph, s, t, k, barrier, budget=budget, profile=profile)
-    _assert_identical(fast, ref)
+        graph, s, t, k, barrier, budget=budget, profile=profile,
+        tracer=tracers and tracers[1])
+    _assert_identical(fast, ref, tracers)
     return fast
 
 

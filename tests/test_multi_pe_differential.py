@@ -32,6 +32,7 @@ from repro.core.multi_pe import run_multi_pe
 from repro.fpga.device import DeviceConfig
 from repro.graph import generators as G
 from repro.host.query import Query
+from repro.observability.tracer import Tracer
 from repro.preprocess.prebfs import pre_bfs
 from repro.service import BatchQueryService
 from repro.workloads import generate_queries
@@ -70,7 +71,13 @@ def _queries(graph, k, count, seed):
     return out
 
 
-def _assert_identical(got, ref):
+def _spans(tracer):
+    """The modelled span stream: name, track, parent, seconds, attrs."""
+    return [(r.name, r.track, r.parent_id, r.modelled_seconds, r.attrs)
+            for r in tracer.records()]
+
+
+def _assert_identical(got, ref, tracers=None):
     """Byte-identity as asserted by the vectorisation differential."""
     assert got.paths == ref.paths  # exact order, exact tuples
     assert got.cycles == ref.cycles
@@ -87,6 +94,9 @@ def _assert_identical(got, ref):
         assert got.profile.refills == ref.profile.refills
         assert (got.profile.accounted_cycles
                 == got.profile.total_cycles)
+    if tracers is not None:
+        got_tracer, ref_tracer = tracers
+        assert _spans(got_tracer) == _spans(ref_tracer)
 
 
 def _fingerprint(result):
@@ -159,15 +169,18 @@ def test_forced_driver_n1_is_byte_identical(label, config, budget):
             continue
         checked += 1
         sub, ps, pt, barrier = prep
+        driver_tr, ref_tr, fast_tr = Tracer(), Tracer(), Tracer()
         driver = run_multi_pe(
             PEFPEngine(config=config), sub, ps, pt, k, barrier,
-            budget=budget, profile=True)
+            budget=budget, profile=True, tracer=driver_tr)
         ref = ReferencePEFPEngine(config=config).run(
-            sub, ps, pt, k, barrier, budget=budget, profile=True)
+            sub, ps, pt, k, barrier, budget=budget, profile=True,
+            tracer=ref_tr)
         fast = PEFPEngine(config=config).run(
-            sub, ps, pt, k, barrier, budget=budget, profile=True)
-        _assert_identical(driver, ref)
-        _assert_identical(driver, fast)
+            sub, ps, pt, k, barrier, budget=budget, profile=True,
+            tracer=fast_tr)
+        _assert_identical(driver, ref, (driver_tr, ref_tr))
+        _assert_identical(driver, fast, (driver_tr, fast_tr))
 
 
 def test_run_dispatch_at_n1_uses_vectorized_path():
