@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
+from repro.observability.prometheus import _fmt
 
 if TYPE_CHECKING:  # import at runtime would cycle through repro.service
     from repro.service.metrics import MetricsTimeline
@@ -106,6 +107,11 @@ def read_timeline_jsonl(path) -> MetricsTimeline:
             )
     if header is None:
         raise ConfigError(f"{path}: missing timeline header line")
+    if header.get("num_windows", len(windows)) != len(windows):
+        raise ConfigError(
+            f"{path}: header declares {header['num_windows']} windows, "
+            f"file holds {len(windows)}"
+        )
     from repro.service.metrics import MetricsTimeline
 
     return MetricsTimeline.from_dict({
@@ -170,18 +176,6 @@ def _om_name(name: str) -> str:
     return cleaned
 
 
-def _om_value(value: float) -> str:
-    if value != value:  # NaN
-        return "NaN"
-    if value == float("inf"):
-        return "+Inf"
-    if value == float("-inf"):
-        return "-Inf"
-    if float(value) == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
-
-
 def render_openmetrics(timeline: MetricsTimeline,
                        prefix: str = "pefp") -> str:
     """The timeline in OpenMetrics text format, with timestamps.
@@ -193,8 +187,6 @@ def render_openmetrics(timeline: MetricsTimeline,
     (:func:`derive_window_metrics`) are timestamped gauges.  Ends with
     the ``# EOF`` terminator the format requires.
     """
-    from repro.service.metrics import ExactSum
-
     windows = derive_window_metrics(timeline)
     lines: list[str] = []
 
@@ -211,18 +203,17 @@ def render_openmetrics(timeline: MetricsTimeline,
         name for entry in windows for name in entry["derived"]
     })
 
-    running: dict[str, ExactSum] = {}
     for name in counter_names:
         metric = f"{prefix}_{_om_name(name)}"
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"# HELP {metric} windowed counter {name} "
                      f"(cumulative over modelled time)")
-        total = running.setdefault(name, ExactSum())
+        total = 0
         for entry in windows:
-            total.add(entry["counters"].get(name, 0))
+            total += entry["counters"].get(name, 0)
             lines.append(
-                f"{metric}_total {_om_value(total.value)} "
-                f"{_om_value(entry['end_seconds'])}"
+                f"{metric}_total {_fmt(total)} "
+                f"{_fmt(entry['end_seconds'])}"
             )
     for name in series_names:
         metric = f"{prefix}_{_om_name(name)}"
@@ -231,17 +222,17 @@ def render_openmetrics(timeline: MetricsTimeline,
                      f"(count/sum/min/max per tumbling window)")
         for entry in windows:
             sketch = entry["series"].get(name)
-            stamp = _om_value(entry["end_seconds"])
+            stamp = _fmt(entry["end_seconds"])
             if sketch is None or not sketch.count:
                 lines.append(f"{metric}_count 0 {stamp}")
                 continue
             lines.append(f"{metric}_count {sketch.count} {stamp}")
-            lines.append(f"{metric}_sum {_om_value(sketch.total)} {stamp}")
+            lines.append(f"{metric}_sum {_fmt(sketch.total)} {stamp}")
             lines.append(
-                f"{metric}_min {_om_value(sketch.minimum)} {stamp}"
+                f"{metric}_min {_fmt(sketch.minimum)} {stamp}"
             )
             lines.append(
-                f"{metric}_max {_om_value(sketch.maximum)} {stamp}"
+                f"{metric}_max {_fmt(sketch.maximum)} {stamp}"
             )
     for name in gauge_names:
         metric = f"{prefix}_{_om_name(name)}"
@@ -250,8 +241,8 @@ def render_openmetrics(timeline: MetricsTimeline,
         for entry in windows:
             if name in entry["gauges"]:
                 lines.append(
-                    f"{metric} {_om_value(entry['gauges'][name])} "
-                    f"{_om_value(entry['end_seconds'])}"
+                    f"{metric} {_fmt(entry['gauges'][name])} "
+                    f"{_fmt(entry['end_seconds'])}"
                 )
     for name in derived_names:
         metric = f"{prefix}_{_om_name(name)}"
@@ -261,8 +252,8 @@ def render_openmetrics(timeline: MetricsTimeline,
             # A window where an engine completed nothing has no
             # utilization entry: that is exactly zero, not missing data.
             lines.append(
-                f"{metric} {_om_value(entry['derived'].get(name, 0.0))} "
-                f"{_om_value(entry['end_seconds'])}"
+                f"{metric} {_fmt(entry['derived'].get(name, 0.0))} "
+                f"{_fmt(entry['end_seconds'])}"
             )
     lines.append("# EOF")
     return "\n".join(lines) + "\n"

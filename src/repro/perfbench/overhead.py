@@ -122,7 +122,7 @@ def measure_telemetry_overhead(seed: int) -> dict[str, float]:
 
     Runs a small 2-engine batch service with windowed telemetry off
     (``timeline=None``) and on (a counting timeline that tallies every
-    ``record``/``observe``/``set_gauge`` emission), then projects the
+    counter increment, sample and gauge it is handed), then projects the
     microbenchmarked cost of the disabled-path guard over the measured
     event count.
     """
@@ -130,19 +130,16 @@ def measure_telemetry_overhead(seed: int) -> dict[str, float]:
     from repro.service.metrics import MetricsTimeline
 
     class _CountingTimeline(MetricsTimeline):
-        """A timeline that counts emission calls (events per run)."""
+        """A timeline that counts emitted events (events per run)."""
 
         def __init__(self, window_seconds):
             super().__init__(window_seconds)
             self.events = 0
 
-        def record(self, t, name, n=1):
-            self.events += 1
-            super().record(t, name, n)
-
-        def observe(self, t, name, value):
-            self.events += 1
-            super().observe(t, name, value)
+        def update(self, t, counts, samples):
+            # One event per increment (zeros included) and per sample.
+            self.events += len(counts) + len(samples)
+            super().update(t, counts, samples)
 
         def set_gauge(self, t, name, value):
             self.events += 1

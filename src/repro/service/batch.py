@@ -276,11 +276,11 @@ def observe_report(metrics: MetricsRegistry, report: SystemReport,
     applied to the registry and, with a ``timeline``, to the tumbling
     window of ``t_end`` — the serving engine's modelled completion time
     for this query (its accumulated host + device busy seconds), which
-    every backend computes identically.  The timeline gets one call per
-    event.  With a timeline, a per-engine ``engine{i}_device_seconds``
-    series is written to both so per-window utilization stays
-    reconcilable against a terminal total.  A device profile's
-    per-batch distributions go to the registry only.
+    every backend computes identically.  Each gets one ``update`` call
+    with the same lists.  With a timeline, a per-engine
+    ``engine{i}_device_seconds`` series is written to both so per-window
+    utilization stays reconcilable against a terminal total.  A device
+    profile's per-batch distributions go to the registry only.
     """
     counts = [
         ("queries", 1),
@@ -307,10 +307,7 @@ def observe_report(metrics: MetricsRegistry, report: SystemReport,
         device_samples = _profile_events(report.profile, counts)
     metrics.update(counts, samples + device_samples)
     if timeline is not None:
-        for name, n in counts:
-            timeline.record(t_end, name, n)
-        for name, value in samples:
-            timeline.observe(t_end, name, value)
+        timeline.update(t_end, counts, samples)
 
 
 def _profile_events(prof, counts: list) -> list:

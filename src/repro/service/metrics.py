@@ -19,33 +19,26 @@ kinds:
   sketch estimates once it is dropped, so merged shards never
   over-weight a small worker (see :meth:`MetricsRegistry.merge`).
 
-The registry snapshots into a plain dict for rendering or export, and
-:mod:`repro.observability.prometheus` renders it in the Prometheus text
-exposition format.  No wall-clock reads happen here; callers observe
-whatever notion of latency (modelled or measured) they want to track.
-
 Windowed telemetry
 ------------------
-:class:`MetricsTimeline` is the registry's time-resolved sibling: the
-same counter/gauge/sample vocabulary bucketed into tumbling windows of
-*modelled* time.  Events are timestamped with the serving layer's
-deterministic engine clocks (an engine's accumulated host + device busy
-seconds), so the same seeded workload produces bit-identical timelines
-no matter which dispatch backend served it:
-
-- window *counters* are plain integers and add commutatively;
-- window *sample series* are :class:`HistogramSketch` instances whose
-  bucket counts add exactly and whose totals are :class:`ExactSum`
-  accumulations — merging per-worker shards in any order yields the
-  same bytes;
-- window *gauges* keep the lexicographically largest ``(timestamp,
-  value)`` pair, a commutative/associative last-write-wins.
-
-:meth:`MetricsTimeline.reconcile` checks the streaming view against the
-terminal registry: every windowed counter must sum to the registry
-counter bit for bit, and every windowed series must reproduce the
-registry's exact count and correctly-rounded total.  The
-``service.slo`` perfbench scenario gates this.
+:class:`MetricsTimeline` buckets the same counters and sample series
+into tumbling windows of *modelled* time, timestamped with the serving
+layer's deterministic engine clocks (an engine's accumulated host +
+device busy seconds).  The registry's terminal total and every window
+are one private accumulation type with one ``update`` and one
+``merge``: counters add, series merge their sketches exactly (integer
+bucket counts, :class:`ExactSum` totals) and concatenate their raw
+lists while they fit.  Merging per-worker shards in any order therefore
+yields the same bytes, and the fold of the windows summarises bit for
+bit like the registry that saw the same events —
+:meth:`MetricsTimeline.reconcile` checks exactly that, and the
+``service.slo`` perfbench scenario gates it.  Gauges are not folded: a
+registry gauge is last-write-wins, a window gauge keeps the
+lexicographically largest ``(timestamp, value)`` pair.  Timelines are
+exported sketch-only (:mod:`repro.observability.timeline`), the
+registry as Prometheus text (:mod:`repro.observability.prometheus`).
+No wall-clock reads happen here; callers observe whatever notion of
+latency (modelled or measured) they want to track.
 """
 
 from __future__ import annotations
@@ -367,12 +360,6 @@ class _Series:
         else:
             self.exact = None
 
-    def copy(self) -> "_Series":
-        dup = _Series()
-        dup.sketch = self.sketch.copy()
-        dup.exact = None if self.exact is None else list(self.exact)
-        return dup
-
     def summary(self) -> LatencySummary:
         sketch = self.sketch
         if self.exact is not None:
@@ -396,40 +383,83 @@ class _Series:
         )
 
 
+class _Store:
+    """Counters and sample series: the registry's terminal total and
+    each timeline window are one of these, so both update and merge
+    the same way."""
+
+    __slots__ = ("counters", "series")
+
+    def __init__(self) -> None:
+        self.counters: Counter[str] = Counter()
+        self.series: dict[str, _Series] = {}
+
+    def update(self, counts, samples) -> None:
+        """Apply ``(name, n)`` increments and ``(name, value)`` samples."""
+        counters = self.counters
+        for name, n in counts:
+            counters[name] += n
+        series = self.series
+        for name, value in samples:
+            s = series.get(name)
+            if s is None:
+                s = series[name] = _Series()
+            s.observe(float(value))
+
+    def merge(self, other: "_Store") -> None:
+        """Fold ``other`` in: counters add, series merge (exact and
+        order-independent; ``other`` is neither changed nor aliased)."""
+        self.counters.update(other.counters)
+        for name, theirs in other.series.items():
+            mine = self.series.get(name)
+            if mine is None:
+                mine = self.series[name] = _Series()
+            mine.merge(theirs)
+
+    def copy(self) -> "_Store":
+        dup = _Store()
+        dup.merge(self)
+        return dup
+
+
 class MetricsRegistry:
     """Thread-safe counters, gauges and sample series for one service."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: Counter[str] = Counter()
+        self._store = _Store()
         self._gauges: dict[str, float] = {}
-        self._series: dict[str, _Series] = {}
 
     # -- pickling (locks cannot cross process boundaries) --------------
     def __getstate__(self) -> dict:
         with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "series": self._series,
-            }
+            return {"store": self._store, "gauges": dict(self._gauges)}
 
     def __setstate__(self, state: dict) -> None:
         self._lock = threading.Lock()
-        self._counters = Counter(state["counters"])
-        self._gauges = dict(state["gauges"])
-        self._series = state["series"]
+        self._store = state["store"]
+        self._gauges = state["gauges"]
 
-    # -- counters ------------------------------------------------------
+    # -- counters and sample series --------------------------------------
+    def update(self, counts, samples) -> None:
+        """Apply ``(name, n)`` counter increments and ``(name, value)``
+        samples under one lock acquisition.  A zero increment still
+        creates its counter, so it is exported as 0."""
+        with self._lock:
+            self._store.update(counts, samples)
+
     def increment(self, name: str, n: int = 1) -> None:
         """Add ``n`` to counter ``name`` (created at 0 on first use)."""
-        with self._lock:
-            self._counters[name] += n
+        self.update(((name, n),), ())
+
+    def observe(self, name: str, value: float) -> None:
+        """Record one sample into series ``name``."""
+        self.update((), ((name, value),))
 
     def counter(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never incremented)."""
         with self._lock:
-            return self._counters.get(name, 0)
+            return self._store.counters.get(name, 0)
 
     # -- gauges --------------------------------------------------------
     def set_gauge(self, name: str, value: float) -> None:
@@ -447,28 +477,7 @@ class MetricsRegistry:
         with self._lock:
             return self._gauges.get(name)
 
-    # -- sample series -------------------------------------------------
-    def _observe(self, name: str, value: float) -> None:
-        # Caller holds the lock.
-        series = self._series.get(name)
-        if series is None:
-            series = self._series[name] = _Series()
-        series.observe(float(value))
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into series ``name``."""
-        with self._lock:
-            self._observe(name, value)
-
-    def update(self, counts, samples) -> None:
-        """Apply ``(name, n)`` counter increments and ``(name, value)``
-        samples under one lock acquisition."""
-        with self._lock:
-            for name, n in counts:
-                self._counters[name] += n
-            for name, value in samples:
-                self._observe(name, value)
-
+    # -- sample series views -------------------------------------------
     def samples(self, name: str) -> list[float] | None:
         """Copy of every observation of series ``name``, in arrival order.
 
@@ -476,7 +485,7 @@ class MetricsRegistry:
         its sketch remains); an unknown series has no samples, ``[]``.
         """
         with self._lock:
-            series = self._series.get(name)
+            series = self._store.series.get(name)
             if series is None:
                 return []
             return None if series.exact is None else list(series.exact)
@@ -484,7 +493,7 @@ class MetricsRegistry:
     def sample_count(self, name: str) -> int:
         """Exact number of observations made to series ``name``."""
         with self._lock:
-            series = self._series.get(name)
+            series = self._store.series.get(name)
             return series.sketch.count if series else 0
 
     def sample_total(self, name: str) -> float | None:
@@ -492,17 +501,16 @@ class MetricsRegistry:
 
         Exact in the real-arithmetic sense (Shewchuk partials), so the
         same observations produce the same float no matter the order
-        they arrived in — the terminal side of the windowed-telemetry
-        reconciliation invariant.
+        they arrived in.
         """
         with self._lock:
-            series = self._series.get(name)
+            series = self._store.series.get(name)
             return series.sketch.total if series else None
 
     def sketch(self, name: str) -> HistogramSketch | None:
         """Copy of series ``name``'s log-bucketed sketch, or ``None``."""
         with self._lock:
-            series = self._series.get(name)
+            series = self._store.series.get(name)
             return series.sketch.copy() if series else None
 
     def summary(self, name: str) -> LatencySummary | None:
@@ -514,7 +522,7 @@ class MetricsRegistry:
         :data:`EXACT_SAMPLES`.
         """
         with self._lock:
-            series = self._series.get(name)
+            series = self._store.series.get(name)
             return series.summary() if series else None
 
     # -- cross-registry aggregation ------------------------------------
@@ -534,21 +542,13 @@ class MetricsRegistry:
         if other is self:
             raise ConfigError("cannot merge a registry into itself")
         with other._lock:
-            counters = dict(other._counters)
+            store = other._store.copy()
             gauges = dict(other._gauges)
-            series = {name: s.copy() for name, s in other._series.items()}
         with self._lock:
-            for name, n in counters.items():
-                self._counters[name] += n
+            self._store.merge(store)
             # Gauges are levels, not totals: the merged-in (newer)
             # registry's value wins.
             self._gauges.update(gauges)
-            for name, theirs in series.items():
-                mine = self._series.get(name)
-                if mine is None:
-                    self._series[name] = theirs
-                else:
-                    mine.merge(theirs)
 
     # -- export --------------------------------------------------------
     def snapshot(self) -> dict[str, object]:
@@ -562,24 +562,20 @@ class MetricsRegistry:
         """
         with self._lock:
             return {
-                "counters": dict(self._counters),
+                "counters": dict(self._store.counters),
                 "gauges": dict(self._gauges),
                 "series": {name: s.summary()
-                           for name, s in self._series.items()},
+                           for name, s in self._store.series.items()},
             }
 
 
-class _Window:
-    """One tumbling window's accumulation."""
-
-    __slots__ = ("counters", "gauges", "series")
-
-    def __init__(self) -> None:
-        self.counters: Counter[str] = Counter()
-        #: gauge name -> (modelled timestamp, value); merge keeps the
-        #: lexicographic max, so last-write-wins is order-independent.
-        self.gauges: dict[str, tuple[float, float]] = {}
-        self.series: dict[str, HistogramSketch] = {}
+def _keep_latest(gauges: dict, entries: dict) -> None:
+    """Fold ``(t, value)`` gauge entries into ``gauges``, keeping each
+    name's lexicographically largest entry (order-independent)."""
+    for name, entry in entries.items():
+        current = gauges.get(name)
+        if current is None or entry >= current:
+            gauges[name] = entry
 
 
 class MetricsTimeline:
@@ -604,7 +600,9 @@ class MetricsTimeline:
             )
         self.window_seconds = window_seconds
         self._lock = threading.Lock()
-        self._windows: dict[int, _Window] = {}
+        self._windows: dict[int, _Store] = {}
+        #: window index -> gauge name -> (modelled timestamp, value).
+        self._gauges: dict[int, dict[str, tuple[float, float]]] = {}
 
     # -- pickling ------------------------------------------------------
     def __getstate__(self) -> dict:
@@ -612,50 +610,52 @@ class MetricsTimeline:
             return {
                 "window_seconds": self.window_seconds,
                 "windows": self._windows,
+                "gauges": self._gauges,
             }
 
     def __setstate__(self, state: dict) -> None:
         self.window_seconds = state["window_seconds"]
         self._lock = threading.Lock()
         self._windows = state["windows"]
+        self._gauges = state["gauges"]
 
     # -- recording -----------------------------------------------------
     def window_index(self, t: float) -> int:
         """The tumbling window a modelled timestamp falls in."""
         return int(float(t) // self.window_seconds)
 
-    def _window(self, t: float) -> _Window:
+    def _window(self, idx: int) -> _Store:
         # Caller holds the lock.
-        idx = self.window_index(t)
         win = self._windows.get(idx)
         if win is None:
-            win = self._windows[idx] = _Window()
+            win = self._windows[idx] = _Store()
         return win
+
+    def update(self, t: float, counts, samples) -> None:
+        """Apply ``(name, n)`` increments and ``(name, value)`` samples
+        to the window of modelled time ``t``.  Zero increments are
+        dropped: a window holds only what happened in it."""
+        counts = [(name, int(n)) for name, n in counts if n]
+        if not (counts or samples):
+            return
+        with self._lock:
+            self._window(self.window_index(t)).update(counts, samples)
 
     def record(self, t: float, name: str, n: int = 1) -> None:
         """Add ``n`` to window counter ``name`` at modelled time ``t``."""
-        if not n:
-            return
-        with self._lock:
-            self._window(t).counters[name] += int(n)
+        self.update(t, ((name, n),), ())
 
     def observe(self, t: float, name: str, value: float) -> None:
         """Record one sample into window series ``name`` at time ``t``."""
-        with self._lock:
-            win = self._window(t)
-            sketch = win.series.get(name)
-            if sketch is None:
-                sketch = win.series[name] = HistogramSketch()
-            sketch.observe(value)
+        self.update(t, (), ((name, value),))
 
     def set_gauge(self, t: float, name: str, value: float) -> None:
         """Set window gauge ``name``; the latest ``(t, value)`` wins."""
-        entry = (float(t), float(value))
+        idx = self.window_index(t)
         with self._lock:
-            win = self._window(t)
-            current = win.gauges.get(name)
-            if current is None or entry >= current:
-                win.gauges[name] = entry
+            self._window(idx)
+            _keep_latest(self._gauges.setdefault(idx, {}),
+                         {name: (float(t), float(value))})
 
     # -- merging -------------------------------------------------------
     def merge(self, other: "MetricsTimeline") -> None:
@@ -668,27 +668,23 @@ class MetricsTimeline:
                 f"{self.window_seconds} vs {other.window_seconds}"
             )
         with other._lock:
-            shards = {
-                idx: (Counter(win.counters), dict(win.gauges),
-                      {name: sk.copy() for name, sk in win.series.items()})
-                for idx, win in other._windows.items()
-            }
+            windows = {idx: win.copy() for idx, win in other._windows.items()}
+            gauges = {idx: dict(g) for idx, g in other._gauges.items()}
         with self._lock:
-            for idx, (counters, gauges, series) in shards.items():
-                win = self._windows.get(idx)
-                if win is None:
-                    win = self._windows[idx] = _Window()
-                win.counters.update(counters)
-                for name, entry in gauges.items():
-                    current = win.gauges.get(name)
-                    if current is None or entry >= current:
-                        win.gauges[name] = entry
-                for name, sketch in series.items():
-                    mine = win.series.get(name)
-                    if mine is None:
-                        win.series[name] = sketch
-                    else:
-                        mine.merge(sketch)
+            for idx, win in windows.items():
+                self._window(idx).merge(win)
+            for idx, entries in gauges.items():
+                _keep_latest(self._gauges.setdefault(idx, {}), entries)
+
+    def _fold(self, indices) -> _Store:
+        """The windows at ``indices`` merged into one store (caller
+        holds the lock; missing indices are empty windows)."""
+        fold = _Store()
+        for idx in indices:
+            win = self._windows.get(idx)
+            if win is not None:
+                fold.merge(win)
+        return fold
 
     # -- views ---------------------------------------------------------
     @property
@@ -708,20 +704,18 @@ class MetricsTimeline:
                 return None
             return min(self._windows), max(self._windows)
 
+    def fold(self) -> MetricsRegistry:
+        """Every window merged into one registry: the terminal counters
+        and series these windows add up to (gauges are not folded)."""
+        registry = MetricsRegistry()
+        with self._lock:
+            registry._store = self._fold(self._windows)
+        return registry
+
     def counter_totals(self) -> dict[str, int]:
         """Every windowed counter summed over all windows."""
-        totals: Counter[str] = Counter()
         with self._lock:
-            for win in self._windows.values():
-                totals.update(win.counters)
-        return dict(totals)
-
-    def series_names(self) -> list[str]:
-        with self._lock:
-            names = set()
-            for win in self._windows.values():
-                names.update(win.series)
-            return sorted(names)
+            return dict(self._fold(self._windows).counters)
 
     def sliding(self, windows: int = 1) -> list[dict]:
         """Trailing-window views over the *contiguous* index range.
@@ -741,32 +735,20 @@ class MetricsTimeline:
         out = []
         with self._lock:
             for idx in range(first, last + 1):
-                counters: Counter[str] = Counter()
+                trailing = range(idx - windows + 1, idx + 1)
+                fold = self._fold(trailing)
                 gauges: dict[str, tuple[float, float]] = {}
-                series: dict[str, HistogramSketch] = {}
-                for back in range(idx - windows + 1, idx + 1):
-                    win = self._windows.get(back)
-                    if win is None:
-                        continue
-                    counters.update(win.counters)
-                    for name, entry in win.gauges.items():
-                        current = gauges.get(name)
-                        if current is None or entry >= current:
-                            gauges[name] = entry
-                    for name, sketch in win.series.items():
-                        mine = series.get(name)
-                        if mine is None:
-                            series[name] = sketch.copy()
-                        else:
-                            mine.merge(sketch)
+                for back in trailing:
+                    _keep_latest(gauges, self._gauges.get(back, {}))
                 out.append({
                     "index": idx,
                     "start_seconds": idx * self.window_seconds,
                     "end_seconds": (idx + 1) * self.window_seconds,
-                    "counters": dict(counters),
+                    "counters": dict(fold.counters),
                     "gauges": {name: value
                                for name, (_t, value) in gauges.items()},
-                    "series": series,
+                    "series": {name: s.sketch
+                               for name, s in fold.series.items()},
                 })
         return out
 
@@ -774,56 +756,44 @@ class MetricsTimeline:
     def reconcile(self, registry: MetricsRegistry) -> list[str]:
         """Check the windowed view against a terminal registry, exactly.
 
-        Returns a list of mismatch descriptions (empty == reconciled):
-
-        - every windowed counter's sum over windows must equal the
-          registry counter bit for bit (integer arithmetic commutes, so
-          any mismatch means an event was dropped or double-bucketed);
-        - every windowed series must reproduce the registry series'
-          exact observation count, and merging the window sketches'
-          :class:`ExactSum` partials must round to the registry's
-          :meth:`~MetricsRegistry.sample_total` bit for bit.
+        Returns a list of mismatch descriptions (empty == reconciled).
+        The windows are folded with the registry's own merge, so every
+        windowed counter must sum to the registry counter bit for bit,
+        and every windowed series must reproduce the registry series'
+        exact observation count and correctly-rounded total.
 
         Valid whenever this timeline saw every batch the registry saw
         (a fresh service with the timeline passed to each run); gauges
         are levels, not totals, and are exempt by construction.
         """
-        problems: list[str] = []
         with self._lock:
-            counter_totals: Counter[str] = Counter()
-            series_counts: Counter[str] = Counter()
-            series_totals: dict[str, ExactSum] = {}
-            for win in self._windows.values():
-                counter_totals.update(win.counters)
-                for name, sketch in win.series.items():
-                    series_counts[name] += sketch.count
-                    total = series_totals.get(name)
-                    if total is None:
-                        total = series_totals[name] = ExactSum()
-                    total.merge(sketch._total)
-        for name in sorted(counter_totals):
-            want = counter_totals[name]
-            have = registry.counter(name)
-            if have != want:
-                problems.append(
-                    f"counter {name}: windows sum to {want}, "
-                    f"registry has {have}"
-                )
-        for name in sorted(series_counts):
-            want_count = series_counts[name]
-            have_count = registry.sample_count(name)
-            if have_count != want_count:
-                problems.append(
-                    f"series {name}: windows hold {want_count} samples, "
-                    f"registry has {have_count}"
-                )
-            want_total = series_totals[name].value
-            have_total = registry.sample_total(name)
-            if have_total != want_total:
-                problems.append(
-                    f"series {name}: windows total {want_total!r}, "
-                    f"registry has {have_total!r}"
-                )
+            fold = self._fold(self._windows)
+        problems: list[str] = []
+        with registry._lock:
+            terminal = registry._store
+            for name in sorted(fold.counters):
+                want = fold.counters[name]
+                have = terminal.counters.get(name, 0)
+                if have != want:
+                    problems.append(
+                        f"counter {name}: windows sum to {want}, "
+                        f"registry has {have}"
+                    )
+            for name in sorted(fold.series):
+                want_sketch = fold.series[name].sketch
+                have = terminal.series.get(name)
+                have_count = have.sketch.count if have else 0
+                if have_count != want_sketch.count:
+                    problems.append(
+                        f"series {name}: windows hold {want_sketch.count} "
+                        f"samples, registry has {have_count}"
+                    )
+                have_total = have.sketch.total if have else None
+                if have_total != want_sketch.total:
+                    problems.append(
+                        f"series {name}: windows total "
+                        f"{want_sketch.total!r}, registry has {have_total!r}"
+                    )
         return problems
 
     # -- export --------------------------------------------------------
@@ -833,6 +803,7 @@ class MetricsTimeline:
             windows = []
             for idx in sorted(self._windows):
                 win = self._windows[idx]
+                gauges = self._gauges.get(idx, {})
                 windows.append({
                     "index": idx,
                     "start_seconds": idx * self.window_seconds,
@@ -840,11 +811,11 @@ class MetricsTimeline:
                     "counters": {name: win.counters[name]
                                  for name in sorted(win.counters)},
                     "gauges": {
-                        name: {"t": win.gauges[name][0],
-                               "value": win.gauges[name][1]}
-                        for name in sorted(win.gauges)
+                        name: {"t": gauges[name][0],
+                               "value": gauges[name][1]}
+                        for name in sorted(gauges)
                     },
-                    "series": {name: win.series[name].to_dict()
+                    "series": {name: win.series[name].sketch.to_dict()
                                for name in sorted(win.series)},
                 })
         return {
@@ -858,25 +829,32 @@ class MetricsTimeline:
     def from_dict(cls, d: dict) -> "MetricsTimeline":
         """Rebuild a timeline from :meth:`to_dict` output.
 
-        Raises :class:`~repro.errors.ConfigError` when the document was
-        written at a sketch gamma other than :data:`SKETCH_GAMMA`.
+        Only the sketches were written, so the rebuilt series carry no
+        raw observations.  Raises :class:`~repro.errors.ConfigError`
+        when the document was written at a sketch gamma other than
+        :data:`SKETCH_GAMMA` or lists a window index twice.
         """
         _check_gamma(d)
         timeline = cls(d["window_seconds"])
         for entry in d.get("windows", ()):
-            win = timeline._windows[int(entry["index"])] = _Window()
-            win.counters = Counter({
+            idx = int(entry["index"])
+            if idx in timeline._windows:
+                raise ConfigError(f"window {idx} appears more than once")
+            win = timeline._windows[idx] = _Store()
+            win.counters.update({
                 name: int(n)
                 for name, n in entry.get("counters", {}).items()
             })
-            win.gauges = {
-                name: (float(g["t"]), float(g["value"]))
-                for name, g in entry.get("gauges", {}).items()
-            }
-            win.series = {
-                name: HistogramSketch.from_dict(sk)
-                for name, sk in entry.get("series", {}).items()
-            }
+            for name, doc in entry.get("series", {}).items():
+                series = win.series[name] = _Series()
+                series.sketch = HistogramSketch.from_dict(doc)
+                series.exact = None
+            gauges = entry.get("gauges")
+            if gauges:
+                timeline._gauges[idx] = {
+                    name: (float(g["t"]), float(g["value"]))
+                    for name, g in gauges.items()
+                }
         return timeline
 
     def canonical_bytes(self) -> bytes:

@@ -7,6 +7,8 @@ plus the raw observations while they all fit.  ``_ReservoirSeries`` and
 copied verbatim, as the oracle: for any observations spread over 1-4
 shards and merged in any order, on either side of the 4096-sample cap,
 every summary field and the exact sample total must agree bit for bit.
+The same observations written into sharded timeline windows must fold
+to the same summary: the registry and the windows share one merge.
 """
 
 import pickle
@@ -22,6 +24,7 @@ from repro.service.metrics import (
     ExactSum,
     HistogramSketch,
     MetricsRegistry,
+    MetricsTimeline,
     percentile,
 )
 
@@ -121,26 +124,42 @@ def _reservoir_merge(mine: _ReservoirSeries, s: _ReservoirSeries,
 
 
 # -- harness -------------------------------------------------------------
+#: timeline window width the shards bucket into (values land in ~8).
+_WINDOW = 1e-3
+
+
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
 def _merged(values, assignment, order):
     """Observe ``values`` into shards, merge them in ``order``; return
-    the merged registry and oracle series."""
+    the merged registry and oracle series.
+
+    Every value is also written into a sharded :class:`MetricsTimeline`
+    at a seeded random modelled time; the fold of the merged timeline's windows
+    must pass :func:`_assert_parity` against the same oracle.
+    """
     shards = max(assignment) + 1
     registries = [MetricsRegistry() for _ in range(shards)]
+    timelines = [MetricsTimeline(_WINDOW) for _ in range(shards)]
     oracles = [_ReservoirSeries() for _ in range(shards)]
     rng = random.Random(0)
+    clock = random.Random(len(values))
     for value, shard in zip(values, assignment):
         registries[shard].observe("x", value)
+        timelines[shard].observe(clock.uniform(0.0, 8 * _WINDOW), "x",
+                                 value)
         oracles[shard].observe(float(value), DEFAULT_RESERVOIR_SIZE, rng)
     # Shards travel pickled, as the process backend ships them.
     registry = pickle.loads(pickle.dumps(registries[order[0]]))
+    timeline = pickle.loads(pickle.dumps(timelines[order[0]]))
     oracle = oracles[order[0]]
     for shard in order[1:]:
         registry.merge(pickle.loads(pickle.dumps(registries[shard])))
+        timeline.merge(pickle.loads(pickle.dumps(timelines[shard])))
         _reservoir_merge(oracle, oracles[shard], DEFAULT_RESERVOIR_SIZE)
+    _assert_parity(timeline.fold(), oracle)
     return registry, oracle
 
 

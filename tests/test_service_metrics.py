@@ -70,6 +70,12 @@ class TestMetricsRegistry:
         m.increment("x", 4)
         assert m.counter("x") == 5
 
+    def test_zero_increment_keeps_counter(self):
+        # The registry keeps a zero-valued key (timeline windows drop it).
+        m = MetricsRegistry()
+        m.update([("paths_found", 0)], [])
+        assert m.snapshot()["counters"] == {"paths_found": 0}
+
     def test_observe_and_summary(self):
         m = MetricsRegistry()
         for v in (3.0, 1.0, 2.0):

@@ -277,6 +277,26 @@ class TestTimelineExport:
                            + "\n")
         with pytest.raises(ConfigError):
             read_timeline_jsonl(foreign)
+        lines = write_timeline_jsonl(
+            self._sample_timeline(), tmp_path / "good.jsonl"
+        ).read_text().splitlines()
+        # A repeated window line, with and without a matching header
+        # count, and a file cut off at a line boundary.
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("\n".join(lines[:2] + lines[1:]) + "\n")
+        with pytest.raises(ConfigError):
+            read_timeline_jsonl(repeated)
+        recounted = tmp_path / "recounted.jsonl"
+        recounted.write_text("\n".join(
+            [lines[0].replace(f'"num_windows":{len(lines) - 1}',
+                              f'"num_windows":{len(lines)}')]
+            + lines[1:2] + lines[1:]) + "\n")
+        with pytest.raises(ConfigError):
+            read_timeline_jsonl(recounted)
+        truncated = tmp_path / "truncated.jsonl"
+        truncated.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ConfigError):
+            read_timeline_jsonl(truncated)
 
     def test_derived_metrics(self):
         tl = self._sample_timeline()
