@@ -27,13 +27,14 @@ layer's deterministic engine clocks (an engine's accumulated host +
 device busy seconds).  The registry's terminal total and every window
 are one private accumulation type with one ``update`` and one
 ``merge``: counters add, series merge their sketches exactly (integer
-bucket counts, :class:`ExactSum` totals) and concatenate their raw
-lists while they fit.  Merging per-worker shards in any order therefore
-yields the same bytes, and the fold of the windows summarises bit for
-bit like the registry that saw the same events —
-:meth:`MetricsTimeline.reconcile` checks exactly that, and the
-``service.slo`` perfbench scenario gates it.  Gauges are not folded: a
-registry gauge is last-write-wins, a window gauge keeps the
+bucket counts, :class:`ExactSum` totals).  Merging per-worker shards in
+any order therefore yields the same bytes.  Window series keep only
+their sketch, so a window's memory follows its bucket count, not its
+sample count; the fold of the windows holds the same counters, sketch
+buckets, counts and exact totals as the registry that saw the same
+events.  :meth:`MetricsTimeline.reconcile` checks counters, counts and
+totals, and the ``service.slo`` perfbench scenario gates it.  Gauges are
+not folded: a registry gauge is last-write-wins, a window gauge keeps the
 lexicographically largest ``(timestamp, value)`` pair.  Timelines are
 exported sketch-only (:mod:`repro.observability.timeline`), the
 registry as Prometheus text (:mod:`repro.observability.prometheus`).
@@ -335,13 +336,13 @@ class LatencySummary:
 class _Series:
     """One sample series: a log sketch, plus every raw observation while
     there are at most :data:`EXACT_SAMPLES` of them (``exact`` is
-    ``None`` after that)."""
+    ``None`` after that, or from the start for a sketch-only series)."""
 
     __slots__ = ("sketch", "exact")
 
-    def __init__(self) -> None:
+    def __init__(self, keep_exact: bool = True) -> None:
         self.sketch = HistogramSketch()
-        self.exact: list[float] | None = []
+        self.exact: list[float] | None = [] if keep_exact else None
 
     def observe(self, value: float) -> None:
         self.sketch.observe(value)
@@ -389,6 +390,8 @@ class _Store:
     the same way."""
 
     __slots__ = ("counters", "series")
+    #: whether a new series keeps its raw observations.
+    keep_exact = True
 
     def __init__(self) -> None:
         self.counters: Counter[str] = Counter()
@@ -403,7 +406,7 @@ class _Store:
         for name, value in samples:
             s = series.get(name)
             if s is None:
-                s = series[name] = _Series()
+                s = series[name] = _Series(self.keep_exact)
             s.observe(float(value))
 
     def merge(self, other: "_Store") -> None:
@@ -413,13 +416,22 @@ class _Store:
         for name, theirs in other.series.items():
             mine = self.series.get(name)
             if mine is None:
-                mine = self.series[name] = _Series()
+                mine = self.series[name] = _Series(self.keep_exact)
             mine.merge(theirs)
 
-    def copy(self) -> "_Store":
-        dup = _Store()
-        dup.merge(self)
-        return dup
+
+class _WindowStore(_Store):
+    """A timeline window: its series keep only their sketch, so a
+    window's memory follows its bucket count, not its sample count."""
+
+    __slots__ = ()
+    keep_exact = False
+
+
+def _locks(a, b):
+    """Both objects' locks in one fixed order, so two threads merging a
+    pair in opposite directions cannot deadlock."""
+    return sorted((a._lock, b._lock), key=id)
 
 
 class MetricsRegistry:
@@ -541,14 +553,12 @@ class MetricsRegistry:
         """
         if other is self:
             raise ConfigError("cannot merge a registry into itself")
-        with other._lock:
-            store = other._store.copy()
-            gauges = dict(other._gauges)
-        with self._lock:
-            self._store.merge(store)
+        first, second = _locks(self, other)
+        with first, second:
+            self._store.merge(other._store)
             # Gauges are levels, not totals: the merged-in (newer)
             # registry's value wins.
-            self._gauges.update(gauges)
+            self._gauges.update(other._gauges)
 
     # -- export --------------------------------------------------------
     def snapshot(self) -> dict[str, object]:
@@ -600,7 +610,7 @@ class MetricsTimeline:
             )
         self.window_seconds = window_seconds
         self._lock = threading.Lock()
-        self._windows: dict[int, _Store] = {}
+        self._windows: dict[int, _WindowStore] = {}
         #: window index -> gauge name -> (modelled timestamp, value).
         self._gauges: dict[int, dict[str, tuple[float, float]]] = {}
 
@@ -624,11 +634,11 @@ class MetricsTimeline:
         """The tumbling window a modelled timestamp falls in."""
         return int(float(t) // self.window_seconds)
 
-    def _window(self, idx: int) -> _Store:
+    def _window(self, idx: int) -> _WindowStore:
         # Caller holds the lock.
         win = self._windows.get(idx)
         if win is None:
-            win = self._windows[idx] = _Store()
+            win = self._windows[idx] = _WindowStore()
         return win
 
     def update(self, t: float, counts, samples) -> None:
@@ -667,19 +677,17 @@ class MetricsTimeline:
                 f"cannot merge timelines with different windows: "
                 f"{self.window_seconds} vs {other.window_seconds}"
             )
-        with other._lock:
-            windows = {idx: win.copy() for idx, win in other._windows.items()}
-            gauges = {idx: dict(g) for idx, g in other._gauges.items()}
-        with self._lock:
-            for idx, win in windows.items():
+        first, second = _locks(self, other)
+        with first, second:
+            for idx, win in other._windows.items():
                 self._window(idx).merge(win)
-            for idx, entries in gauges.items():
+            for idx, entries in other._gauges.items():
                 _keep_latest(self._gauges.setdefault(idx, {}), entries)
 
-    def _fold(self, indices) -> _Store:
+    def _fold(self, indices) -> _WindowStore:
         """The windows at ``indices`` merged into one store (caller
         holds the lock; missing indices are empty windows)."""
-        fold = _Store()
+        fold = _WindowStore()
         for idx in indices:
             win = self._windows.get(idx)
             if win is not None:
@@ -704,18 +712,13 @@ class MetricsTimeline:
                 return None
             return min(self._windows), max(self._windows)
 
-    def fold(self) -> MetricsRegistry:
-        """Every window merged into one registry: the terminal counters
-        and series these windows add up to (gauges are not folded)."""
-        registry = MetricsRegistry()
-        with self._lock:
-            registry._store = self._fold(self._windows)
-        return registry
-
     def counter_totals(self) -> dict[str, int]:
         """Every windowed counter summed over all windows."""
+        totals: Counter[str] = Counter()
         with self._lock:
-            return dict(self._fold(self._windows).counters)
+            for win in self._windows.values():
+                totals.update(win.counters)
+        return dict(totals)
 
     def sliding(self, windows: int = 1) -> list[dict]:
         """Trailing-window views over the *contiguous* index range.
@@ -829,10 +832,10 @@ class MetricsTimeline:
     def from_dict(cls, d: dict) -> "MetricsTimeline":
         """Rebuild a timeline from :meth:`to_dict` output.
 
-        Only the sketches were written, so the rebuilt series carry no
-        raw observations.  Raises :class:`~repro.errors.ConfigError`
-        when the document was written at a sketch gamma other than
-        :data:`SKETCH_GAMMA` or lists a window index twice.
+        Windows hold only sketches, so nothing is lost.  Raises
+        :class:`~repro.errors.ConfigError` when the document was written
+        at a sketch gamma other than :data:`SKETCH_GAMMA` or lists a
+        window index twice.
         """
         _check_gamma(d)
         timeline = cls(d["window_seconds"])
@@ -840,15 +843,14 @@ class MetricsTimeline:
             idx = int(entry["index"])
             if idx in timeline._windows:
                 raise ConfigError(f"window {idx} appears more than once")
-            win = timeline._windows[idx] = _Store()
+            win = timeline._windows[idx] = _WindowStore()
             win.counters.update({
                 name: int(n)
                 for name, n in entry.get("counters", {}).items()
             })
             for name, doc in entry.get("series", {}).items():
-                series = win.series[name] = _Series()
+                series = win.series[name] = _Series(keep_exact=False)
                 series.sketch = HistogramSketch.from_dict(doc)
-                series.exact = None
             gauges = entry.get("gauges")
             if gauges:
                 timeline._gauges[idx] = {

@@ -284,18 +284,18 @@ class TestTimelineExport:
         # count, and a file cut off at a line boundary.
         repeated = tmp_path / "repeated.jsonl"
         repeated.write_text("\n".join(lines[:2] + lines[1:]) + "\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="header declares"):
             read_timeline_jsonl(repeated)
         recounted = tmp_path / "recounted.jsonl"
         recounted.write_text("\n".join(
             [lines[0].replace(f'"num_windows":{len(lines) - 1}',
                               f'"num_windows":{len(lines)}')]
             + lines[1:2] + lines[1:]) + "\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="more than once"):
             read_timeline_jsonl(recounted)
         truncated = tmp_path / "truncated.jsonl"
         truncated.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="header declares"):
             read_timeline_jsonl(truncated)
 
     def test_derived_metrics(self):
