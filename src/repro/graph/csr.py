@@ -8,11 +8,72 @@ ids (``indices``).  All enumeration algorithms in this package operate on
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.errors import GraphError, VertexNotFoundError
+
+
+#: per-thread work arrays of :func:`_scratch`.
+_local = threading.local()
+
+
+def _scratch(n: int) -> np.ndarray:
+    """This thread's ``int64`` work array of at least ``n`` entries, all -1.
+
+    Callers must set every entry they write back to -1 before returning,
+    and call :func:`_discard_scratch` if they cannot.  Each thread has its
+    own array (thread engines run Pre-BFS at once), so a call touches only
+    the entries it needs, never all ``|V|``.
+    """
+    buf = getattr(_local, "scratch", None)
+    if buf is None or buf.size < n:
+        buf = _local.scratch = np.full(n, -1, dtype=np.int64)
+    return buf
+
+
+def _discard_scratch() -> None:
+    """Drop this thread's work array (its all -1 state may be broken)."""
+    _local.scratch = None
+
+
+def _scatter_lookup(
+    n: int, keys: np.ndarray, values: np.ndarray, queries: np.ndarray
+) -> np.ndarray:
+    """For each of ``queries``, the value of the equal key, else -1.
+
+    ``keys`` are unique ids below ``n``, ``values`` non-negative.  One
+    scatter into the thread's scratch and one gather back, so the cost is
+    ``O(|keys| + |queries|)``.
+    """
+    slot = _scratch(n)
+    try:
+        slot[keys] = values
+        found = slot[queries]
+        slot[keys] = -1
+    except BaseException:
+        _discard_scratch()
+        raise
+    return found
+
+
+def _gather_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The successor lists of ``rows``, concatenated, and each one's length.
+
+    One ``np.repeat`` gather: row ``u`` contributes the slice
+    ``indices[indptr[u]:indptr[u + 1]]``, in the order of ``rows``.
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    flat = (np.repeat(starts - (ends - counts), counts)
+            + np.arange(total, dtype=np.int64))
+    return indices[flat], counts
 
 
 class CSRGraph:
@@ -157,35 +218,41 @@ class CSRGraph:
             self._rev = CSRGraph(indptr, rev_dsts)
         return self._rev
 
+    def induced(self, keep: np.ndarray) -> "CSRGraph":
+        """Subgraph induced by ``keep``, an ascending array of unique ids.
+
+        Subgraph vertex ``i`` is ``keep[i]``.  The cost follows the kept
+        rows: no array of length ``|V|`` is built.
+        """
+        nbrs, counts = _gather_rows(self.indptr, self.indices, keep)
+        new_ids = np.arange(keep.size, dtype=np.int64)
+        mapped = _scatter_lookup(self.num_vertices, keep, new_ids, nbrs)
+        hit = mapped >= 0
+        rows = np.repeat(new_ids, counts)[hit]
+        indptr = np.zeros(keep.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=keep.size), out=indptr[1:])
+        return CSRGraph(indptr, mapped[hit])
+
     def induced_subgraph(
         self, nodes: Iterable[int]
     ) -> tuple["CSRGraph", np.ndarray, np.ndarray]:
-        """Subgraph induced by ``nodes``.
+        """Subgraph induced by ``nodes`` (any order, duplicates allowed).
 
         Returns ``(subgraph, old_of_new, new_of_old)`` where
         ``old_of_new[i]`` is the original id of subgraph vertex ``i`` and
         ``new_of_old[v]`` is the subgraph id of original vertex ``v``
         (or ``-1`` if ``v`` was dropped).
         """
-        keep = np.unique(np.fromiter(nodes, dtype=np.int64))
+        if isinstance(nodes, np.ndarray):
+            keep = np.unique(np.asarray(nodes, dtype=np.int64))
+        else:
+            keep = np.unique(np.fromiter(nodes, dtype=np.int64))
         if keep.size and (keep[0] < 0 or keep[-1] >= self.num_vertices):
             bad = int(keep[0]) if keep[0] < 0 else int(keep[-1])
             raise VertexNotFoundError(bad, self.num_vertices)
         new_of_old = np.full(self.num_vertices, -1, dtype=np.int64)
         new_of_old[keep] = np.arange(keep.size, dtype=np.int64)
-
-        sub_indptr = np.zeros(keep.size + 1, dtype=np.int64)
-        rows: list[np.ndarray] = []
-        for new_u, old_u in enumerate(keep):
-            nbrs = self.successors(int(old_u))
-            mapped = new_of_old[nbrs]
-            mapped = mapped[mapped >= 0]
-            rows.append(mapped)
-            sub_indptr[new_u + 1] = sub_indptr[new_u] + mapped.size
-        sub_indices = (
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        )
-        return CSRGraph(sub_indptr, sub_indices), keep, new_of_old
+        return self.induced(keep), keep, new_of_old
 
     # ------------------------------------------------------------------
     # dunder

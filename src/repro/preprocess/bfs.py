@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import VertexNotFoundError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import (
+    CSRGraph,
+    _discard_scratch,
+    _gather_rows,
+    _scratch,
+)
 from repro.host.cost_model import OpCounter
 
 
@@ -31,49 +36,97 @@ def charged_reverse(
     return rev
 
 
+def _dedupe_unvisited(slot: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """``fresh`` without duplicates, marking each survivor visited.
+
+    Each copy of a vertex scatters its position into ``slot``; exactly one
+    writer reads its own position back, whatever the write order.  Every
+    written entry ends up >= 0, so the survivors count as visited.
+    """
+    pos = np.arange(fresh.size, dtype=np.int64)
+    slot[fresh] = pos
+    return fresh[slot[fresh] == pos]
+
+
 def _level_synchronous_bfs(
     graph: CSRGraph,
-    frontier: np.ndarray,
-    dist: np.ndarray,
+    sources: np.ndarray,
     max_hops: int,
     counter: OpCounter | None,
-) -> np.ndarray:
-    """Expand ``frontier`` (all at distance 0) level by level.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand ``sources`` (all at distance 0) level by level.
 
-    Charges the *same totals* a FIFO-queue BFS would: one ``vertex_visit``
-    per vertex that ever enters the queue (= every reached vertex — those
-    discovered at distance ``max_hops`` still dequeue once before being
-    skipped) and ``deg(u)`` ``bfs_relax`` per dequeued vertex that relaxes
-    (``dist[u] < max_hops``).  :class:`~repro.host.cost_model.OpCounter`
-    is an order-free tally, so aggregating the per-vertex charges into one
-    per-level ``add`` is exact.  Level-synchronous expansion from a fixed
-    distance-0 seed set yields the identical ``dist`` array as FIFO order.
+    Returns ``(vertices, distances)`` of every reached vertex, level by
+    level.  Charges the *same totals* a FIFO-queue BFS would: one
+    ``vertex_visit`` per vertex that ever enters the queue (= every reached
+    vertex — the sources, and those discovered at distance ``max_hops``,
+    still dequeue once before being skipped) and ``deg(u)`` ``bfs_relax``
+    per dequeued vertex that relaxes (``dist[u] < max_hops``).
+    :class:`~repro.host.cost_model.OpCounter` is an order-free tally, so
+    aggregating the per-vertex charges into one per-level ``add`` is exact.
+    Level-synchronous expansion from a fixed distance-0 seed set reaches
+    each vertex at the same distance as FIFO order.  The work is that of
+    the frontiers: nothing here is sized by ``|V|``.
     """
     indptr = graph.indptr
     indices = graph.indices
+    slot = _scratch(graph.num_vertices)
     relaxed_edges = 0
-    for level in range(max_hops):
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        relaxed_edges += total
-        if total == 0:
-            break
-        # Gather the concatenated adjacency of the frontier: for each
-        # frontier vertex u, the slice indices[starts[u] : starts[u]+deg(u)].
-        cum = np.cumsum(counts) - counts
-        flat = (np.repeat(starts - cum, counts)
-                + np.arange(total, dtype=indptr.dtype))
-        nbrs = indices[flat]
-        fresh = nbrs[dist[nbrs] < 0]
-        if fresh.size == 0:
-            break
-        # Duplicate discoveries in one level all write the same distance.
-        dist[fresh] = level + 1
-        frontier = np.unique(fresh)
+    try:
+        frontier = _dedupe_unvisited(slot, sources)
+        levels = [frontier]
+        for _ in range(max_hops):
+            nbrs, _counts = _gather_rows(indptr, indices, frontier)
+            relaxed_edges += nbrs.size
+            frontier = _dedupe_unvisited(slot, nbrs[slot[nbrs] < 0])
+            if frontier.size == 0:
+                break
+            levels.append(frontier)
+        vertices = np.concatenate(levels)
+        slot[vertices] = -1
+    except BaseException:
+        _discard_scratch()
+        raise
+    dists = np.repeat(np.arange(len(levels), dtype=np.int64),
+                      [level.size for level in levels])
     if counter is not None:
-        counter.add("vertex_visit", int((dist >= 0).sum()))
+        counter.add("vertex_visit", int(vertices.size))
         counter.add("bfs_relax", relaxed_edges)
+    return vertices, dists
+
+
+def multi_source_k_hop_bfs(
+    graph: CSRGraph,
+    sources: np.ndarray,
+    max_hops: int,
+    counter: OpCounter | None = None,
+    *,
+    sparse: bool = False,
+):
+    """Hop-bounded BFS from a set of sources (all at distance 0).
+
+    Returns an ``int64`` array with ``dist[v]`` = the distance from the
+    nearest source for every vertex within ``max_hops`` hops and ``-1`` for
+    the rest.  With ``sparse=True`` it returns the ``(vertices, distances)``
+    pair of the reached vertices instead, in BFS order, and builds nothing
+    of length ``|V|``.  Duplicate sources count once.  Work is charged to
+    ``counter`` as ``vertex_visit`` (per dequeued vertex, sources included)
+    and ``bfs_relax`` (per scanned edge).
+
+    Used by JOIN to compute distances to its virtual vertices, e.g.
+    ``sd(v, t') = 1 + min over middles m of sd(v, m)`` via a multi-source
+    BFS from the middles on the reverse graph.
+    """
+    n = graph.num_vertices
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    bad = sources[(sources < 0) | (sources >= n)]
+    if bad.size:
+        raise VertexNotFoundError(int(bad.min()), n)
+    reached = _level_synchronous_bfs(graph, sources, max_hops, counter)
+    if sparse:
+        return reached
+    dist = np.full(n, -1, dtype=np.int64)
+    dist[reached[0]] = reached[1]
     return dist
 
 
@@ -82,53 +135,18 @@ def k_hop_bfs(
     source: int,
     max_hops: int,
     counter: OpCounter | None = None,
-) -> np.ndarray:
+    *,
+    sparse: bool = False,
+):
     """Shortest distances from ``source``, exploring at most ``max_hops`` hops.
 
-    Returns an ``int64`` array with ``dist[v] = sd(source, v)`` for every
-    vertex within ``max_hops`` hops and ``-1`` for the rest.  Work is charged
-    to ``counter`` as ``vertex_visit`` (per dequeued vertex) and ``bfs_relax``
-    (per scanned edge).
+    The one-source case of :func:`multi_source_k_hop_bfs`: a dense
+    ``dist[v] = sd(source, v)`` array (``-1`` when farther), or with
+    ``sparse=True`` the ``(vertices, distances)`` pair of the reached
+    vertices.
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise VertexNotFoundError(source, n)
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    if max_hops <= 0:
-        return dist
-    frontier = np.array([source], dtype=np.int64)
-    return _level_synchronous_bfs(graph, frontier, dist, max_hops, counter)
-
-
-def multi_source_k_hop_bfs(
-    graph: CSRGraph,
-    sources: np.ndarray,
-    max_hops: int,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """Hop-bounded BFS from a set of sources (all at distance 0).
-
-    Used by JOIN to compute distances to its virtual vertices, e.g.
-    ``sd(v, t') = 1 + min over middles m of sd(v, m)`` via a multi-source
-    BFS from the middles on the reverse graph.
-    """
-    n = graph.num_vertices
-    dist = np.full(n, -1, dtype=np.int64)
-    frontier = np.unique(np.asarray(sources, dtype=np.int64))
-    for src in frontier:
-        s = int(src)
-        if not 0 <= s < n:
-            raise VertexNotFoundError(s, n)
-        dist[s] = 0
-    if frontier.size == 0:
-        return dist
-    if max_hops <= 0:
-        # The queued sources still dequeue once each (no relaxation).
-        if counter is not None:
-            counter.add("vertex_visit", int(frontier.size))
-        return dist
-    return _level_synchronous_bfs(graph, frontier, dist, max_hops, counter)
+    return multi_source_k_hop_bfs(graph, np.array([source]), max_hops,
+                                  counter, sparse=sparse)
 
 
 def distances_with_default(dist: np.ndarray, default: int) -> np.ndarray:

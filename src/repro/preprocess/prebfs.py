@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _scatter_lookup
 from repro.host.cost_model import OpCounter
 from repro.host.query import Query
 from repro.preprocess.bfs import charged_reverse, k_hop_bfs
@@ -32,7 +32,6 @@ class PreBFSResult:
     max_hops: int
     barrier: np.ndarray
     old_of_new: np.ndarray
-    new_of_old: np.ndarray
     ops: OpCounter
     _old_lut: list | None = field(default=None, repr=False, compare=False)
 
@@ -66,7 +65,8 @@ class PreBFSResult:
 
 def pre_bfs(graph: CSRGraph, query: Query,
             counter: OpCounter | None = None,
-            sd_s: np.ndarray | None = None) -> PreBFSResult:
+            sd_s: tuple[np.ndarray, np.ndarray] | None = None
+            ) -> PreBFSResult:
     """Run Pre-BFS for ``query`` on ``graph``.
 
     Steps (paper, Section V): (1) ``(k-1)``-hop BFS from ``s`` on ``G``;
@@ -74,12 +74,16 @@ def pre_bfs(graph: CSRGraph, query: Query,
     ``sd_s[u] + sd_t[u] <= k`` (plus ``s`` and ``t``); (4) return the induced
     subgraph in CSR form together with the barrier ``sd_t``.
 
-    ``sd_s`` may carry a precomputed ``(k-1)``-hop forward distance array
-    (from the service's forward-frontier memo, where same-source queries
-    share it); step (1) is then skipped and its cost is whatever the memo
+    ``sd_s`` may carry a precomputed ``(k-1)``-hop forward search as the
+    ``(vertices, distances)`` pair of ``k_hop_bfs(..., sparse=True)`` (from
+    the service's forward-frontier memo, where same-source queries share
+    it); step (1) is then skipped and its cost is whatever the memo
     charged.  The caller is responsible for ``sd_s`` matching this graph,
     source, and hop budget — the arrays here are never mutated, so a
-    shared one stays valid.
+    shared pair stays valid.
+
+    Every step costs what the two searches reach and what the subgraph
+    keeps: nothing here is sized by ``|V|``.
     """
     query.validate(graph)
     ops = counter if counter is not None else OpCounter()
@@ -87,35 +91,34 @@ def pre_bfs(graph: CSRGraph, query: Query,
     s, t = query.source, query.target
 
     if sd_s is None:
-        sd_s = k_hop_bfs(graph, s, k - 1, ops)
+        sd_s = k_hop_bfs(graph, s, k - 1, ops, sparse=True)
     # The reverse CSR is a per-graph artifact, not per-query work: it is
     # built (and charged) once per graph and reused by every later query.
-    sd_t = k_hop_bfs(charged_reverse(graph, ops), t, k - 1, ops)
+    back, sd_t = k_hop_bfs(charged_reverse(graph, ops), t, k - 1, ops,
+                           sparse=True)
 
-    reachable = (sd_s >= 0) & (sd_t >= 0)
-    within = np.zeros(graph.num_vertices, dtype=bool)
-    within[reachable] = sd_s[reachable] + sd_t[reachable] <= k
+    fwd = _scatter_lookup(graph.num_vertices, *sd_s, back)
+    within = (fwd >= 0) & (fwd + sd_t <= k)
     # (k-1)-hop sufficiency: the only valid vertices a k-th BFS hop could
     # discover are s (when sd(s,t) = k) and t — keep them unconditionally.
-    within[s] = True
-    within[t] = True
-    keep = np.nonzero(within)[0]
+    # Unreached within k-1 hops can only be s itself (then the true
+    # distance is >= k, so k is a valid lower bound for its barrier).
+    keep, first = np.unique(np.concatenate((back[within], [s, t])),
+                            return_index=True)
     ops.add("set_insert", int(keep.size))
 
-    subgraph, old_of_new, new_of_old = graph.induced_subgraph(keep)
+    subgraph = graph.induced(keep)
     ops.add("csr_build_edge", subgraph.num_edges)
 
-    # Barrier in subgraph id space.  Unreached within k-1 hops can only be
-    # s itself (then the true distance is >= k, so k is a valid lower bound).
-    barrier = sd_t[old_of_new].copy()
-    barrier[barrier < 0] = k
+    # Barrier in subgraph id space: the first occurrence of each kept
+    # vertex carries its sd_t (s and t are appended last, at k and 0).
+    barrier = np.concatenate((sd_t[within], [k, 0]))[first]
     return PreBFSResult(
         subgraph=subgraph,
-        source=int(new_of_old[s]),
-        target=int(new_of_old[t]),
+        source=int(np.searchsorted(keep, s)),
+        target=int(np.searchsorted(keep, t)),
         max_hops=k,
         barrier=barrier,
-        old_of_new=old_of_new,
-        new_of_old=new_of_old,
+        old_of_new=keep,
         ops=ops,
     )

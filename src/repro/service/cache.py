@@ -84,9 +84,9 @@ class GraphArtifactCache:
         self._prebfs: OrderedDict[
             tuple[int, int, int, int], tuple[CSRGraph, PreBFSResult]
         ] = OrderedDict()
-        #: ("fwd", id(graph), s, hops) -> (graph pin, distance array)
+        #: ("fwd", id(graph), s, hops) -> (graph pin, (vertices, distances))
         self._forward: OrderedDict[
-            tuple, tuple[CSRGraph, np.ndarray]
+            tuple, tuple[CSRGraph, tuple[np.ndarray, np.ndarray]]
         ] = OrderedDict()
         #: ("res", id(graph), s, t, k, budget key) -> (graph pin, result)
         self._results: OrderedDict[tuple, tuple[CSRGraph, object]] = (
@@ -232,16 +232,18 @@ class GraphArtifactCache:
     # -- forward-frontier memo -----------------------------------------
     def forward_frontier(self, graph: CSRGraph, source: int, hops: int,
                          counter: OpCounter | None = None,
-                         tracer=None) -> np.ndarray:
-        """Memoised ``hops``-hop forward BFS distances from ``source``.
+                         tracer=None) -> tuple[np.ndarray, np.ndarray]:
+        """Memoised ``hops``-hop forward BFS from ``source``.
 
         The group-shared artifact of cross-query sharing: every query
         with source ``s`` and hop budget ``k`` walks the same
         ``(k-1)``-hop forward frontier, so it is keyed by
         ``(graph, s, hops)`` and built once per source group.  A hit
         charges one ``set_lookup`` memo probe; a miss runs the BFS,
-        charging its full cost.  The returned array is shared — callers
-        must not mutate it.
+        charging its full cost.  The result is the sparse
+        ``(vertices, distances)`` pair of the reached vertices, so an entry
+        costs what the search reached, not ``|V|``.  It is shared —
+        callers must not mutate it.
         """
         key = ("fwd", id(graph), source, hops)
         start = time.perf_counter_ns() if tracer else 0
@@ -264,11 +266,11 @@ class GraphArtifactCache:
                 tracer.complete("forward_cache", start, hit=True)
             return cached
         try:
-            dist = k_hop_bfs(graph, source, hops, counter)
+            reached = k_hop_bfs(graph, source, hops, counter, sparse=True)
             with self._lock:
                 self.forward_misses += 1
                 if gen == self._generation:
-                    self._forward[key] = (graph, dist)
+                    self._forward[key] = (graph, reached)
                     while len(self._forward) > self.max_forward_entries:
                         self._forward.popitem(last=False)
         except BaseException:
@@ -278,7 +280,7 @@ class GraphArtifactCache:
             self._release(key, latch)
         if tracer:
             tracer.complete("forward_cache", start, hit=False)
-        return dist
+        return reached
 
     # -- Pre-BFS memo --------------------------------------------------
     def pre_bfs(self, graph: CSRGraph, query: Query,

@@ -152,3 +152,21 @@ class TestInducedSubgraph:
         sub, old_of_new, new_of_old = g.induced_subgraph([])
         assert sub.num_vertices == 0
         assert sub.num_edges == 0
+
+    def test_unsorted_and_duplicate_nodes(self):
+        g = CSRGraph.from_edges(5, [(0, 1), (1, 3), (3, 0), (2, 4)])
+        for nodes in ([3, 0, 1, 3, 0], np.array([3, 0, 1, 3, 0])):
+            sub, old_of_new, new_of_old = g.induced_subgraph(nodes)
+            assert list(old_of_new) == [0, 1, 3]
+            assert list(new_of_old) == [0, 1, -1, 2, -1]
+            assert set(sub.edges()) == {(0, 1), (1, 2), (2, 0)}
+
+    def test_rows_that_keep_no_neighbours(self):
+        # Vertices 1 and 3 are kept but every successor of theirs is not.
+        g = CSRGraph.from_edges(
+            6, [(0, 2), (1, 5), (2, 0), (2, 4), (3, 5), (4, 0)]
+        )
+        sub, old_of_new, _ = g.induced_subgraph(np.array([0, 1, 2, 3, 4]))
+        assert list(old_of_new) == [0, 1, 2, 3, 4]
+        assert list(sub.indptr) == [0, 1, 1, 3, 3, 4]
+        assert list(sub.indices) == [2, 0, 4, 0]

@@ -24,9 +24,16 @@ class TestKHopBfs:
         assert list(dist) == [0, 1, 2, -1, -1]
 
     def test_zero_hops(self, line_graph):
-        dist = k_hop_bfs(line_graph, 2, 0)
+        ops = OpCounter()
+        dist = k_hop_bfs(line_graph, 2, 0, ops)
         assert dist[2] == 0
         assert np.count_nonzero(dist >= 0) == 1
+        # The source still enters the queue and dequeues once, exactly as
+        # in the multi-source search; nothing is relaxed.
+        assert ops.as_dict() == {"vertex_visit": 1}
+        multi = OpCounter()
+        multi_source_k_hop_bfs(line_graph, np.array([2]), 0, multi)
+        assert multi.as_dict() == ops.as_dict()
 
     def test_unreachable_marked(self):
         g = CSRGraph.from_edges(4, [(0, 1), (2, 3)])
