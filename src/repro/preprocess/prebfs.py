@@ -97,12 +97,11 @@ def pre_bfs(graph: CSRGraph, query: Query,
     back, sd_t = k_hop_bfs(charged_reverse(graph, ops), t, k - 1, ops,
                            sparse=True)
 
+    # sd_s of each vertex the backward search reached, -1 if unreached.
     fwd = _scatter_lookup(graph.num_vertices, *sd_s, back)
     within = (fwd >= 0) & (fwd + sd_t <= k)
     # (k-1)-hop sufficiency: the only valid vertices a k-th BFS hop could
     # discover are s (when sd(s,t) = k) and t — keep them unconditionally.
-    # Unreached within k-1 hops can only be s itself (then the true
-    # distance is >= k, so k is a valid lower bound for its barrier).
     keep, first = np.unique(np.concatenate((back[within], [s, t])),
                             return_index=True)
     ops.add("set_insert", int(keep.size))
@@ -111,7 +110,9 @@ def pre_bfs(graph: CSRGraph, query: Query,
     ops.add("csr_build_edge", subgraph.num_edges)
 
     # Barrier in subgraph id space: the first occurrence of each kept
-    # vertex carries its sd_t (s and t are appended last, at k and 0).
+    # vertex carries its sd_t.  s and t are appended last, t at 0 and s at
+    # k: unreached within k-1 hops can only be s itself, whose true
+    # distance is then >= k, so k is a valid lower bound.
     barrier = np.concatenate((sd_t[within], [k, 0]))[first]
     return PreBFSResult(
         subgraph=subgraph,
