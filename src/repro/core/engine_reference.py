@@ -10,8 +10,8 @@ same paths in the same order, same cycle totals, same
 :class:`~repro.core.engine.EngineStats`, same port traffic, same
 :class:`~repro.fpga.profile.DeviceProfile` and device spans (both record
 through :class:`~repro.fpga.profile.DeviceProfiler`) — which the
-differential suite (``tests/test_engine_vectorized_differential.py``)
-asserts across cache, batching, budget and flush/refill configurations.
+engine byte class of the oracle harness (``tests/oracle.py``) asserts
+across cache, batching, budget and flush/refill configurations.
 
 Do not optimise this file: its value is that every charge is an explicit
 method call on the memory models, so discrepancies localise immediately.

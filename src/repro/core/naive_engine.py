@@ -18,10 +18,15 @@ import numpy as np
 
 from repro.core.cache import CachedArray
 from repro.core.config import PEFPConfig
-from repro.core.engine import EngineRunResult, EngineStats, _StageCost
+from repro.core.engine import (
+    EngineRunResult,
+    EngineStats,
+    _CostClock,
+    _StageCost,
+    _check_query,
+)
 from repro.core.paths import record_words
 from repro.core.verify import VerificationModule
-from repro.errors import QueryError
 from repro.fpga.device import Device, DeviceConfig
 from repro.fpga.pipeline import PipelineModel
 from repro.graph.csr import CSRGraph
@@ -54,15 +59,7 @@ class LevelBFSEngine:
         max_hops: int,
         barrier: np.ndarray,
     ) -> EngineRunResult:
-        if not 0 <= source < graph.num_vertices:
-            raise QueryError(f"source {source} not in graph")
-        if not 0 <= target < graph.num_vertices:
-            raise QueryError(f"target {target} not in graph")
-        if source == target:
-            raise QueryError("source equals target")
-        if max_hops < 1:
-            raise QueryError(f"hop constraint must be >= 1, got {max_hops}")
-        max_hops = min(max_hops, graph.num_vertices - 1)
+        max_hops = _check_query(graph, source, target, max_hops, barrier)
 
         cfg = self.config
         device = Device(self.device_config)
@@ -102,8 +99,8 @@ class LevelBFSEngine:
             next_level: list[tuple[int, ...]] = []
             fetch = _StageCost()
             items = 0
-            with bram.with_clock(_cost_clock(fetch, "bram")), \
-                    dram.with_clock(_cost_clock(fetch, "dram")):
+            with bram.with_clock(_CostClock(fetch, "bram")), \
+                    dram.with_clock(_CostClock(fetch, "dram")):
                 expansions: list[tuple[tuple[int, ...], np.ndarray,
                                        np.ndarray]] = []
                 for path in level:
@@ -169,9 +166,3 @@ class LevelBFSEngine:
             stats=stats,
             device=device,
         )
-
-
-def _cost_clock(cost: _StageCost, domain: str):
-    from repro.core.engine import _CostClock
-
-    return _CostClock(cost, domain)

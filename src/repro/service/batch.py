@@ -367,7 +367,7 @@ def serve_source(server: EngineServer, engine_idx: int, source, tracer,
     ``source`` yields groups of ``(batch index, query)`` tasks: a list
     holding one engine's whole static task list, or an iterator over a
     shared steal queue.  Each member is served, handed to
-    ``deliver(engine_idx, index, report, degraded)`` and observed into
+    ``deliver(engine_idx, index, report)`` and observed into
     ``metrics`` / ``timeline``; static sources also publish the engine's
     queue depth (a steal queue's length depends on interleaving).  On
     :class:`~repro.errors.EngineFailure` the loop stops and returns the
@@ -381,7 +381,7 @@ def serve_source(server: EngineServer, engine_idx: int, source, tracer,
                     report, degraded = server.serve(query, tracer)
                 except EngineFailure:
                     return [i for i, _ in group[pos:]]
-                deliver(engine_idx, idx, report, degraded)
+                deliver(engine_idx, idx, report)
                 t_end = server.host_busy + server.device_busy
                 observe_report(metrics, report, engine_idx,
                                degraded=degraded, timeline=timeline,
@@ -427,8 +427,7 @@ class BatchOutcome:
     #: summed per-round cache-stat deltas of worker-local caches.
     worker_cache_stats: Counter = field(default_factory=Counter)
 
-    def deliver(self, engine_idx: int, idx: int, report,
-                degraded: bool = False) -> None:
+    def deliver(self, engine_idx: int, idx: int, report) -> None:
         self.reports[idx] = report
         self.served_by[engine_idx].append(idx)
 

@@ -58,8 +58,8 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
     from repro.observability.tracer import Tracer
     from repro.service.batch import EngineServer, FlakyEngine, serve_source
 
-    def deliver(w, idx, report, degraded):
-        result_queue.put(("result", w, idx, report, degraded))
+    def deliver(w, idx, report):
+        result_queue.put(("result", w, idx, report))
 
     try:
         graph = spec["graph"]

@@ -1,5 +1,6 @@
 """Tests for the level-synchronous contrast engine."""
 
+import numpy as np
 import pytest
 
 from conftest import brute_force_paths
@@ -34,12 +35,15 @@ class TestFunctional:
         b = run(PEFPEngine(), power_law_graph, 0, 9, 4)
         assert frozenset(a.paths) == frozenset(b.paths)
 
-    def test_validation(self, diamond_graph):
-        with pytest.raises(QueryError):
-            import numpy as np
-
-            LevelBFSEngine().run(diamond_graph, 0, 0, 3,
-                                 np.zeros(6, dtype=np.int64))
+    def test_validation(self):
+        """Both engines reject the same bad queries, barrier length too."""
+        graph = G.grid_graph(4, 4)
+        # source equals target; barrier shorter, then longer than |V|.
+        for target, bar_len in ((0, 16), (15, 3), (15, 40)):
+            barrier = np.zeros(bar_len, dtype=np.int64)
+            for engine in (LevelBFSEngine(), PEFPEngine()):
+                with pytest.raises(QueryError):
+                    engine.run(graph, 0, target, 3, barrier)
 
 
 class TestMemoryBehaviour:

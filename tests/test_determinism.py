@@ -1,101 +1,28 @@
-"""Determinism regression: same seed + queries => byte-identical answers.
+"""Fault plans, the all-engines-failed error and the canonical answer bytes.
 
 ``ServiceBatchReport.path_output_bytes()`` canonicalises a batch's
-answers (sorted paths, sorted keys, compact JSON); these tests pin the
-contract that those bytes depend only on the graph and the query batch —
-not on the backend, the scheduler, the worker count, thread timing, or
-which engines a seeded fault-injection plan kills.
+answers (sorted paths, sorted keys, compact JSON).  That those bytes
+depend only on the graph and the batch, not on the executor, scheduler,
+engine count or seeded fault plan, is the service answer class of the
+oracle harness (``tests/oracle.py``).  The tests here pin the pieces it
+rests on.
 """
 
 from __future__ import annotations
 
-import random
+import json
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.graph import generators as G
-from repro.host.query import Query
 from repro.service import BatchQueryService
+from repro.workloads import generate_queries
 
 
-def make_batch(seed=4, count=12):
+def make_batch(count=12):
     graph = G.chung_lu(55, 280, seed=40)
-    rng = random.Random(seed)
-    n = graph.num_vertices
-    queries = []
-    while len(queries) < count:
-        s, t = rng.randrange(n), rng.randrange(n)
-        if s != t:
-            queries.append(Query(s, t, rng.randint(2, 5)))
-    return graph, queries
-
-
-def output_bytes(graph, queries, **kwargs):
-    service = BatchQueryService(graph, **kwargs)
-    try:
-        return service.run(queries).path_output_bytes()
-    finally:
-        service.close()
-
-
-#: every dispatch configuration that must agree byte for byte.
-CONFIGS = [
-    {"backend": "thread", "scheduler": "round-robin", "num_engines": 1},
-    {"backend": "thread", "scheduler": "round-robin", "num_engines": 2},
-    {"backend": "thread", "scheduler": "round-robin", "num_engines": 4},
-    {"backend": "thread", "scheduler": "longest-first", "num_engines": 3},
-    {"backend": "thread", "scheduler": "work-stealing", "num_engines": 3},
-    {"backend": "thread", "scheduler": "round-robin", "num_engines": 2,
-     "use_threads": False},
-    {"backend": "process", "scheduler": "round-robin", "num_engines": 1},
-    {"backend": "process", "scheduler": "round-robin", "num_engines": 2},
-    {"backend": "process", "scheduler": "round-robin", "num_engines": 4},
-    {"backend": "process", "scheduler": "longest-first", "num_engines": 3},
-    {"backend": "process", "scheduler": "work-stealing", "num_engines": 4},
-]
-
-
-def _config_id(cfg):
-    return "-".join(
-        str(v) for k, v in sorted(cfg.items()) if k != "use_threads"
-    ) + ("-serial" if not cfg.get("use_threads", True) else "")
-
-
-@pytest.fixture(scope="module")
-def reference_bytes():
-    graph, queries = make_batch()
-    return output_bytes(graph, queries, num_engines=1, use_threads=False)
-
-
-@pytest.mark.parametrize("config", CONFIGS, ids=_config_id)
-def test_byte_identical_across_configurations(config, reference_bytes):
-    graph, queries = make_batch()
-    assert output_bytes(graph, queries, **config) == reference_bytes
-
-
-def test_byte_identical_across_repeated_runs():
-    graph, queries = make_batch()
-    first = output_bytes(graph, queries, num_engines=2, backend="process")
-    for _ in range(2):
-        again = output_bytes(graph, queries, num_engines=2,
-                             backend="process")
-        assert again == first
-
-
-@pytest.mark.parametrize("scheduler", ["round-robin", "work-stealing"])
-def test_byte_identical_under_seeded_fault_injection(scheduler,
-                                                     reference_bytes):
-    """A fixed --failure-seed kills the same engines after the same run
-    counts on both backends; requeueing must not change a single byte."""
-    graph, queries = make_batch()
-    outs = {}
-    for backend in ("thread", "process"):
-        outs[backend] = output_bytes(
-            graph, queries, num_engines=3, backend=backend,
-            scheduler=scheduler, inject_failures=1, failure_seed=1234,
-        )
-    assert outs["thread"] == outs["process"] == reference_bytes
+    return graph, generate_queries(graph, 4, count, seed=4)
 
 
 def test_failure_plan_is_reproducible_from_seed():
@@ -124,8 +51,6 @@ def test_all_engines_failing_raises_on_both_backends():
 
 def test_path_output_bytes_is_canonical():
     """Bytes are stable JSON: key-sorted, path-sorted, ascii."""
-    import json
-
     graph, queries = make_batch(count=5)
     service = BatchQueryService(graph, num_engines=2)
     report = service.run(queries)

@@ -1,9 +1,9 @@
 """Golden digests: the multi-PE driver's modelled behaviour at N > 1.
 
-``test_multi_pe_differential`` proves that every PE count enumerates the
-same path *set* and that N = 1 is byte-identical to the single-pipeline
-engines.  It does not pin N > 1 cycle counts or enumeration order.  This
-suite does.  ``tests/data/multi_pe_golden.json`` holds one digest per
+The oracle harness (``tests/oracle.py``) proves that every PE count
+enumerates the same path *set* and that N = 1 is byte-identical to the
+single-pipeline engines.  It does not pin N > 1 cycle counts or
+enumeration order.  This suite does.  ``tests/data/multi_pe_golden.json`` holds one digest per
 run over N in {2, 4, 8}, both partition strategies, every configuration
 of ``N1_CONFIGS`` (budgets included) and three queries on each graph of
 ``_graphs()``.  The digests were recorded from the per-entry superstep
@@ -34,9 +34,10 @@ import json
 from pathlib import Path
 
 import pytest
-from test_multi_pe_differential import N1_CONFIGS, _graphs, _queries
+from oracle import N1_CONFIGS, _graphs, _prepared, _queries, engine_bytes
 
 from repro.core.engine import PEFPEngine
+from repro.graph import generators as G
 from repro.fpga.device import DeviceConfig
 from repro.observability.tracer import Tracer
 
@@ -130,3 +131,39 @@ def test_multi_pe_runs_match_golden_digests(name):
         if got != _GOLDEN.get(case):
             mismatched.append((case, got, _GOLDEN.get(case)))
     assert not mismatched, mismatched[:5]
+
+
+def test_run_dispatch_at_n1_uses_vectorized_path():
+    """``num_pes=1`` must not even enter the driver: the result object's
+    profile reports ``num_pes == 1`` and no inter-PE events, and matches
+    an engine built with the default device config exactly."""
+    prep = _prepared(G.grid_graph(6, 6), 0, 35, 12)
+    assert prep is not None
+    sub, s, t, barrier = prep
+    one = PEFPEngine(device_config=DeviceConfig(num_pes=1)).run(
+        sub, s, t, 12, barrier, profile=True)
+    plain = PEFPEngine().run(sub, s, t, 12, barrier, profile=True)
+    assert engine_bytes(one, [], None) == engine_bytes(plain, [], None)
+    assert one.profile.num_pes == 1
+    assert one.profile.inter_pe == ()
+    assert one.profile.inter_pe_cycles == 0
+
+
+def test_inter_pe_segment_tiles_exactly():
+    """The inter-PE charges reported in stats equal the profile's
+    ``inter_pe`` events, and the profile reconciles in integer cycles."""
+    prep = _prepared(G.chung_lu(60, 320, seed=11), 0, 5, 4)
+    assert prep is not None
+    got, _ = _run(prep, 4, None, None, 4, "hash", observe=True)
+    prof = got.profile
+    assert prof.accounted_cycles == prof.total_cycles
+    total_events = sum(e.cycles for e in prof.inter_pe)
+    assert prof.inter_pe_cycles == total_events
+    stats_total = (got.stats.inter_pe_route_cycles
+                   + got.stats.inter_pe_arbiter_cycles
+                   + got.stats.inter_pe_stall_cycles
+                   + got.stats.inter_pe_barrier_cycles)
+    assert stats_total == total_events
+    assert got.stats.stage_cycles.get("inter_pe", 0) == total_events
+    if got.stats.inter_pe_messages:
+        assert prof.inter_pe_messages == got.stats.inter_pe_messages

@@ -1,7 +1,7 @@
 """Unit tests of the process-parallel backend's moving parts.
 
-The differential suite (test_differential.py) proves backend equivalence
-end to end; these tests pin the individual mechanisms it relies on —
+The oracle harness (oracle.py) proves executor equivalence end to end;
+these tests pin the individual mechanisms it relies on —
 artifact adoption, registry merge/pickling, trace-span ingestion, pool
 lifecycle, and recovery when a worker *process* dies outright.
 """
