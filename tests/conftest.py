@@ -6,10 +6,12 @@ import os
 import signal
 import threading
 
+import numpy as np
 import pytest
 
 from repro.graph.csr import CSRGraph
 from repro.graph import generators
+from repro.host.query import Query
 
 
 def pytest_addoption(parser):
@@ -125,3 +127,17 @@ def random_graph() -> CSRGraph:
 @pytest.fixture
 def power_law_graph() -> CSRGraph:
     return generators.chung_lu(80, 400, seed=5)
+
+
+def random_query(graph: CSRGraph, max_hops: int, seed: int) -> Query | None:
+    """A deterministic random query with at least one result, if any."""
+    rng = np.random.default_rng(seed)
+    n = graph.num_vertices
+    for _ in range(200):
+        s = int(rng.integers(0, n))
+        t = int(rng.integers(0, n))
+        if s == t:
+            continue
+        if brute_force_paths(graph, s, t, max_hops):
+            return Query(s, t, max_hops)
+    return None

@@ -22,9 +22,10 @@ axis values meets at least once.
 
 **The oracle** is :class:`~repro.baselines.NaiveDFS` (``dfs_naive``): its
 path set is the answer.  It is itself checked against an independent
-recursive search on every digraph with four vertices.  A run without a
-budget must return exactly the oracle's set; a budgeted run returns a
-subset, equal to it unless the run says ``truncated``.
+recursive search on every digraph with four vertices
+(``test_exhaustive_small_graphs.py``).  A run without a budget must
+return exactly the oracle's set; a budgeted run returns a subset, equal
+to it unless the run says ``truncated``.
 
 Invariance classes (each asserted by ``test_oracle.py`` through the
 fingerprint function named in brackets):

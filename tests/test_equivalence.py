@@ -4,7 +4,10 @@ return exactly the same path set on the same query.
 This is the load-bearing test of the reproduction — the paper's
 correctness argument (Section VI-A) is that PEFP's expansion-and-
 verification never prunes a valid path and never emits an invalid one,
-i.e. it agrees with the DFS-based state of the art.
+i.e. it agrees with the DFS-based state of the art.  These are fixed
+seeded shapes checked against brute force; the oracle harness
+(``test_oracle.py``) adds hypothesis draws and the device and service
+configuration spaces.
 """
 
 import random
@@ -12,74 +15,43 @@ import random
 import pytest
 
 from conftest import brute_force_paths, random_query
-from repro.baselines import (
-    BCDFS,
-    HPIndex,
-    Join,
-    NaiveBFS,
-    NaiveDFS,
-    TDFS,
-    TDFS2,
-    Yens,
-)
+from oracle import ENUMERATORS
+from repro.baselines import BCDFS, Join, NaiveDFS
+from repro.core.validation import validate_paths
 from repro.graph import generators as G
 from repro.host.query import Query
 from repro.host.system import PEFPEnumerator
 
-ALL_ENUMERATORS = [
-    NaiveDFS(),
-    NaiveBFS(),
-    TDFS(),
-    TDFS2(),
-    BCDFS(),
-    Join(),
-    Yens(),
-    HPIndex(hot_fraction=0.1),
-    PEFPEnumerator("pefp"),
-    PEFPEnumerator("pefp-no-pre-bfs"),
-    PEFPEnumerator("pefp-no-batch-dfs"),
-    PEFPEnumerator("pefp-no-cache"),
-    PEFPEnumerator("pefp-no-datasep"),
-]
 
-IDS = [e.name for e in ALL_ENUMERATORS]
+def _check_random_query(enumerator, graph, max_hops, seed):
+    query = random_query(graph, max_hops, seed=seed)
+    assert query is not None
+    expected = brute_force_paths(graph, query.source, query.target, max_hops)
+    assert enumerator.enumerate_paths(graph, query).path_set() == expected
 
 
-@pytest.mark.parametrize("enumerator", ALL_ENUMERATORS, ids=IDS)
+@pytest.mark.parametrize("enumerator", ENUMERATORS,
+                         ids=[e.name for e in ENUMERATORS])
 class TestAgainstOracle:
     def test_gnm(self, enumerator):
-        g = G.gnm_random(35, 160, seed=21)
-        query = random_query(g, 4, seed=1)
-        assert query is not None
-        expected = brute_force_paths(g, query.source, query.target, 4)
-        assert enumerator.enumerate_paths(g, query).path_set() == expected
+        _check_random_query(enumerator, G.gnm_random(35, 160, seed=21), 4, 1)
 
     def test_power_law(self, enumerator):
-        g = G.chung_lu(45, 260, seed=22)
-        query = random_query(g, 5, seed=2)
-        assert query is not None
-        expected = brute_force_paths(g, query.source, query.target, 5)
-        assert enumerator.enumerate_paths(g, query).path_set() == expected
+        _check_random_query(enumerator, G.chung_lu(45, 260, seed=22), 5, 2)
 
     def test_community(self, enumerator):
         g = G.community_graph(3, 12, p_in=0.35, inter_edges=10, seed=23)
-        query = random_query(g, 5, seed=3)
-        assert query is not None
-        expected = brute_force_paths(g, query.source, query.target, 5)
-        assert enumerator.enumerate_paths(g, query).path_set() == expected
+        _check_random_query(enumerator, g, 5, 3)
 
     def test_grid(self, enumerator):
         g = G.grid_graph(5, 5, seed=24, extra_edges=5)
-        query = Query(0, 24, 9)
         expected = brute_force_paths(g, 0, 24, 9)
-        assert enumerator.enumerate_paths(g, query).path_set() == expected
+        assert enumerator.enumerate_paths(g, Query(0, 24, 9)).path_set() \
+            == expected
 
     def test_hub_spoke(self, enumerator):
         g = G.hub_spoke(3, 5, hub_clique_p=1.0, seed=25)
-        query = random_query(g, 4, seed=4)
-        assert query is not None
-        expected = brute_force_paths(g, query.source, query.target, 4)
-        assert enumerator.enumerate_paths(g, query).path_set() == expected
+        _check_random_query(enumerator, g, 4, 4)
 
     def test_empty_result(self, enumerator):
         g = G.CSRGraph.from_edges(4, [(0, 1), (2, 3)])
@@ -108,7 +80,7 @@ class TestPairwiseOnManySeeds:
 
 
 class TestRandomizedFuzz:
-    """Property-based sweep: random graph shapes x random (s, t, k).
+    """Random graph shapes x random (s, t, k).
 
     Each round draws a graph family, a size and a handful of random
     queries from one seeded RNG, then demands that PEFP, BC-DFS and the
@@ -133,8 +105,6 @@ class TestRandomizedFuzz:
 
     @pytest.mark.parametrize("round_idx", range(8))
     def test_fuzz_round(self, round_idx):
-        from repro.core.validation import validate_paths
-
         rng = random.Random(7000 + round_idx)
         name, build = self.FAMILIES[round_idx % len(self.FAMILIES)]
         graph = build(rng, rng.randint(24, 48))

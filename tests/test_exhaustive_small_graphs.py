@@ -1,17 +1,19 @@
 """Exhaustive verification on all small digraphs.
 
 Enumerates *every* directed graph on 4 vertices (2^12 = 4096 edge
-subsets) and checks BC-DFS and JOIN against brute force on a fixed query;
-PEFP and the remaining enumerators are checked on the subset of graphs
-where results exist.  Exhaustive coverage at this size catches corner
-cases (self-contained cycles, disconnected pieces, sinks, diamonds) that
-random testing may miss.
+subsets) and checks the ``dfs_naive`` oracle of the harness
+(``oracle.py``), BC-DFS and JOIN against brute force on a fixed query;
+PEFP at every PE count and partition, HP-Index and Yen's are checked on
+every 64th mask plus the dense and patterned ones.  Exhaustive coverage
+at this size catches corner cases (self-contained cycles, disconnected
+pieces, sinks, diamonds) that random testing may miss.
 """
 
 import pytest
 
 from conftest import brute_force_paths
-from repro.baselines import BCDFS, HPIndex, Join, Yens
+from oracle import oracle_paths
+from repro.baselines import BCDFS, HPIndex, Join, NaiveDFS, Yens
 from repro.fpga.device import DeviceConfig
 from repro.graph.csr import CSRGraph
 from repro.host.query import Query
@@ -20,6 +22,8 @@ from repro.host.system import PEFPEnumerator
 N = 4
 ALL_PAIRS = [(u, v) for u in range(N) for v in range(N) if u != v]
 QUERY = Query(0, 3, 3)
+INTERESTING_MASKS = sorted(set(range(0, 1 << len(ALL_PAIRS), 64)) | {
+    (1 << len(ALL_PAIRS)) - 1, 0b111111111111 ^ 0b1, 0xAAA, 0x555, 0xF0F})
 
 
 def graph_from_mask(mask: int) -> CSRGraph:
@@ -27,53 +31,42 @@ def graph_from_mask(mask: int) -> CSRGraph:
     return CSRGraph.from_edges(N, edges)
 
 
-def test_bcdfs_and_join_on_every_4_vertex_digraph():
-    bcdfs, join = BCDFS(), Join()
-    nonempty = 0
-    for mask in range(1 << len(ALL_PAIRS)):
+def _check_interesting_masks(engines) -> None:
+    for mask in INTERESTING_MASKS:
         g = graph_from_mask(mask)
-        expected = brute_force_paths(g, QUERY.source, QUERY.target,
-                                     QUERY.max_hops)
-        got_bc = bcdfs.enumerate_paths(g, QUERY).path_set()
-        assert got_bc == expected, f"BC-DFS wrong on mask {mask:#x}"
-        got_join = join.enumerate_paths(g, QUERY).path_set()
-        assert got_join == expected, f"JOIN wrong on mask {mask:#x}"
-        if expected:
-            nonempty += 1
-    # sanity: the sweep actually exercised non-trivial graphs
-    assert nonempty > 1000
-
-
-def test_other_enumerators_on_interesting_masks():
-    """The slower stack (PEFP simulation, HP-Index, Yen's) runs on every
-    64th mask plus all graphs that are dense enough to be interesting."""
-    engines = [PEFPEnumerator(), HPIndex(hot_fraction=0.5), Yens()]
-    masks = set(range(0, 1 << len(ALL_PAIRS), 64))
-    masks.update({(1 << len(ALL_PAIRS)) - 1, 0b111111111111 ^ 0b1,
-                  0xAAA, 0x555, 0xF0F})
-    for mask in sorted(masks):
-        g = graph_from_mask(mask)
-        expected = brute_force_paths(g, QUERY.source, QUERY.target,
-                                     QUERY.max_hops)
+        expected = oracle_paths(g, QUERY)
         for engine in engines:
             got = engine.enumerate_paths(g, QUERY).path_set()
             assert got == expected, (engine.name, hex(mask))
 
 
-@pytest.mark.parametrize("num_pes", (2, 4, 8))
-@pytest.mark.parametrize("strategy", ("range", "hash"))
-def test_multi_pe_on_interesting_masks(num_pes, strategy):
-    """The multi-PE device enumerates exactly the brute-force path set on
-    small graphs — with N up to 8 on a 4-vertex CSR, so most PEs own one
-    vertex or none (the sharpest partition-degeneracy shapes)."""
-    engine = PEFPEnumerator(device_config=DeviceConfig(
-        num_pes=num_pes, pe_partition=strategy))
-    masks = set(range(0, 1 << len(ALL_PAIRS), 128))
-    masks.update({(1 << len(ALL_PAIRS)) - 1, 0b111111111111 ^ 0b1,
-                  0xAAA, 0x555, 0xF0F})
-    for mask in sorted(masks):
+def test_bcdfs_and_join_on_every_4_vertex_digraph():
+    """The oracle equals an independent recursive search, and BC-DFS and
+    JOIN equal the oracle."""
+    enumerators = (NaiveDFS(), BCDFS(), Join())
+    nonempty = 0
+    for mask in range(1 << len(ALL_PAIRS)):
         g = graph_from_mask(mask)
         expected = brute_force_paths(g, QUERY.source, QUERY.target,
                                      QUERY.max_hops)
-        got = engine.enumerate_paths(g, QUERY).path_set()
-        assert got == expected, (num_pes, strategy, hex(mask))
+        for enumerator in enumerators:
+            got = enumerator.enumerate_paths(g, QUERY).path_set()
+            assert got == expected, (enumerator.name, hex(mask))
+        nonempty += bool(expected)
+    # sanity: the sweep actually exercised non-trivial graphs
+    assert nonempty > 1000
+
+
+def test_other_enumerators_on_interesting_masks():
+    """The slower stack: the PEFP simulation, HP-Index and Yen's."""
+    _check_interesting_masks(
+        [PEFPEnumerator(), HPIndex(hot_fraction=0.5), Yens()])
+
+
+@pytest.mark.parametrize("num_pes", (2, 4, 8))
+@pytest.mark.parametrize("strategy", ("range", "hash"))
+def test_multi_pe_on_interesting_masks(num_pes, strategy):
+    """With N up to 8 on a 4-vertex CSR most PEs own one vertex or none
+    (the sharpest partition-degeneracy shapes)."""
+    _check_interesting_masks([PEFPEnumerator(device_config=DeviceConfig(
+        num_pes=num_pes, pe_partition=strategy))])

@@ -6,7 +6,9 @@ degenerate shapes included) and from the fixed seeded graphs of the
 multi-PE goldens; the process executor serves only the fixed graphs.
 Each row also checks that its configuration took its path at least once:
 a budget truncated, a batch deadline degraded, a fault seed failed an
-engine, sharing deduped, a tiny buffer flushed and refilled.
+engine, sharing deduped, a tiny buffer flushed and refilled.  The
+oracle itself is checked against brute force on every 4-vertex digraph
+by ``test_exhaustive_small_graphs.py``.
 """
 
 from __future__ import annotations
@@ -16,70 +18,15 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import brute_force_paths
 from oracle import (CONFIGS, ENGINE_ROWS, ENUMERATORS, FIXED_GRAPHS,
                     SERVICE_GRAPHS, SERVICE_ROWS, STATIC_SCHEDULERS,
                     REFERENCE_ROW, assert_answer, batch_for, engine_bytes,
                     engine_input, executor_view, fixed_case, graph_queries,
                     oracle_paths, pe_answer, row_id, run_engine, seeded,
                     serve, service_answer)
-from repro.baselines import BCDFS, HPIndex, Join, NaiveDFS, Yens
-from repro.fpga.device import DeviceConfig
-from repro.graph.csr import CSRGraph
 from repro.host.query import Query
-from repro.host.system import PEFPEnumerator
 
 FIXED = tuple(FIXED_GRAPHS)
-
-# ---------------------------------------------------------------------------
-# The oracle and the enumerators on every 4-vertex digraph
-# ---------------------------------------------------------------------------
-
-N = 4
-ALL_PAIRS = [(u, v) for u in range(N) for v in range(N) if u != v]
-MASK_QUERY = Query(0, 3, 3)
-#: every 64th mask plus the dense and patterned ones.
-INTERESTING_MASKS = sorted(set(range(0, 1 << len(ALL_PAIRS), 64)) | {
-    (1 << len(ALL_PAIRS)) - 1, 0b111111111111 ^ 0b1, 0xAAA, 0x555, 0xF0F})
-
-
-def graph_from_mask(mask: int) -> CSRGraph:
-    edges = [pair for i, pair in enumerate(ALL_PAIRS) if mask >> i & 1]
-    return CSRGraph.from_edges(N, edges)
-
-
-def test_oracle_bcdfs_and_join_on_every_4_vertex_digraph():
-    """All 4096 digraphs on 4 vertices: the oracle equals an independent
-    recursive search, and BC-DFS and JOIN equal the oracle."""
-    enumerators = (NaiveDFS(), BCDFS(), Join())
-    nonempty = 0
-    for mask in range(1 << len(ALL_PAIRS)):
-        g = graph_from_mask(mask)
-        expected = brute_force_paths(g, 0, 3, 3)
-        for enumerator in enumerators:
-            got = enumerator.enumerate_paths(g, MASK_QUERY).path_set()
-            assert got == expected, (enumerator.name, hex(mask))
-        nonempty += bool(expected)
-    assert nonempty > 1000
-
-
-@pytest.mark.parametrize("num_pes", (1, 2, 4, 8))
-@pytest.mark.parametrize("partition", ("range", "hash"))
-def test_device_stack_on_interesting_4_vertex_digraphs(num_pes, partition):
-    """PEFP at every PE count and partition, HP-Index and Yen's on the
-    interesting masks; N up to 8 on four vertices leaves most PEs with
-    one vertex or none."""
-    engines = [PEFPEnumerator(device_config=DeviceConfig(
-        num_pes=num_pes, pe_partition=partition))]
-    if num_pes == 1 and partition == "range":
-        engines += [HPIndex(hot_fraction=0.5), Yens()]
-    for mask in INTERESTING_MASKS:
-        g = graph_from_mask(mask)
-        expected = oracle_paths(g, MASK_QUERY)
-        for engine in engines:
-            got = engine.enumerate_paths(g, MASK_QUERY).path_set()
-            assert got == expected, (engine.name, hex(mask))
-
 
 # ---------------------------------------------------------------------------
 # The engine space

@@ -1,18 +1,15 @@
-"""Property-based tests (hypothesis) on core invariants.
-
-That every enumerator and every engine configuration returns the oracle's
-path set is checked once, by the oracle harness (``tests/oracle.py``).
-"""
+"""Property-based tests (hypothesis) on core invariants."""
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import brute_force_paths
-from repro.baselines import NaiveDFS
+from repro.baselines import BCDFS, Join, NaiveDFS
 from repro.core.batching import batch_dfs, fifo_batch
 from repro.core.paths import BufferArea, PathRecord
 from repro.fpga.pipeline import PipelineModel
 from repro.graph.csr import CSRGraph
 from repro.host.query import Query
+from repro.host.system import PEFPEnumerator
 from repro.preprocess.prebfs import pre_bfs
 from repro.preprocess.bfs import k_hop_bfs
 
@@ -51,6 +48,37 @@ def graph_with_query(draw):
 # ----------------------------------------------------------------------
 # enumeration invariants
 # ----------------------------------------------------------------------
+@settings(max_examples=60, deadline=None)
+@given(graph_with_query())
+def test_enumerators_match_brute_force(gq):
+    g, q = gq
+    expected = brute_force_paths(g, q.source, q.target, q.max_hops)
+    assert NaiveDFS().enumerate_paths(g, q).path_set() == expected
+    assert BCDFS().enumerate_paths(g, q).path_set() == expected
+    assert Join().enumerate_paths(g, q).path_set() == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph_with_query())
+def test_yens_and_hpindex_match_brute_force(gq):
+    """The two structurally trickiest baselines under hypothesis."""
+    from repro.baselines import HPIndex, Yens
+
+    g, q = gq
+    expected = brute_force_paths(g, q.source, q.target, q.max_hops)
+    assert Yens().enumerate_paths(g, q).path_set() == expected
+    hp = HPIndex(hot_fraction=0.25, min_hot=1)
+    assert hp.enumerate_paths(g, q).path_set() == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph_with_query())
+def test_pefp_matches_brute_force(gq):
+    g, q = gq
+    expected = brute_force_paths(g, q.source, q.target, q.max_hops)
+    assert PEFPEnumerator().enumerate_paths(g, q).path_set() == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(graph_with_query())
 def test_results_are_simple_and_bounded(gq):
@@ -98,6 +126,39 @@ def test_prebfs_barrier_is_lower_bound(gq):
     for v in range(prep.subgraph.num_vertices):
         if true_dist[v] >= 0:
             assert prep.barrier[v] <= true_dist[v]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    graph_with_query(),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.booleans(),
+)
+def test_pefp_answers_invariant_under_area_sizes(gq, theta, cap_extra,
+                                                 use_batch_dfs, use_cache):
+    """The hardware layout (batch sizes, buffer capacity, batching order,
+    cache placement) must never change the answer — only the cycles."""
+    from repro.core.config import PEFPConfig
+    from repro.core.engine import PEFPEngine
+    from repro.preprocess.bfs import distances_with_default
+
+    g, q = gq
+    expected = brute_force_paths(g, q.source, q.target, q.max_hops)
+    cfg = PEFPConfig(
+        theta1=theta,
+        theta2=theta,
+        buffer_capacity_paths=theta + cap_extra,
+        graph_cache_words=8,
+        barrier_cache_words=4,
+        use_batch_dfs=use_batch_dfs,
+        use_cache=use_cache,
+    )
+    sd_t = k_hop_bfs(g.reverse(), q.target, q.max_hops)
+    barrier = distances_with_default(sd_t, q.max_hops + 1)
+    run = PEFPEngine(cfg).run(g, q.source, q.target, q.max_hops, barrier)
+    assert frozenset(run.paths) == expected
 
 
 # ----------------------------------------------------------------------
