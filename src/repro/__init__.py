@@ -37,7 +37,7 @@ from repro.host import (
     Query,
     QueryResult,
 )
-from repro.host.system import PEFPEnumerator, SystemReport
+from repro.host.system import PEFPEnumerator, ServedAnswer, SystemReport
 from repro.core import (
     PEFPConfig,
     PEFPEngine,
@@ -84,6 +84,7 @@ __all__ = [
     "CpuCostModel",
     "PathEnumerationSystem",
     "SystemReport",
+    "ServedAnswer",
     "PEFPEnumerator",
     # core / fpga
     "PEFPConfig",

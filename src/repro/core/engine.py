@@ -198,6 +198,27 @@ class PEFPEngine:
         self.config = config or PEFPConfig()
         self.device_config = device_config or DeviceConfig()
         self.pipeline = pipeline or PipelineModel()
+        self._timing_tables: tuple[list[int], list[int]] | None = None
+
+    def timing_tables(self) -> tuple[list[int], list[int]]:
+        """``(ceil_tab, verify_tab)``, built on the first run and kept.
+
+        ``ceil_tab[n]`` is the BRAM wide-access cycles of ``n`` words and
+        ``verify_tab[n]`` the verification-pipeline latency of an
+        ``n``-item batch (indices 0..Θ2).  Both depend only on the
+        engine's frozen configs and pipeline, never on the graph or the
+        query, so every run of the engine reads one copy.
+        """
+        if self._timing_tables is None:
+            pw = self.device_config.bram_port_words
+            verifier = VerificationModule(self.pipeline,
+                                          self.config.use_data_separation)
+            span = range(self.config.theta2 + 1)
+            self._timing_tables = (
+                [-(-n // pw) for n in span],
+                [verifier.batch_cycles(n) for n in span],
+            )
+        return self._timing_tables
 
     def run(
         self,
@@ -340,21 +361,14 @@ class _RunTables:
         self.use_dfs = cfg.use_batch_dfs
         self.buffer_in_bram = cfg.use_cache
         self.theta1 = cfg.theta1
-        self.theta2 = theta2 = cfg.theta2
+        self.theta2 = cfg.theta2
         self.overhead = cfg.batch_overhead_cycles
         self.channels = dcfg.dram_channels
         self.pw = pw = dcfg.bram_port_words
         self.rl = dcfg.dram_read_latency
         self.wl = dcfg.dram_write_latency
         self.ceil_rec = -(-rec_w // pw)
-        #: BRAM wide-access cycles per word count (indices 0..Θ2).
-        self.ceil_tab = [-(-n // pw) for n in range(theta2 + 1)]
-        self.ceil_tab[0] = 0
-        #: verification-pipeline latency per batch size (indices 0..Θ2).
-        verifier = VerificationModule(engine.pipeline,
-                                      cfg.use_data_separation)
-        self.verify_tab = [verifier.batch_cycles(n)
-                           for n in range(theta2 + 1)]
+        self.ceil_tab, self.verify_tab = engine.timing_tables()
         num_vertices = graph.num_vertices
         self.indices = indices = graph.indices
         self.iptr = graph.indptr.tolist()

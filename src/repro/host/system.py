@@ -30,8 +30,14 @@ from repro.preprocess.prebfs import pre_bfs
 
 
 @dataclass
-class SystemReport:
-    """End-to-end outcome of one query on the CPU-FPGA system."""
+class ServedAnswer:
+    """One query's answer and its modelled costs, without the device.
+
+    What the batch service returns on every executor: the result paths
+    and the counters PEFP's host reads back over PCIe (Section VII-A).
+    The simulated :class:`~repro.fpga.device.Device` the kernel ran on
+    stays behind, so a worker process ships only this record.
+    """
 
     query: Query
     paths: list[tuple[int, ...]]
@@ -45,13 +51,13 @@ class SystemReport:
     #: PCIe time to return the result paths to the host (the paper folds
     #: this into the ignored transfer cost; reported for completeness).
     result_transfer_seconds: float = 0.0
-    #: the simulated device the kernel ran on (for utilization reports).
-    device: object | None = None
     #: ``True`` when a :class:`~repro.core.config.QueryBudget` stopped the
     #: kernel early — ``paths`` is an exact subset of the full answer.
     truncated: bool = False
     #: per-batch device cycle breakdown (``execute(..., profile=True)``).
     profile: DeviceProfile | None = None
+    #: ``True`` when Pre-BFS proved the answer empty and no kernel ran.
+    empty: bool = False
 
     @property
     def num_paths(self) -> int:
@@ -61,6 +67,21 @@ class SystemReport:
     def total_seconds(self) -> float:
         """T = T1 + T2 (the paper excludes the amortised PCIe transfer)."""
         return self.preprocess_seconds + self.query_seconds
+
+
+@dataclass
+class SystemReport(ServedAnswer):
+    """End-to-end outcome of one query on the CPU-FPGA system."""
+
+    #: the simulated device the kernel ran on (for utilization reports);
+    #: ``None`` when the query short-circuited as empty.
+    device: object | None = None
+
+    def answer(self) -> ServedAnswer:
+        """This report as a :class:`ServedAnswer`: the device dropped."""
+        fields = dict(self.__dict__)
+        del fields["device"]
+        return ServedAnswer(**fields)
 
 
 @dataclass
@@ -144,8 +165,9 @@ class PathEnumerationSystem:
         """Answer one query end to end.
 
         A query Pre-BFS proves empty (no vertex can lie on an s-t k-path)
-        short-circuits: the zero-path report carries the preprocessing
-        cost ``T1`` but no device is allocated and nothing is shipped.
+        short-circuits: the zero-path report sets ``empty`` and carries
+        the preprocessing cost ``T1``, but no device is allocated and
+        nothing is shipped.
 
         ``budget`` bounds the kernel run (result count and/or device
         cycles); a budgeted report sets ``truncated`` when the answer may
@@ -206,6 +228,7 @@ class PathEnumerationSystem:
                     fpga_cycles=0,
                     engine_stats=EngineStats(),
                     preprocess_ops=pre_ops,
+                    empty=True,
                 )
             if self.use_prebfs:
                 run_graph = prep.subgraph

@@ -668,7 +668,7 @@ def _waterfall_from_system_report(r, engine: str, position: int,
         dma_from_device_seconds=r.result_transfer_seconds,
         paths=r.num_paths,
         truncated=r.truncated,
-        empty=r.device is None,
+        empty=r.empty,
         detailed=detailed,
     )
 

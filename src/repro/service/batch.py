@@ -18,7 +18,7 @@ Dispatch is one loop over one kind of work:
   unserved and either deals it over the survivors (static schedulers) or
   seeds a fresh steal queue (work stealing);
 - :func:`serve_source` is the per-engine loop every executor runs: serve
-  each member through :class:`EngineServer`, hand the report back,
+  each member through :class:`EngineServer`, hand the answer back,
   observe it, and return the unserved remainder on
   :class:`~repro.errors.EngineFailure`.
 
@@ -86,7 +86,7 @@ from repro.fpga.profile import DeviceProfile, aggregate_profiles
 from repro.graph.csr import CSRGraph
 from repro.host.cost_model import CpuCostModel, OpCounter
 from repro.host.query import Query
-from repro.host.system import PathEnumerationSystem, SystemReport
+from repro.host.system import PathEnumerationSystem, ServedAnswer
 from repro.observability.tracer import NULL_TRACER
 from repro.service.cache import CACHE_STAT_KEYS, GraphArtifactCache
 from repro.service.metrics import (
@@ -188,7 +188,8 @@ class EngineServer:
         self.last_result_hit = False
 
     def serve(self, query: Query, tracer=None):
-        """Answer one query; returns ``(report, degraded)``.
+        """Answer one query; returns ``(answer, degraded)``, the answer a
+        :class:`~repro.host.system.ServedAnswer` on every executor.
 
         Propagates :class:`~repro.errors.EngineFailure` — requeueing is
         the dispatcher's job, not the engine's.
@@ -211,7 +212,7 @@ class EngineServer:
             budget=None if q_budget.unlimited else q_budget,
             tracer=tracer,
             profile=self.profile,
-        )
+        ).answer()
         self.host_busy += report.preprocess_seconds
         self.device_busy += report.query_seconds
         return report, degraded
@@ -239,7 +240,7 @@ class EngineServer:
                 budget=None if q_budget.unlimited else q_budget,
                 tracer=tracer,
                 profile=self.profile,
-            )
+            ).answer()
 
         cached, hit = self.system.artifact_cache.result(
             self.system.graph, query, (q_budget, self.profile),
@@ -261,7 +262,7 @@ class EngineServer:
         return report
 
 
-def observe_report(metrics: MetricsRegistry, report: SystemReport,
+def observe_report(metrics: MetricsRegistry, report: ServedAnswer,
                    engine_idx: int, degraded: bool = False,
                    timeline: MetricsTimeline | None = None,
                    t_end: float | None = None) -> None:
@@ -292,7 +293,7 @@ def observe_report(metrics: MetricsRegistry, report: SystemReport,
         ("preprocess_seconds", report.preprocess_seconds),
         ("query_seconds", report.query_seconds),
     ]
-    if report.device is None:
+    if report.empty:
         counts.append(("empty_queries", 1))
     if report.truncated:
         counts.append(("truncated_queries", 1))
@@ -498,7 +499,7 @@ def dispatch(queries: list[Query], sharing: bool, scheduler: str,
 class ServiceBatchReport:
     """Everything one batch produced: answers, timings, observability."""
 
-    reports: list[SystemReport]
+    reports: list[ServedAnswer]
     assignment: Assignment
     scheduler: str
     batch_transfer_seconds: float
@@ -841,7 +842,7 @@ class BatchQueryService:
         full lifecycle as spans — each engine worker's queries on its own
         ``engine{i}`` track, PCIe transfers on a ``pcie`` track.
         ``profile=True`` collects a per-batch device cycle breakdown for
-        every kernel run (attached to each :class:`SystemReport` and fed
+        every kernel run (attached to each :class:`ServedAnswer` and fed
         into the registry's device series).  Both default off and cost
         nothing when off.
 

@@ -16,20 +16,24 @@ the same per-engine loop, :func:`repro.service.batch.serve_source`:
 - **work streams per round** — a static round ships each worker its task
   list; a stealing round feeds one shared task queue that idle workers
   pull groups from, closed by one sentinel per participant;
-- **everything marshals back** — answers (full
-  :class:`~repro.host.system.SystemReport` objects, device profiles
-  included) stream per query; per-round worker metrics registries, trace
-  span records, busy times and cache stats ride on a final ``round_done``
-  message and are merged on the coordinator in (round, worker) order.
+- **one message per worker round** — a worker's answers
+  (:class:`~repro.host.system.ServedAnswer` records: paths and modelled
+  counters, no simulated device) ride on its single ``round_done``
+  message, together with the round's metrics registry, trace span
+  records, busy times and cache stats; the coordinator folds them in
+  (round, worker) order.  Result-cache duplicates share one ``paths``
+  list, which the pickle memo sends once per message.
 
 A worker whose engine raises :class:`~repro.errors.EngineFailure`
 reports its unserved queries and is retired for the batch (the process
 stays up for the next batch — a :class:`~repro.service.batch.FlakyEngine`
 keeps its run count across batches, exactly like the thread backend's
 engines).  A worker *process* that dies outright is detected by liveness
-polling and permanently removed from the pool.  Either way the
-coordinator loop requeues what was left unserved onto the survivors by
-the one requeue rule.
+polling and permanently removed from the pool.  An index counts as
+served only once a ``round_done`` carrying it arrives, so a worker that
+dies mid-round loses its whole round.  Either way the coordinator loop
+requeues what was left unserved onto the survivors by the one requeue
+rule.
 """
 
 from __future__ import annotations
@@ -57,9 +61,6 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
     from repro.host.system import PathEnumerationSystem
     from repro.observability.tracer import Tracer
     from repro.service.batch import EngineServer, FlakyEngine, serve_source
-
-    def deliver(w, idx, report):
-        result_queue.put(("result", w, idx, report))
 
     try:
         graph = spec["graph"]
@@ -115,9 +116,13 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
                     functools.partial(_steal, task_queue, cmd_queue), None
                 )
             stats_before = cache.stats()
-            unserved = serve_source(server, worker_idx, source, tracer,
-                                    metrics, timeline, deliver)
+            answers = []
+            unserved = serve_source(
+                server, worker_idx, source, tracer, metrics, timeline,
+                lambda _w, idx, answer: answers.append((idx, answer)),
+            )
             result_queue.put(("round_done", worker_idx, {
+                "answers": answers,
                 "failed": bool(unserved),
                 "unserved": unserved,
                 "host_busy": server.host_busy,
@@ -307,7 +312,8 @@ class ProcessEnginePool:
 
         Returns ``(unserved indices, engines lost)``: a worker is lost to
         an ``EngineFailure`` (it reports its unserved remainder) or to
-        process death (whatever it had not streamed back is unserved).
+        process death (its whole round is unserved: its answers ride on
+        the ``round_done`` that never came).
         """
         if steal:
             for group in work:
@@ -321,28 +327,22 @@ class ProcessEnginePool:
                 else ("serve", [(i, queries[i]) for i in work[w]])
             )
         pending = set(engines)
-        served: set[int] = set()
         crashed: set[int] = set()
         done_payloads: list[tuple[int, dict]] = []
         aborted = False
         while pending:
             try:
-                msg = self._results.get(timeout=POLL_INTERVAL)
+                tag, w, payload = self._results.get(timeout=POLL_INTERVAL)
             except queue_mod.Empty:
                 dead = {w for w in pending if not self._procs[w].is_alive()}
                 pending -= dead
                 crashed |= dead
             else:
-                tag, w = msg[0], msg[1]
-                if tag == "result":
-                    outcome.deliver(*msg[1:])
-                    served.add(msg[2])
-                elif tag == "round_done":
-                    pending.discard(w)
-                    done_payloads.append((w, msg[2]))
-                elif tag == "fatal":
-                    self._fatal_tracebacks[w] = msg[2]
-                    pending.discard(w)
+                pending.discard(w)
+                if tag == "round_done":
+                    done_payloads.append((w, payload))
+                else:  # "fatal": the payload is the worker's traceback
+                    self._fatal_tracebacks[w] = payload
                     crashed.add(w)
             if crashed and steal and not aborted:
                 # The dead worker's stolen group is lost mid-queue: stop
@@ -354,8 +354,12 @@ class ProcessEnginePool:
         # Fold worker payloads in worker order, so metric-merge and trace
         # order are deterministic regardless of message interleaving.
         unserved: list[int] = []
+        served: set[int] = set()
         lost = set(crashed)
         for w, payload in sorted(done_payloads, key=lambda t: t[0]):
+            for idx, answer in payload["answers"]:
+                outcome.deliver(w, idx, answer)
+                served.add(idx)
             outcome.host_busy[w] = payload["host_busy"]
             outcome.device_busy[w] = payload["device_busy"]
             outcome.metric_registries.append(payload["metrics"])
@@ -374,10 +378,7 @@ class ProcessEnginePool:
                 unserved = [i for group in work for i in group
                             if i not in served]
         else:
-            # A crashed worker streamed some answers before dying; what
-            # it was assigned but never streamed must be requeued.
-            unserved.extend(i for w in crashed for i in work[w]
-                            if i not in served)
+            unserved.extend(i for w in crashed for i in work[w])
         return unserved, sorted(lost)
 
     def _drain_tasks(self) -> None:

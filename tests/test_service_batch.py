@@ -6,7 +6,7 @@ from repro.errors import ConfigError
 from repro.graph import generators as G
 from repro.graph.csr import CSRGraph
 from repro.host.query import Query
-from repro.host.system import PathEnumerationSystem
+from repro.host.system import PathEnumerationSystem, ServedAnswer
 from repro.service import BatchQueryService
 from repro.workloads.queries import generate_queries
 from repro.workloads.runner import aggregate, time_service
@@ -170,12 +170,22 @@ class TestMetrics:
         assert "engine 1" in text
 
     def test_empty_query_short_circuits_in_service(self):
+        """Pre-BFS-empty queries are flagged alike by the answer, the
+        metrics and the attribution, on every executor."""
         graph = CSRGraph.from_edges(4, [(0, 1), (2, 3)])
-        service = BatchQueryService(graph, num_engines=2)
-        batch = service.run([Query(0, 3, 5), Query(0, 3, 5)])
-        assert batch.total_paths == 0
-        assert service.metrics.counter("empty_queries") == 2
-        assert all(r.device is None for r in batch.reports)
+        queries = [Query(0, 3, 5), Query(0, 1, 5), Query(0, 3, 5)]
+        for executor in ({"use_threads": False}, {"backend": "thread"},
+                         {"backend": "process"}):
+            with BatchQueryService(graph, num_engines=2,
+                                   **executor) as service:
+                batch = service.run(queries, profile=True)
+            assert batch.total_paths == 1
+            assert service.metrics.counter("empty_queries") == 2
+            assert [r.empty for r in batch.reports] == [True, False, True]
+            assert all(type(r) is ServedAnswer for r in batch.reports)
+            flags = sorted((wf.target, wf.empty)
+                           for wf in batch.attribution().waterfalls)
+            assert flags == [(1, False), (3, True), (3, True)]
 
     def test_empty_batch(self, graph):
         batch = BatchQueryService(graph, num_engines=2).run([])
