@@ -191,8 +191,10 @@ class EngineServer:
         """Answer one query; returns ``(answer, degraded)``, the answer a
         :class:`~repro.host.system.ServedAnswer` on every executor.
 
-        Propagates :class:`~repro.errors.EngineFailure` — requeueing is
-        the dispatcher's job, not the engine's.
+        With ``share`` set the answer goes through the artifact cache's
+        result memo, so duplicate queries run exactly once.  Propagates
+        :class:`~repro.errors.EngineFailure` — requeueing is the
+        dispatcher's job, not the engine's.
         """
         self.last_result_hit = False
         q_budget = self.budget
@@ -205,34 +207,6 @@ class EngineServer:
             q_budget = q_budget.tightened(
                 max_cycles=self.degraded_cycle_budget
             )
-        if self.share:
-            return self._serve_shared(query, q_budget, tracer), degraded
-        report = self.system.execute(
-            query,
-            budget=None if q_budget.unlimited else q_budget,
-            tracer=tracer,
-            profile=self.profile,
-        ).answer()
-        self.host_busy += report.preprocess_seconds
-        self.device_busy += report.query_seconds
-        return report, degraded
-
-    def _serve_shared(self, query: Query, q_budget: QueryBudget, tracer):
-        """Answer through the result cache: duplicates run exactly once.
-
-        The cache key includes the budget and profile flag — a truncated
-        answer is only valid under the budget that produced it, so
-        degraded duplicates never alias full-budget ones.
-
-        On a hit the cached report is re-labelled for this query with
-        ``T1`` set to the one ``set_lookup`` memo probe — exactly what a
-        naive rerun's Pre-BFS memo hit would have charged, so the
-        per-report modelled numbers of an exact duplicate are identical
-        to independent execution.  What sharing saves is *engine* time:
-        the device work is not redone, so ``device_busy`` (and the batch
-        makespan with it) drops.
-        """
-        probe_ops = OpCounter()
 
         def build():
             return self.system.execute(
@@ -242,24 +216,38 @@ class EngineServer:
                 profile=self.profile,
             ).answer()
 
-        cached, hit = self.system.artifact_cache.result(
-            self.system.graph, query, (q_budget, self.profile),
-            build, counter=probe_ops, tracer=tracer,
-        )
-        self.last_result_hit = hit
+        if not self.share:
+            answer, hit = build(), False
+        else:
+            # Through the result cache, duplicates run exactly once.  The
+            # key includes the budget and profile flag — a truncated
+            # answer is only valid under the budget that produced it, so
+            # degraded duplicates never alias full-budget ones.
+            probe_ops = OpCounter()
+            answer, hit = self.system.artifact_cache.result(
+                self.system.graph, query, (q_budget, self.profile),
+                build, counter=probe_ops, tracer=tracer,
+            )
+            self.last_result_hit = hit
         if not hit:
-            self.host_busy += cached.preprocess_seconds
-            self.device_busy += cached.query_seconds
-            return cached
+            self.host_busy += answer.preprocess_seconds
+            self.device_busy += answer.query_seconds
+            return answer, degraded
+        # A hit is re-labelled for this query with ``T1`` set to the one
+        # ``set_lookup`` memo probe — exactly what a naive rerun's Pre-BFS
+        # memo hit would have charged, so the per-answer modelled numbers
+        # of an exact duplicate are identical to independent execution.
+        # What sharing saves is *engine* time: the device work is not
+        # redone, so ``device_busy`` (and the batch makespan with it)
+        # drops.
         probe_seconds = self.system.cost_model.seconds(probe_ops)
-        report = replace(
-            cached,
+        self.host_busy += probe_seconds
+        return replace(
+            answer,
             query=query,
             preprocess_seconds=probe_seconds,
             preprocess_ops=probe_ops,
-        )
-        self.host_busy += probe_seconds
-        return report
+        ), degraded
 
 
 def observe_report(metrics: MetricsRegistry, report: ServedAnswer,
@@ -435,7 +423,6 @@ class BatchOutcome:
 
 def dispatch(queries: list[Query], sharing: bool, scheduler: str,
              num_engines: int, run_round, graph: CSRGraph | None = None,
-             cache: GraphArtifactCache | None = None,
              retired=()) -> BatchOutcome:
     """The coordinator loop every backend runs; returns the outcome.
 
@@ -457,12 +444,12 @@ def dispatch(queries: list[Query], sharing: bool, scheduler: str,
     groups = query_groups(queries, sharing)
     steal = scheduler == WORK_STEALING
     if steal:
-        order = steal_order(queries, graph=graph, cache=cache, groups=groups)
+        order = steal_order(queries, graph=graph, groups=groups)
         work = [groups[g] for g in order]
         outcome.assignment = outcome.served_by
     else:
         work = outcome.assignment = SCHEDULERS[scheduler](
-            queries, num_engines, graph=graph, cache=cache, groups=groups,
+            queries, num_engines, graph=graph, groups=groups,
         )
     failed = set(retired)
     while True:
@@ -1073,8 +1060,7 @@ class BatchQueryService:
                     [e for e, rest in zip(engines, rests) if rest])
 
         outcome = dispatch(queries, self.sharing, self.scheduler,
-                           self.num_engines, run_round, graph=self.graph,
-                           cache=self.cache)
+                           self.num_engines, run_round, graph=self.graph)
         outcome.host_busy = [s.host_busy for s in servers]
         outcome.device_busy = [s.device_busy for s in servers]
         return outcome
@@ -1102,7 +1088,6 @@ class BatchQueryService:
             queries,
             scheduler=self.scheduler,
             graph=self.graph,
-            cache=self.cache,
             budget=effective,
             batch_deadline_s=batch_deadline_s,
             degraded_cycle_budget=degraded_cycle_budget,

@@ -24,9 +24,10 @@ Both follow the Pre-BFS memo's charging convention: a hit charges one
 The cache is keyed by graph *identity*: artifacts are only valid for the
 exact immutable :class:`CSRGraph` instance they were derived from, and
 keying by ``id()`` (with a pinning reference) avoids hashing the arrays.
-All methods are thread-safe, and lookups are *single-flight*: when two
-engine workers request the same missing artifact concurrently, one builds
-it while the other waits and then reads the cached copy — an artifact is
+All four memos run one protocol (:meth:`GraphArtifactCache._memo`): every
+method is thread-safe, and lookups are *single-flight* — when two engine
+workers request the same missing artifact concurrently, one builds it
+while the other waits and then reads the cached copy, so an artifact is
 never computed twice.  A builder that *raises* releases its latch without
 recording a miss (only ``build_failures`` ticks); the waiters re-probe,
 one re-claims, and the eventual successful build counts the single miss.
@@ -57,13 +58,22 @@ CACHE_STAT_KEYS = (
     "build_failures",
 )
 
+#: memo name -> the attribute bounding its size (``None``: unbounded).
+_BOUNDS = {"reverse": None, "prebfs": "max_prebfs_entries",
+           "forward": "max_forward_entries", "result": "max_result_entries"}
+#: memo name -> (hits counter, misses counter, bound, span name), named
+#: once here so the hit path formats no strings.
+_MEMOS = {name: (f"{name}_hits", f"{name}_misses", bound, f"{name}_cache")
+          for name, bound in _BOUNDS.items()}
+
 
 class GraphArtifactCache:
     """Reverse-CSR, Pre-BFS, forward-frontier and result cache of a service.
 
     ``max_prebfs_entries`` / ``max_forward_entries`` / ``max_result_entries``
-    bound the per-query memos (FIFO eviction); the per-graph reverse
-    entries are unbounded — a service holds O(1) resident graphs.
+    bound the per-query memos (least-recently-used eviction: a hit
+    refreshes its entry); the per-graph reverse entries are unbounded — a
+    service holds O(1) resident graphs.
 
     ``share_forward=True`` routes :meth:`pre_bfs` misses through the
     forward-frontier memo so same-source queries share their forward BFS.
@@ -78,22 +88,12 @@ class GraphArtifactCache:
                  max_result_entries: int = 4096,
                  share_forward: bool = False) -> None:
         self._lock = threading.Lock()
-        #: id(graph) -> (graph pin, reverse graph)
-        self._reverse: dict[int, tuple[CSRGraph, CSRGraph]] = {}
-        #: (id(graph), s, t, k) -> (graph pin, PreBFSResult)
-        self._prebfs: OrderedDict[
-            tuple[int, int, int, int], tuple[CSRGraph, PreBFSResult]
-        ] = OrderedDict()
-        #: ("fwd", id(graph), s, hops) -> (graph pin, (vertices, distances))
-        self._forward: OrderedDict[
-            tuple, tuple[CSRGraph, tuple[np.ndarray, np.ndarray]]
-        ] = OrderedDict()
-        #: ("res", id(graph), s, t, k, budget key) -> (graph pin, result)
-        self._results: OrderedDict[tuple, tuple[CSRGraph, object]] = (
-            OrderedDict()
-        )
-        #: single-flight latches for artifacts currently being built.
-        self._inflight: dict[object, threading.Event] = {}
+        #: memo name -> key -> (graph pin, artifact), in recency order;
+        #: a key is id(graph) (reverse) or a tuple that starts with it.
+        self._tables = {name: OrderedDict() for name in _MEMOS}
+        #: single-flight latches for artifacts currently being built,
+        #: keyed by (memo name, key).
+        self._inflight: dict[tuple, threading.Event] = {}
         #: bumped by :meth:`clear`; builds claimed under an older
         #: generation discard their insert (see :meth:`clear`).
         self._generation = 0
@@ -113,40 +113,67 @@ class GraphArtifactCache:
         #: for them; the retry that succeeds counts the one miss).
         self.build_failures = 0
 
-    def _claim(self, flight_key, lookup, on_hit):
-        """Return a cached value or claim the build of a missing one.
+    def _memo(self, name: str, key, graph: CSRGraph, build,
+              counter: OpCounter | None, hit_op: str,
+              tracer) -> tuple[object, bool]:
+        """The single-flight memo protocol; returns ``(value, hit)``.
 
-        Returns ``(value, None, gen)`` on a hit or ``(None, event, gen)``
-        when this caller won the single-flight claim and must build the
-        artifact, then release the latch via :meth:`_release`.  Other
-        concurrent callers block until the builder finishes and then read
-        the cache.  ``lookup``/``on_hit`` run under the cache lock.
-        ``gen`` is the cache generation at claim time: a builder must
-        only insert while the generation is unchanged (:meth:`clear`
-        bumps it), though the built value is still returned to its
-        caller and counted as a miss either way.
+        A hit refreshes the entry's recency, ticks ``<name>_hits`` and
+        charges one ``hit_op`` to ``counter``.  A miss claims the build
+        latch of ``(name, key)`` — concurrent callers of the same key block
+        on it, then re-probe — and runs ``build()``, whose own charges are
+        the miss's cost.  The value is inserted only while the cache
+        generation is unchanged since the claim (:meth:`clear` bumps it),
+        evicting the least recently used entries beyond the memo's bound;
+        either way it is returned and ``<name>_misses`` ticks.  A raising
+        ``build`` ticks ``build_failures`` only and releases the latch.
+        ``tracer`` records the lookup as a ``<name>_cache`` span tagged
+        with whether it hit.
         """
+        start = time.perf_counter_ns() if tracer else 0
+        hits, misses, bound, span = _MEMOS[name]
+        table = self._tables[name]
         while True:
             with self._lock:
-                value = lookup()
-                if value is not None:
-                    on_hit()
-                    return value, None, self._generation
-                latch = self._inflight.get(flight_key)
+                entry = table.get(key)
+                if entry is not None:
+                    table.move_to_end(key)
+                    setattr(self, hits, getattr(self, hits) + 1)
+                    break
+                flight = (name, key)
+                latch = self._inflight.get(flight)
                 if latch is None:
-                    latch = threading.Event()
-                    self._inflight[flight_key] = latch
-                    return None, latch, self._generation
+                    latch = self._inflight[flight] = threading.Event()
+                    gen = self._generation
+                    break
             latch.wait()
-
-    def _release(self, flight_key, latch: threading.Event) -> None:
-        with self._lock:
-            self._inflight.pop(flight_key, None)
-        latch.set()
-
-    def _record_build_failure(self) -> None:
-        with self._lock:
-            self.build_failures += 1
+        if entry is not None:
+            if counter is not None:
+                counter.add(hit_op)
+            if tracer:
+                tracer.complete(span, start, hit=True)
+            return entry[1], True
+        try:
+            value = build()
+            with self._lock:
+                setattr(self, misses, getattr(self, misses) + 1)
+                if gen == self._generation:
+                    table[key] = (graph, value)
+                    if bound is not None:
+                        limit = getattr(self, bound)
+                        while len(table) > limit:
+                            table.popitem(last=False)
+        except BaseException:
+            with self._lock:
+                self.build_failures += 1
+            raise
+        finally:
+            with self._lock:
+                del self._inflight[flight]
+            latch.set()
+        if tracer:
+            tracer.complete(span, start, hit=False)
+        return value, False
 
     # -- reverse CSR ---------------------------------------------------
     def reverse(self, graph: CSRGraph,
@@ -155,53 +182,15 @@ class GraphArtifactCache:
         """``G_rev`` for ``graph``, built at most once per graph.
 
         On a miss the construction cost is charged to ``counter`` (see
-        :func:`repro.preprocess.bfs.charged_reverse`); hits are free.
-        ``tracer`` records the lookup as a ``reverse_cache`` span tagged
-        with whether it hit.
+        :func:`repro.preprocess.bfs.charged_reverse`); a hit charges only
+        the zero-cost ``rev_cache_hit`` marker.  ``tracer`` records the
+        lookup as a ``reverse_cache`` span tagged with whether it hit.
         """
-        key = id(graph)
-        start = time.perf_counter_ns() if tracer else 0
-
-        def lookup():
-            entry = self._reverse.get(key)
-            return None if entry is None else entry[1]
-
-        def on_hit():
-            self.reverse_hits += 1
-            if counter is not None:
-                counter.add("rev_cache_hit")
-
-        cached, latch, gen = self._claim(("rev", key), lookup, on_hit)
-        if latch is None:
-            if tracer:
-                tracer.complete("reverse_cache", start, hit=True)
-            return cached
-        try:
-            rev = charged_reverse(graph, counter)
-            with self._lock:
-                self.reverse_misses += 1
-                if gen == self._generation:
-                    self._reverse[key] = (graph, rev)
-        except BaseException:
-            self._record_build_failure()
-            raise
-        finally:
-            self._release(("rev", key), latch)
-        if tracer:
-            tracer.complete("reverse_cache", start, hit=False)
-        return rev
-
-    def peek_reverse(self, graph: CSRGraph) -> CSRGraph | None:
-        """The pinned reverse CSR, or ``None`` — never builds, never counts.
-
-        Scheduling work estimates read the reverse through this so that a
-        cold memo can never trigger an uncharged rebuild outside the
-        cache's hit/miss accounting: callers fall back to out-degree
-        proxies when it returns ``None``.
-        """
-        with self._lock:
-            entry = self._reverse.get(id(graph))
-            return None if entry is None else entry[1]
+        return self._memo(
+            "reverse", id(graph), graph,
+            lambda: charged_reverse(graph, counter),
+            counter, "rev_cache_hit", tracer,
+        )[0]
 
     def warm(self, graph: CSRGraph,
              counter: OpCounter | None = None,
@@ -227,7 +216,9 @@ class GraphArtifactCache:
         if not graph.has_cached_reverse:
             return
         with self._lock:
-            self._reverse.setdefault(id(graph), (graph, graph.reverse()))
+            self._tables["reverse"].setdefault(
+                id(graph), (graph, graph.reverse())
+            )
 
     # -- forward-frontier memo -----------------------------------------
     def forward_frontier(self, graph: CSRGraph, source: int, hops: int,
@@ -245,42 +236,11 @@ class GraphArtifactCache:
         costs what the search reached, not ``|V|``.  It is shared —
         callers must not mutate it.
         """
-        key = ("fwd", id(graph), source, hops)
-        start = time.perf_counter_ns() if tracer else 0
-
-        def lookup():
-            entry = self._forward.get(key)
-            if entry is None:
-                return None
-            self._forward.move_to_end(key)
-            return entry[1]
-
-        def on_hit():
-            self.forward_hits += 1
-            if counter is not None:
-                counter.add("set_lookup")
-
-        cached, latch, gen = self._claim(key, lookup, on_hit)
-        if latch is None:
-            if tracer:
-                tracer.complete("forward_cache", start, hit=True)
-            return cached
-        try:
-            reached = k_hop_bfs(graph, source, hops, counter, sparse=True)
-            with self._lock:
-                self.forward_misses += 1
-                if gen == self._generation:
-                    self._forward[key] = (graph, reached)
-                    while len(self._forward) > self.max_forward_entries:
-                        self._forward.popitem(last=False)
-        except BaseException:
-            self._record_build_failure()
-            raise
-        finally:
-            self._release(key, latch)
-        if tracer:
-            tracer.complete("forward_cache", start, hit=False)
-        return reached
+        return self._memo(
+            "forward", (id(graph), source, hops), graph,
+            lambda: k_hop_bfs(graph, source, hops, counter, sparse=True),
+            counter, "set_lookup", tracer,
+        )[0]
 
     # -- Pre-BFS memo --------------------------------------------------
     def pre_bfs(self, graph: CSRGraph, query: Query,
@@ -295,52 +255,23 @@ class GraphArtifactCache:
         ``tracer`` records the lookup as a ``prebfs_cache`` span tagged
         with whether it hit.
         """
-        key = (id(graph), query.source, query.target, query.max_hops)
-        start = time.perf_counter_ns() if tracer else 0
 
-        def lookup():
-            entry = self._prebfs.get(key)
-            if entry is None:
-                return None
-            self._prebfs.move_to_end(key)
-            return entry[1]
-
-        def on_hit():
-            self.prebfs_hits += 1
-            if counter is not None:
-                counter.add("set_lookup")
-
-        cached, latch, gen = self._claim(key, lookup, on_hit)
-        if latch is None:
-            if tracer:
-                tracer.complete("prebfs_cache", start, hit=True)
-            return cached
-        try:
+        def build():
             # Route the reverse lookup through the cache first so its
             # hit/miss tally reflects this query too.
             self.reverse(graph, counter, tracer=tracer)
+            sd_s = None
             if self.share_forward:
                 sd_s = self.forward_frontier(
                     graph, query.source, query.max_hops - 1, counter,
                     tracer=tracer,
                 )
-                prep = pre_bfs(graph, query, counter, sd_s=sd_s)
-            else:
-                prep = pre_bfs(graph, query, counter)
-            with self._lock:
-                self.prebfs_misses += 1
-                if gen == self._generation:
-                    self._prebfs[key] = (graph, prep)
-                    while len(self._prebfs) > self.max_prebfs_entries:
-                        self._prebfs.popitem(last=False)
-        except BaseException:
-            self._record_build_failure()
-            raise
-        finally:
-            self._release(key, latch)
-        if tracer:
-            tracer.complete("prebfs_cache", start, hit=False)
-        return prep
+            return pre_bfs(graph, query, counter, sd_s=sd_s)
+
+        return self._memo(
+            "prebfs", (id(graph), query.source, query.target, query.max_hops),
+            graph, build, counter, "set_lookup", tracer,
+        )[0]
 
     # -- result cache --------------------------------------------------
     def result(self, graph: CSRGraph, query: Query, budget_key,
@@ -361,52 +292,19 @@ class GraphArtifactCache:
         (see :meth:`repro.service.batch.EngineServer.serve`); a miss
         charges whatever ``build`` charges.
         """
-        key = ("res", id(graph), query.source, query.target,
-               query.max_hops, budget_key)
-        start = time.perf_counter_ns() if tracer else 0
-
-        def lookup():
-            entry = self._results.get(key)
-            if entry is None:
-                return None
-            self._results.move_to_end(key)
-            return entry[1]
-
-        def on_hit():
-            self.result_hits += 1
-            if counter is not None:
-                counter.add("set_lookup")
-
-        cached, latch, gen = self._claim(key, lookup, on_hit)
-        if latch is None:
-            if tracer:
-                tracer.complete("result_cache", start, hit=True)
-            return cached, True
-        try:
-            value = build()
-            with self._lock:
-                self.result_misses += 1
-                if gen == self._generation:
-                    self._results[key] = (graph, value)
-                    while len(self._results) > self.max_result_entries:
-                        self._results.popitem(last=False)
-        except BaseException:
-            self._record_build_failure()
-            raise
-        finally:
-            self._release(key, latch)
-        if tracer:
-            tracer.complete("result_cache", start, hit=False)
-        return value, False
+        key = (id(graph), query.source, query.target, query.max_hops,
+               budget_key)
+        return self._memo("result", key, graph, build, counter,
+                          "set_lookup", tracer)
 
     # -- introspection -------------------------------------------------
     def stats(self) -> dict[str, int]:
         """Hit/miss counters as a plain dict (for metrics snapshots)."""
         with self._lock:
             stats = {key: getattr(self, key) for key in CACHE_STAT_KEYS}
-            stats.update(prebfs_entries=len(self._prebfs),
-                         forward_entries=len(self._forward),
-                         result_entries=len(self._results))
+            for name, (_, _, bound, _) in _MEMOS.items():
+                if bound is not None:
+                    stats[f"{name}_entries"] = len(self._tables[name])
             return stats
 
     def clear(self) -> None:
@@ -424,7 +322,5 @@ class GraphArtifactCache:
         """
         with self._lock:
             self._generation += 1
-            self._reverse.clear()
-            self._prebfs.clear()
-            self._forward.clear()
-            self._results.clear()
+            for table in self._tables.values():
+                table.clear()

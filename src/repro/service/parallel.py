@@ -266,7 +266,7 @@ class ProcessEnginePool:
     # -- batch serving -------------------------------------------------
     def run_batch(self, queries, scheduler, graph, budget,
                   batch_deadline_s, degraded_cycle_budget, profile,
-                  trace, cache=None, window_seconds=None) -> BatchOutcome:
+                  trace, window_seconds=None) -> BatchOutcome:
         """Serve one batch over the worker pool; see the module docstring.
 
         ``window_seconds`` turns on windowed telemetry: each worker
@@ -297,7 +297,7 @@ class ProcessEnginePool:
             return dispatch(
                 queries, self.sharing, scheduler, self.num_engines,
                 functools.partial(self._round, queries), graph=graph,
-                cache=cache, retired=self._crashed,
+                retired=self._crashed,
             )
         except ServiceError as exc:
             if not self._fatal_tracebacks:

@@ -48,18 +48,16 @@ from repro.host.query import Query
 Assignment = list[list[int]]
 
 
-def _scheduling_reverse(graph: CSRGraph, cache=None) -> CSRGraph | None:
-    """The reverse CSR if it already exists, else ``None`` — never builds.
+def _scheduling_reverse(graph: CSRGraph) -> CSRGraph | None:
+    """The graph's own reverse CSR if it already exists, else ``None``.
 
     Work estimation is advisory, so it must not trigger an uncharged
     reverse-CSR construction outside the artifact cache's hit/miss
-    accounting.  A warmed service cache answers via ``peek_reverse``;
-    otherwise the graph's own memo is consulted (read-only).
+    accounting: it only reads the graph's memo, never builds it.  A
+    warmed service cache holds that same object (the reverse memo's
+    value is always ``graph.reverse()``), so warming is what makes true
+    in-degrees visible here.
     """
-    if cache is not None:
-        rev = cache.peek_reverse(graph)
-        if rev is not None:
-            return rev
     if graph.has_cached_reverse:
         return graph.reverse()
     return None
@@ -72,8 +70,8 @@ def estimate_query_work(graph: CSRGraph, query: Query,
     Grows with the hop budget (search depth) and the endpoint degrees
     (branching at the search frontier on ``G`` and ``G_rev``).
     ``reverse`` is the pre-resolved reverse CSR (resolve it once per
-    batch via the artifact cache, not once per query); when ``None`` the
-    in-degree of ``t`` is approximated by its out-degree.
+    batch with :func:`_scheduling_reverse`, not once per query); when
+    ``None`` the in-degree of ``t`` is approximated by its out-degree.
     """
     out_s = float(graph.out_degree(query.source))
     # in-degree of t == out-degree of t on the reverse graph.
@@ -115,8 +113,8 @@ def query_groups(queries: Sequence[Query], sharing: bool,
 
 
 def _group_weights(queries: Sequence[Query], groups: list[list[int]],
-                   graph: CSRGraph | None, weights: Sequence[float] | None,
-                   cache) -> list[float] | None:
+                   graph: CSRGraph | None,
+                   weights: Sequence[float] | None) -> list[float] | None:
     """Summed work estimate per group; ``None`` with no graph or weights.
 
     ``weights`` overrides the built-in per-query estimate (e.g. with
@@ -125,7 +123,7 @@ def _group_weights(queries: Sequence[Query], groups: list[list[int]],
     if weights is None:
         if graph is None:
             return None
-        reverse = _scheduling_reverse(graph, cache)
+        reverse = _scheduling_reverse(graph)
         weights = [estimate_query_work(graph, q, reverse) for q in queries]
     elif len(weights) != len(queries):
         raise ConfigError(
@@ -135,7 +133,7 @@ def _group_weights(queries: Sequence[Query], groups: list[list[int]],
 
 
 def round_robin(queries: Sequence[Query], num_engines: int,
-                graph: CSRGraph | None = None, cache=None,
+                graph: CSRGraph | None = None,
                 groups: list[list[int]] | None = None) -> Assignment:
     """Deal groups (default: one per query) to engines in arrival order."""
     if groups is None:
@@ -146,7 +144,6 @@ def round_robin(queries: Sequence[Query], num_engines: int,
 def longest_first(queries: Sequence[Query], num_engines: int,
                   graph: CSRGraph | None = None,
                   weights: Sequence[float] | None = None,
-                  cache=None,
                   groups: list[list[int]] | None = None) -> Assignment:
     """LPT: heaviest group first, always to the least-loaded engine.
 
@@ -159,7 +156,7 @@ def longest_first(queries: Sequence[Query], num_engines: int,
     _check(num_engines)
     if groups is None:
         groups = query_groups(queries, sharing=False)
-    group_weights = _group_weights(queries, groups, graph, weights, cache)
+    group_weights = _group_weights(queries, groups, graph, weights)
     if group_weights is None:
         raise ConfigError(
             "longest-first needs the graph (or explicit weights) "
@@ -179,7 +176,6 @@ def longest_first(queries: Sequence[Query], num_engines: int,
 def steal_order(queries: Sequence[Query],
                 graph: CSRGraph | None = None,
                 weights: Sequence[float] | None = None,
-                cache=None,
                 groups: list[list[int]] | None = None) -> list[int]:
     """Seed order of the shared work-stealing queue: heaviest group first.
 
@@ -193,7 +189,7 @@ def steal_order(queries: Sequence[Query],
     """
     if groups is None:
         groups = query_groups(queries, sharing=False)
-    group_weights = _group_weights(queries, groups, graph, weights, cache)
+    group_weights = _group_weights(queries, groups, graph, weights)
     if group_weights is None:
         return list(range(len(groups)))
     return sorted(range(len(groups)), key=lambda g: (-group_weights[g], g))

@@ -34,7 +34,7 @@ from repro.service.scheduler import (
 
 def _estimate_all(queries: Sequence[Query], graph: CSRGraph,
                   cache=None) -> list[float]:
-    reverse = _scheduling_reverse(graph, cache)
+    reverse = _scheduling_reverse(graph)
     return [estimate_query_work(graph, q, reverse) for q in queries]
 
 

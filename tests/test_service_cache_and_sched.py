@@ -456,13 +456,13 @@ class TestSchedulers:
         assert cold.rev_builds == 0
 
     def test_scheduling_uses_cache_reverse(self, graph):
-        """A warmed artifact cache supplies the reverse CSR via
-        peek_reverse, so the estimate sees true in-degrees without the
-        graph's own memo being populated."""
+        """Warming the artifact cache populates the graph's own reverse
+        memo, so the estimate sees true in-degrees without building
+        anything itself."""
         cache = GraphArtifactCache()
         cache.warm(graph)
         queries = [Query(0, 5, 3), Query(1, 6, 5)]
-        assignment = longest_first(queries, 2, graph=graph, cache=cache)
+        assignment = longest_first(queries, 2, graph=graph)
         flat = sorted(i for part in assignment for i in part)
         assert flat == [0, 1]
         assert cache.reverse_misses == 1  # only the warm
