@@ -169,7 +169,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         num_engines=args.engines,
         scheduler=args.scheduler,
         backend=args.backend,
-        use_threads=not args.no_threads,
         sharing=args.sharing,
         inject_failures=args.inject_failures,
         failure_seed=args.failure_seed,
@@ -494,16 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "work-stealing"))
     sv.add_argument("--backend", default="thread",
                     choices=("thread", "process"),
-                    help="engine dispatch: 'thread' (GIL-bound, default) "
-                         "or 'process' (one worker process per engine; "
-                         "real host-side parallelism, identical answers)")
+                    help="engine dispatch: 'thread' (in-process, engines "
+                         "in order on the calling thread; default) or "
+                         "'process' (one worker process per engine; real "
+                         "host-side parallelism, identical answers)")
     sv.add_argument("--algorithm", default="pefp", choices=list(VARIANTS),
                     help="PEFP variant each engine runs")
     sv.add_argument("--seed", type=int, default=7,
                     help="query-generation seed")
-    sv.add_argument("--no-threads", action="store_true",
-                    help="thread backend: dispatch engines sequentially "
-                         "(debugging)")
     sv.add_argument("--sharing", action="store_true",
                     help="cross-query work sharing: dedupe identical "
                          "(s,t,k) queries via the result cache and run "

@@ -25,8 +25,8 @@ def _scratch(n: int) -> np.ndarray:
 
     Callers must set every entry they write back to -1 before returning,
     and call :func:`_discard_scratch` if they cannot.  Each thread has its
-    own array (thread engines run Pre-BFS at once), so a call touches only
-    the entries it needs, never all ``|V|``.
+    own array (callers may run Pre-BFS on several threads at once), so a
+    call touches only the entries it needs, never all ``|V|``.
     """
     buf = getattr(_local, "scratch", None)
     if buf is None or buf.size < n:

@@ -2,9 +2,9 @@
 
 The tracer (:mod:`repro.observability.tracer`) records *what happened*;
 this module answers *where the latency went*.  It consumes either a
-finished span trace (in-memory or ``trace.jsonl``, thread and process
-backends alike — :meth:`Tracer.ingest` remaps ids but changes nothing
-this module reads) or a :class:`ServiceBatchReport` with per-query
+finished span trace (in-memory or ``trace.jsonl``, in-process and
+process backends alike — :meth:`Tracer.ingest` remaps ids but changes
+nothing this module reads) or a :class:`ServiceBatchReport` with per-query
 :class:`~repro.fpga.profile.DeviceProfile`\\ s, and produces the same
 :class:`BatchAttribution` from both:
 
@@ -288,7 +288,7 @@ class BatchAttribution:
     def matches(self, other: "BatchAttribution") -> bool:
         """Exact agreement with another attribution of the same batch.
 
-        This is the trace-vs-report (and thread-vs-process) identity the
+        This is the trace-vs-report (and in-process-vs-process) identity the
         ``service.attribution`` scenario gates: same queries in the same
         per-engine order, with identical floats and identical cycle
         splits.

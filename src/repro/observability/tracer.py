@@ -3,8 +3,8 @@
 A *span* is one timed region of work — a Pre-BFS run, a PCIe transfer,
 one Batch-DFS processing batch.  Spans nest: each thread keeps its own
 stack of open spans, so ``with tracer.span("kernel"): ...`` parents
-everything opened inside it without any explicit plumbing, including
-across the batch service's engine worker threads.
+everything opened inside it without any explicit plumbing, even when
+several threads trace into one tracer.
 
 Every span records two clocks:
 
@@ -162,8 +162,8 @@ class Tracer:
         an engine worker's spans land on its ``engine{i}`` row even when
         the serving loop runs serially on the coordinator thread (where
         the ``serve_batch`` span — a ``main``-track span — is still open
-        and becomes the parent).  Serial, threaded and process-backend
-        traces therefore assign identical tracks, which is what lets the
+        and becomes the parent).  In-process and process-backend traces
+        therefore assign identical tracks, which is what lets the
         attribution layer group queries by engine regardless of backend.
         """
         scoped = getattr(self._local, "track", None)

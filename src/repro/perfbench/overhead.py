@@ -152,7 +152,7 @@ def measure_telemetry_overhead(seed: int) -> dict[str, float]:
         for i in range(NUM_QUERIES)
     ]
     queries = [q for q in queries if q.source != q.target]
-    service = BatchQueryService(graph, num_engines=2, use_threads=False)
+    service = BatchQueryService(graph, num_engines=2)
 
     def run_once(timeline) -> float:
         start = time.perf_counter()

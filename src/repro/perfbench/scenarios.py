@@ -251,12 +251,8 @@ def _service(graph_key: str, max_hops: int, num_queries: int, seed: int,
     # cost never depends on which scenario ran earlier in the process.
     graph.reverse()
     queries = generate_queries(graph, max_hops, num_queries, seed=seed)
-    # use_threads=False: thread scheduling must never leak into metrics —
-    # modelled clocks are interleaving-independent, but the dispatch
-    # order of degraded-mode decisions is simplest to pin serially.
-    service = BatchQueryService(
-        graph, num_engines=engines, use_threads=False, **service_kwargs
-    )
+    service = BatchQueryService(graph, num_engines=engines,
+                                **service_kwargs)
     return service, queries
 
 
@@ -297,14 +293,16 @@ def _build_service_throughput(seed: int) -> dict[str, Metric]:
 
 
 def _build_service_parallel_throughput(seed: int) -> dict[str, Metric]:
-    """Thread vs process backend on one workload, 4 workers each.
+    """In-process vs process executor on one workload, 4 engines each.
 
-    The modelled metrics (paths, device cycles, makespan) are identical
-    across backends by construction and gate as usual; the wall-clock
-    comparison — where the process backend's real host-side parallelism
-    shows up — is ``wall``-class and therefore recorded but never gated
-    (it depends on the machine's core count; a single-core runner shows
-    ~1x).  ``backends_agree`` gates the differential guarantee itself.
+    ``thread_wall_seconds`` times the in-process executor (the
+    ``"thread"`` backend, which serves its engines in order on the
+    calling thread).  The modelled metrics (paths, device cycles,
+    makespan) are identical across backends by construction and gate as
+    usual; the wall-clock comparison — where the process backend's real
+    host-side parallelism shows up — is ``wall``-class and therefore
+    recorded but never gated (it depends on the machine's core count; a
+    single-core runner shows ~1x).  ``backends_agree`` gates the differential guarantee itself.
     """
     from repro.datasets import load_dataset
     from repro.service import BatchQueryService
@@ -362,7 +360,7 @@ def _build_service_batch_sharing(seed: int) -> dict[str, Metric]:
 
     One 50%-duplicate batch whose distinct queries draw from a small
     source pool is served three ways: naive per-query execution, sharing
-    enabled on the thread backend, and sharing enabled on the process
+    enabled on the in-process backend, and sharing enabled on the process
     backend.  ``sharing_equivalent`` and ``backends_agree`` gate the
     correctness claims (identical answer bytes and per-query device
     cycles); ``modelled_speedup_x`` is the headline — the modelled
@@ -383,7 +381,7 @@ def _build_service_batch_sharing(seed: int) -> dict[str, Metric]:
     def serve(sharing: bool, backend: str = "thread"):
         service = BatchQueryService(
             graph, num_engines=engines, scheduler="longest-first",
-            backend=backend, use_threads=False, sharing=sharing,
+            backend=backend, sharing=sharing,
         )
         start = time.perf_counter()
         try:
@@ -753,18 +751,18 @@ def _build_service_slo(seed: int) -> dict[str, Metric]:
 
     One deadline-pressured batch (RT, k=4, 24 queries, 2 engines, an
     8 ms batch deadline that pushes late queries degraded) is served by
-    the serial, thread and process backends, each recording a fresh
+    the in-process and process executors, each recording a fresh
     timeline.  Two exact gates:
 
     - ``windows_reconcile`` — every backend's per-window sums equal its
       terminal registry counters bit for bit
       (:meth:`~repro.service.metrics.MetricsTimeline.reconcile` returns
       no mismatches);
-    - ``backends_agree`` — the three timelines are byte-identical
+    - ``backends_agree`` — the two timelines are byte-identical
       (``canonical_bytes``): windowed telemetry is as interleaving-
       independent as the modelled clock it is keyed on.
 
-    The default SLOs are then evaluated on the serial timeline; alert
+    The default SLOs are then evaluated on the in-process timeline; alert
     counts and good fractions are exact-class metrics because burn
     rates are pure functions of the deterministic timeline.
     """
@@ -788,18 +786,14 @@ def _build_service_slo(seed: int) -> dict[str, Metric]:
             service.close()
         return report, timeline
 
-    serial_report, serial_tl = serve(use_threads=False)
-    thread_report, thread_tl = serve(use_threads=True)
-    process_report, process_tl = serve(backend="process",
-                                       use_threads=False)
+    serial_report, serial_tl = serve()
+    process_report, process_tl = serve(backend="process")
 
     reconciled = not (
         serial_tl.reconcile(serial_report.metrics)
-        or thread_tl.reconcile(thread_report.metrics)
         or process_tl.reconcile(process_report.metrics)
     )
-    agree = (serial_tl.canonical_bytes() == thread_tl.canonical_bytes()
-             == process_tl.canonical_bytes())
+    agree = serial_tl.canonical_bytes() == process_tl.canonical_bytes()
 
     evaluation = evaluate_slos(serial_tl, default_slos())
     latency = evaluation.result("latency_p99_500us")
@@ -873,7 +867,7 @@ def _register_all() -> None:
     ))
     _register(Scenario(
         "service.parallel_throughput",
-        "service", "thread vs process backend, 4 workers: differential "
+        "service", "in-process vs process backend, 4 engines: differential "
         "agreement (gated) plus wall-clock speedup (recorded, not gated)",
         True, _build_service_parallel_throughput,
     ))
@@ -910,7 +904,7 @@ def _register_all() -> None:
     _register(Scenario(
         "service.slo",
         "service", "windowed-telemetry reconciliation gate: per-window "
-        "sums equal terminal counters bit for bit, serial/thread/process "
+        "sums equal terminal counters bit for bit, in-process and process "
         "timelines byte-identical, SLO burn-rate alerts deterministic",
         True, _build_service_slo,
     ))

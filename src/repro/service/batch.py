@@ -13,32 +13,32 @@ Dispatch is one loop over one kind of work:
   singletons otherwise — :func:`repro.service.scheduler.query_groups`),
   and the scheduler places whole groups;
 - :func:`dispatch` is the coordinator loop: each round runs the surviving
-  engines over their work source — a static list per engine, or one
-  shared steal queue — then regroups whatever failed engines left
-  unserved and either deals it over the survivors (static schedulers) or
-  seeds a fresh steal queue (work stealing);
+  engines over their work — a static list per engine, or the groups in
+  steal order — then regroups whatever failed engines left unserved and
+  either deals it over the survivors (static schedulers) or steals it
+  again (work stealing);
 - :func:`serve_source` is the per-engine loop every executor runs: serve
   each member through :class:`EngineServer`, hand the answer back,
   observe it, and return the unserved remainder on
   :class:`~repro.errors.EngineFailure`.
 
-Three executors run a round:
+Two executors run a round:
 
-- inline (``use_threads=False``): the engines in order on the calling
-  thread;
-- a thread pool (``backend="thread"``, the default).  This only *overlaps
-  modelled device time*: each engine advances its own simulated device
-  clock independently, but the host-side enumeration that produces those
-  clocks is pure Python and therefore GIL-bound — N thread workers add
-  almost no wall-clock throughput over one.  Answers and modelled timings
-  are independent of thread interleaving either way;
+- in-process (``backend="thread"``, the default): the engines run in
+  order on the calling thread.  They overlap *modelled* device time
+  only — each engine advances its own simulated device clock — since the
+  host-side enumeration that produces those clocks is pure Python.
+  Work stealing follows the modelled clock too: the engine with the
+  least modelled busy time (host + device) takes the next group, ties
+  going to the lowest index, which is what stealing does at modelled
+  speed, and a rerun repeats it exactly;
 - worker processes (``backend="process"``, see
   :mod:`repro.service.parallel`): the graph and its reverse CSR ship to
   each worker once, and each worker runs :func:`serve_source` on its own
   engine.  Host-side enumeration then runs genuinely in parallel, which
   is where real wall-clock scaling comes from; answers and modelled
-  device numbers are identical to the other executors (the differential
-  test suite asserts this).
+  device numbers are identical to the in-process executor's (the oracle
+  harness asserts this).
 
 Robustness layer
 ----------------
@@ -64,19 +64,15 @@ land in a :class:`repro.service.metrics.MetricsRegistry` and are summarised
 on the returned :class:`ServiceBatchReport`.  Engine busy time is split
 into host (``T1`` preprocessing) and device (``T2`` kernel) seconds: the
 engines overlap *modelled* device time, while all host preprocessing
-shares one modelled CPU (and, under the thread backend, one real GIL-bound
-interpreter).
+shares one modelled CPU (and, in-process, one real interpreter thread).
 """
 
 from __future__ import annotations
 
 import json
 import random
-import sys
-import threading
 import time
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import QueryBudget
@@ -158,10 +154,10 @@ class EngineServer:
 
     Wraps one :class:`PathEnumerationSystem` with the batch-level serving
     policy — budget tightening, batch-deadline degradation driven by the
-    engine's own modelled busy time — so the thread workers, the serial
-    fallback and the process workers all run *exactly* the same per-query
-    decision logic.  This is what makes the backends differentially
-    equivalent by construction rather than by coincidence.
+    engine's own modelled busy time — so the in-process executor and the
+    process workers run *exactly* the same per-query decision logic.
+    This is what makes the backends differentially equivalent by
+    construction rather than by coincidence.
     """
 
     __slots__ = ("system", "budget", "batch_deadline_s",
@@ -259,7 +255,7 @@ def observe_report(metrics: MetricsRegistry, report: ServedAnswer,
     A module function (not a service method) because the process backend
     runs it inside worker processes against worker-local registries that
     are merged on the coordinator afterwards — both backends must observe
-    identically for the merged view to match the thread backend's.
+    identically for the merged view to match the in-process executor's.
 
     The query's counter increments and samples are built once and
     applied to the registry and, with a ``timeline``, to the tumbling
@@ -334,31 +330,17 @@ def _profile_events(prof, counts: list) -> list:
     return samples
 
 
-class _StealQueue:
-    """The thread executor's shared steal queue of task groups."""
-
-    __slots__ = ("_items", "_lock")
-
-    def __init__(self, items) -> None:
-        self._items: deque = deque(items)
-        self._lock = threading.Lock()
-
-    def take(self):
-        with self._lock:
-            return self._items.popleft() if self._items else None
-
-
 def serve_source(server: EngineServer, engine_idx: int, source, tracer,
                  metrics: MetricsRegistry, timeline: MetricsTimeline | None,
                  deliver) -> list[int]:
     """The per-engine serve loop every executor runs.
 
     ``source`` yields groups of ``(batch index, query)`` tasks: a list
-    holding one engine's whole static task list, or an iterator over a
-    shared steal queue.  Each member is served, handed to
+    holding one engine's whole static task list, or an iterator over the
+    groups the engine steals.  Each member is served, handed to
     ``deliver(engine_idx, index, report)`` and observed into
     ``metrics`` / ``timeline``; static sources also publish the engine's
-    queue depth (a steal queue's length depends on interleaving).  On
+    queue depth (a stealing engine has no queue of its own).  On
     :class:`~repro.errors.EngineFailure` the loop stops and returns the
     unserved rest of the group — requeueing it is the coordinator's job.
     """
@@ -430,10 +412,10 @@ def dispatch(queries: list[Query], sharing: bool, scheduler: str,
     places the groups with ``scheduler``, then runs rounds.
     ``run_round(outcome, engines, work, steal)`` is the executor: it
     serves ``work`` on ``engines`` — ``work[e]`` per engine when static,
-    or the groups seeding one shared steal queue when ``steal`` — and
-    returns ``(unserved indices, engines that failed)``.  After a round
-    the unserved indices are regrouped and dealt over the survivors
-    (static) or seed the next round's steal queue.  ``retired`` names
+    or the groups in steal order when ``steal`` — and returns
+    ``(unserved indices, engines that failed)``.  After a round the
+    unserved indices are regrouped and dealt over the survivors (static)
+    or stolen again in the next round.  ``retired`` names
     engines already lost before this batch; work dealt to them is
     requeued too.  Raises :class:`~repro.errors.ServiceError` when no
     engine survives.
@@ -688,14 +670,12 @@ class BatchQueryService:
         ``"round-robin"``, ``"longest-first"`` or ``"work-stealing"``
         (see :mod:`repro.service.scheduler`).
     backend:
-        ``"thread"`` dispatches engines on a thread pool in this process;
+        ``"thread"`` serves the engines in this process, in order on the
+        calling thread;
         ``"process"`` runs each engine in its own worker process via
         :class:`repro.service.parallel.ProcessEnginePool` (real host-side
         parallelism, identical answers).  The process pool is created
         lazily on the first :meth:`run` and reused until :meth:`close`.
-    use_threads:
-        Thread backend only: ``False`` serves the engines in order on the
-        calling thread (identical results, useful when debugging).
     mp_context:
         Process backend only: multiprocessing start method (``"fork"``,
         ``"spawn"``, ...); ``None`` uses the platform default.
@@ -733,7 +713,6 @@ class BatchQueryService:
         cost_model: CpuCostModel | None = None,
         cache: GraphArtifactCache | None = None,
         backend: str = "thread",
-        use_threads: bool = True,
         mp_context: str | None = None,
         sharing: bool = False,
         inject_failures: int = 0,
@@ -761,7 +740,6 @@ class BatchQueryService:
         self.variant = variant
         self.scheduler = scheduler
         self.backend = backend
-        self.use_threads = use_threads
         self.mp_context = mp_context
         self.engine_kwargs = dict(engine_kwargs)
         self.sharing = sharing
@@ -837,7 +815,7 @@ class BatchQueryService:
         turns on windowed telemetry: every query's counters and latency
         samples are also bucketed by its modelled completion time, per-
         engine queue depths become window gauges (static schedulers
-        only — a stolen queue's length is not deterministic), and result-
+        only — a stealing engine has no queue of its own), and result-
         cache hits are timestamped per query.  The same timeline may be
         passed to several runs to accumulate; it is attached to the
         returned report and reconciles exactly against ``self.metrics``
@@ -914,7 +892,7 @@ class BatchQueryService:
                 degraded_cycle_budget, tr, profile, timeline,
             )
         else:
-            outcome = self._dispatch_threads(
+            outcome = self._dispatch_inline(
                 queries, effective, batch_deadline_s,
                 degraded_cycle_budget, tracer, profile, timeline,
             )
@@ -1012,12 +990,12 @@ class BatchQueryService:
         )
 
     # -- executors -----------------------------------------------------
-    def _dispatch_threads(
+    def _dispatch_inline(
         self, queries, effective, batch_deadline_s, degraded_cycle_budget,
         tracer, profile, timeline,
     ) -> BatchOutcome:
-        """Run :func:`dispatch` inline or on a thread pool, one engine per
-        thread, observing straight into the service registry."""
+        """Run :func:`dispatch` on the calling thread, engine after engine,
+        observing straight into the service registry."""
         servers = [
             EngineServer(system, effective, batch_deadline_s,
                          degraded_cycle_budget, profile,
@@ -1026,38 +1004,29 @@ class BatchQueryService:
         ]
 
         def run_round(outcome, engines, work, steal):
-            if steal:
-                shared = _StealQueue(
-                    [(i, queries[i]) for i in group] for group in work
-                )
-                sources = {e: iter(shared.take, None) for e in engines}
-            else:
-                sources = {e: [[(i, queries[i]) for i in work[e]]]
-                           for e in engines}
-
-            def serve(e: int) -> list[int]:
-                return serve_source(servers[e], e, sources[e], tracer,
+            def serve(e: int, source) -> list[int]:
+                return serve_source(servers[e], e, source, tracer,
                                     self.metrics, timeline, outcome.deliver)
 
-            if self.use_threads and len(engines) > 1:
-                # The workers are CPU-bound Python holding the GIL, so
-                # frequent interpreter thread switches buy no overlap and
-                # cost cache/branch-predictor state on every handoff.
-                # Serve with a long switch interval and restore it after.
-                switch_interval = sys.getswitchinterval()
-                sys.setswitchinterval(0.1)
-                try:
-                    with ThreadPoolExecutor(
-                        max_workers=len(engines),
-                        thread_name_prefix="pefp-engine",
-                    ) as pool:
-                        rests = list(pool.map(serve, engines))
-                finally:
-                    sys.setswitchinterval(switch_interval)
-            else:
-                rests = [serve(e) for e in engines]
-            return ([i for rest in rests for i in rest],
-                    [e for e, rest in zip(engines, rests) if rest])
+            if not steal:
+                rests = [serve(e, [[(i, queries[i]) for i in work[e]]])
+                         for e in engines]
+                return ([i for rest in rests for i in rest],
+                        [e for e, rest in zip(engines, rests) if rest])
+            # Stealing at modelled speed: the next group goes to the
+            # engine free first on the modelled clock (least host +
+            # device busy time, ties to the lowest index).
+            groups, live, unserved = deque(work), list(engines), []
+            while groups and live:
+                e = min(live, key=lambda e: (servers[e].host_busy
+                                             + servers[e].device_busy))
+                group = [(i, queries[i]) for i in groups.popleft()]
+                rest = serve(e, iter((group,)))
+                if rest:
+                    live.remove(e)
+                    unserved += rest
+            unserved += [i for group in groups for i in group]
+            return unserved, [e for e in engines if e not in live]
 
         outcome = dispatch(queries, self.sharing, self.scheduler,
                            self.num_engines, run_round, graph=self.graph)

@@ -106,8 +106,8 @@ class ExactSum:
     mathematical sum *is* the real-number sum of everything added, so
     :attr:`value` — ``math.fsum`` of the partials — is the correctly
     rounded total regardless of addition order.  That property is what
-    lets per-worker shards (process backend) and interleaved observers
-    (thread backend) produce bit-identical totals: exact real arithmetic
+    lets per-worker shards (process backend) and one in-order observer
+    (in-process backend) produce bit-identical totals: exact real arithmetic
     commutes, a left-fold of rounded floats does not.
     """
 
@@ -863,9 +863,9 @@ class MetricsTimeline:
         """Deterministic bytes of the whole timeline.
 
         Two runs that produced the same windowed events yield identical
-        bytes regardless of dispatch backend, thread interleaving or
-        worker merge order — the ``service.slo`` scenario's
-        backend-agreement gate compares exactly this.
+        bytes regardless of dispatch backend or worker merge order — the
+        ``service.slo`` scenario's backend-agreement gate compares exactly
+        this.
         """
         return json.dumps(
             self.to_dict(), separators=(",", ":"), sort_keys=True

@@ -1,12 +1,13 @@
 """Process-parallel serving backend: one engine per worker process.
 
-The thread backend in :mod:`repro.service.batch` is GIL-bound — its N
-engine workers overlap *modelled* device time but share one interpreter
-for the pure-Python host enumeration, so wall-clock throughput barely
-moves with N.  :class:`ProcessEnginePool` runs each engine in its own
-worker process instead.  It is the third executor of the one
-coordinator loop, :func:`repro.service.batch.dispatch`; each worker runs
-the same per-engine loop, :func:`repro.service.batch.serve_source`:
+The in-process executor in :mod:`repro.service.batch` runs its N engines
+in order on the calling thread — they overlap *modelled* device time
+only, and the pure-Python host enumeration runs one engine at a time, so
+wall-clock throughput does not move with N.  :class:`ProcessEnginePool`
+runs each engine in its own worker process instead.  It is the second
+executor of the one coordinator loop, :func:`repro.service.batch.dispatch`;
+each worker runs the same per-engine loop,
+:func:`repro.service.batch.serve_source`:
 
 - **artifacts ship once** — the coordinator warms its
   :class:`~repro.service.cache.GraphArtifactCache` first, so the pickled
@@ -27,9 +28,9 @@ the same per-engine loop, :func:`repro.service.batch.serve_source`:
 A worker whose engine raises :class:`~repro.errors.EngineFailure`
 reports its unserved queries and is retired for the batch (the process
 stays up for the next batch — a :class:`~repro.service.batch.FlakyEngine`
-keeps its run count across batches, exactly like the thread backend's
-engines).  A worker *process* that dies outright is detected by liveness
-polling and permanently removed from the pool.  An index counts as
+keeps its run count across batches, exactly like the in-process
+executor's engines).  A worker *process* that dies outright is detected
+by liveness polling and permanently removed from the pool.  An index counts as
 served only once a ``round_done`` carrying it arrives, so a worker that
 dies mid-round loses its whole round.  Either way the coordinator loop
 requeues what was left unserved onto the survivors by the one requeue
@@ -178,7 +179,7 @@ class ProcessEnginePool:
 
     Workers start lazily on the first :meth:`run_batch` and persist
     across batches (so fault-injection state and worker caches carry
-    over, matching the thread backend's persistent engines).  Call
+    over, matching the in-process executor's persistent engines).  Call
     :meth:`close` (or use the owning service as a context manager) to
     shut the processes down.
     """

@@ -16,11 +16,13 @@ the classic per-query policy, so there is one implementation of each:
   engine.
 - ``work-stealing`` has no static assignment at all: the batch becomes
   one shared queue of groups, seeded heaviest first (see
-  :func:`steal_order`), and idle engines pull the next group the moment
-  they finish — the greedy list-scheduling policy.  Which engine serves
-  which query then depends on actual (wall) completion order, so the
-  *assignment* is only known after the batch; the *answers* stay
-  interleaving-independent because every query's execution is
+  :func:`steal_order`), and the engine that is free first takes the
+  next group — the greedy list-scheduling policy.  In-process "free
+  first" is read off the modelled clock (least host + device busy time,
+  ties to the lowest index), so a rerun repeats the assignment; across
+  worker processes it is the actual (wall) completion order, so there
+  the *assignment* is only known after the batch.  The *answers* stay
+  placement-independent either way because every query's execution is
   deterministic in isolation.
 - :func:`requeue` is the one rule for work a failed engine left behind:
   the unserved indices are regrouped and the groups dealt round-robin
@@ -203,7 +205,7 @@ def requeue(groups: Sequence[Sequence[int]], num_engines: int,
     regrouped (:func:`query_groups`) and dealt here.  Returns a
     full-width assignment (dead engines get empty lists), each group kept
     whole and in order — deterministic, so a requeued batch's answers do
-    not depend on thread interleaving.
+    not depend on which engine finished first.
     """
     _check(num_engines)
     alive = list(dict.fromkeys(surviving))

@@ -46,17 +46,21 @@ fingerprint function named in brackets):
    scheduler x engine count x sharing x fault seed, with no budget, a
    result or cycle budget, or a per-query deadline: ``path_output_bytes()``
    and per-query ``fpga_cycles``, ``engine_stats`` and ``truncated``.
-4. **Executor class** [:func:`executor_view`].  Across inline, thread
-   and process, under one static scheduler, sharing setting and fault
-   seed: the assignment, requeued queries, engine failures, failed
-   engines, degraded queries, the device-profile summary and every
-   metric counter but the cache counters (``*_hits``, ``*_misses``,
-   ``deduped_queries``, ``shared_frontiers``).  When the memo topology
+4. **Executor class** [:func:`executor_view`].  Across the in-process
+   (``inline``) and process executors, under one static scheduler,
+   sharing setting and fault seed: the assignment, requeued queries,
+   engine failures, failed engines, degraded queries, the device-profile
+   summary and every metric counter but the cache counters (``*_hits``,
+   ``*_misses``, ``deduped_queries``, ``shared_frontiers``).  When the memo topology
    matches too (the run is fault-free, and sharing is on or the batch
    has no duplicate queries), also the cache counters, per-query
    ``preprocess_seconds``, per-engine host and device busy seconds, the
    latency count and maximum, and the engine-track span streams (name,
-   modelled seconds, attributes, order within each track).
+   modelled seconds, attributes, order within each track).  A second
+   in-process run (``repeat``) repeats the first in the whole class,
+   under every scheduler, sharing setting and fault seed: the in-process
+   executor serves its engines in order on the calling thread, and its
+   work stealing follows the modelled clock.
 
 Declared non-invariances (documented here, deliberately not asserted):
 
@@ -66,20 +70,21 @@ Declared non-invariances (documented here, deliberately not asserted):
   executor class only.
 * With duplicate queries and sharing off, per-query T1, the cache
   counters and the span streams depend on which engine builds the
-  Pre-BFS memo first.  On the thread executor that changes from run to
-  run: in ``generate_queries(gnm_random(35, 160, seed=21), 4, 24,
-  seed=3)`` the query (1, 4, 4) sits at indices 4 and 9, and their T1
-  values swap between runs.  Process workers keep private memos, so
-  there a duplicate served on another worker misses: on the fixed
-  shared batches, ``prebfs_hits`` reads 0 to 2 against 6 inline.
+  Pre-BFS memo first.  In-process the serving order fixes that, so a
+  rerun repeats them (asserted on ``generate_queries(gnm_random(35, 160,
+  seed=21), 4, 24, seed=3)``, where the query (1, 4, 4) sits at indices
+  4 and 9).  Process workers keep private memos, so there a duplicate
+  served on another worker misses: on the fixed shared batches,
+  ``prebfs_hits`` reads 0 to 2 against 6 inline.
 * Under faults, a surviving worker process cannot see the memos a
   failed worker built before it failed, so the process executor's cache
   counters and host times differ from the in-process executors' (one
   shared cache).  In the pinned process, round-robin, 3-engine,
   sharing, fault-seed-2 row, ``deduped_queries`` reads 5 against 6
   inline.
-* Work stealing's assignment depends on completion order; it is held to
-  the answer class and to "the assignment partitions the batch".
+* Across process workers, work stealing's assignment depends on
+  completion order; there it is held to the answer class and to "the
+  assignment partitions the batch".
 """
 
 from __future__ import annotations
@@ -462,9 +467,9 @@ def pe_answer(result, streamed, budget: str) -> dict:
 # The service space
 # ---------------------------------------------------------------------------
 
+#: ``BatchQueryService`` keyword arguments of each executor.
 EXECUTORS = {
-    "inline": {"use_threads": False},
-    "thread": {},
+    "inline": {},
     "process": {"backend": "process"},
 }
 
@@ -480,7 +485,9 @@ LIMITS = {
 }
 
 SERVICE_AXES = {
-    "executor": tuple(EXECUTORS),
+    #: ``repeat`` serves in-process like ``inline`` and is held to an
+    #: ``inline`` run of the same row by the whole executor class.
+    "executor": ("inline", "repeat", "process"),
     "scheduler": STATIC_SCHEDULERS + ("work-stealing",),
     "engines": (1, 2, 3, 4),
     "sharing": (False, True),
@@ -505,18 +512,18 @@ def _service_valid(row: dict) -> bool:
     return not (row.get("sharing") and row.get("batch") == "distinct")
 
 
-#: combinations older suites pinned: process and thread parity under a
-#: batch deadline, under faults and in host seconds under sharing, and a
-#: sharing service reused across budgets (the result-cache key must
-#: carry the budget).
+#: combinations older suites pinned: process parity under a batch
+#: deadline, under faults and in host seconds under sharing, a repeat
+#: run under a batch deadline, and a sharing service reused across
+#: budgets (the result-cache key must carry the budget).
 SERVICE_PINNED = [dict(zip(SERVICE_AXES, values)) for values in [
     ("process", "longest-first", 2, False, "batch_deadline", None,
      "distinct", 1, False),
     ("process", "round-robin", 3, True, "none", 2, "shared", 1, True),
     ("process", "round-robin", 2, True, "none", None, "shared", 1, False),
-    ("thread", "longest-first", 3, False, "batch_deadline", None,
+    ("repeat", "longest-first", 3, False, "batch_deadline", None,
      "distinct", 1, True),
-    ("thread", "round-robin", 1, True, "result_budget", None, "shared", 2,
+    ("repeat", "round-robin", 1, True, "result_budget", None, "shared", 2,
      False),
     ("inline", "longest-first", 2, True, "none", None, "shared", 2, False),
 ]]
@@ -554,7 +561,8 @@ def serve(graph, queries, row: dict, executor: str | None = None):
     service = BatchQueryService(
         graph, num_engines=row["engines"], scheduler=row["scheduler"],
         sharing=row["sharing"], inject_failures=int(row["faults"] is not None),
-        failure_seed=row["faults"], **EXECUTORS[executor])
+        failure_seed=row["faults"],
+        **EXECUTORS.get(executor, EXECUTORS["inline"]))
     tracer = Tracer()
     try:
         if row["batches"] == 2:

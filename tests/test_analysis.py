@@ -6,9 +6,9 @@ The load-bearing claims under test:
   kernel cycle count in integer arithmetic, and the batch critical path
   reproduces ``ServiceBatchReport.makespan_seconds`` float for float;
 - **source independence** — attributing the span trace and attributing
-  the batch report give identical waterfalls, and so do serial, thread
-  and process backends (and a trace round-tripped through
-  ``Tracer.ingest``'s span-id remap);
+  the batch report give identical waterfalls, and so do the in-process
+  and process backends, a rerun of the in-process one, and a trace
+  round-tripped through ``Tracer.ingest``'s span-id remap;
 - **regression attribution** — segment deltas between two attributions
   sum to the total delta and rank by contribution.
 """
@@ -58,7 +58,7 @@ def _serve(graph, queries, **kwargs):
 
 @pytest.fixture(scope="module")
 def served(graph, queries):
-    return _serve(graph, queries, use_threads=False)
+    return _serve(graph, queries)
 
 
 class TestReconciliation:
@@ -177,6 +177,8 @@ class TestSourceIndependence:
 
     def test_thread_backend_attributes_identically(self, graph, queries,
                                                    served):
+        """A rerun on the ``"thread"`` (in-process) backend, on a fresh
+        service, attributes identically."""
         tracer, _ = served
         threaded, _ = _serve(graph, queries)
         assert analyze_trace(threaded.records()).matches(

@@ -101,8 +101,7 @@ class TestServeBatchCommand:
 
     def test_longest_first_scheduler(self, graph_file, capsys):
         rc = main(["serve-batch", graph_file, "-k", "4", "-n", "6",
-                   "--engines", "3", "--scheduler", "longest-first",
-                   "--no-threads"])
+                   "--engines", "3", "--scheduler", "longest-first"])
         assert rc == 0
         assert "longest-first" in capsys.readouterr().out
 

@@ -1,7 +1,7 @@
 """Work dealt to a worker process that died in an earlier batch.
 
-That the inline, thread-pool and worker-process executors agree under
-seeded fault injection is the executor class of the oracle harness
+That the in-process and worker-process executors agree under seeded
+fault injection is the executor class of the oracle harness
 (``tests/oracle.py``).  This test pins the one requeue rule across
 batches: a dead worker stays retired, and its static share is requeued
 onto the survivors instead of being lost.

@@ -150,7 +150,7 @@ class TestMultiPEFailures:
                                      device_config=self.dcfg).run(
             self.queries)
         service = BatchQueryService(self.graph, num_engines=3,
-                                    inject_failures=1, use_threads=False,
+                                    inject_failures=1,
                                     device_config=self.dcfg)
         tracer = Tracer()
         batch = service.run(self.queries, tracer=tracer, profile=True)

@@ -398,7 +398,6 @@ class TestSeededFaultInjection:
         def run_once():
             service = BatchQueryService(
                 graph, num_engines=3, inject_failures=1, failure_seed=99,
-                use_threads=False,
             )
             return service.run(queries)
 
@@ -427,7 +426,7 @@ class TestSpanHygiene:
 
         graph, queries = workload
         service = BatchQueryService(
-            graph, num_engines=2, inject_failures=2, use_threads=False
+            graph, num_engines=2, inject_failures=2
         )
         tracer = Tracer()
         with pytest.raises(ServiceError):
@@ -444,7 +443,6 @@ class TestSpanHygiene:
         graph, queries = workload
         service = BatchQueryService(
             graph, num_engines=3, inject_failures=1, failure_seed=99,
-            use_threads=False,
         )
         tracer = Tracer()
         report = service.run(queries, tracer=tracer, profile=True)
@@ -460,8 +458,7 @@ class TestSpanHygiene:
         from repro.core.config import QueryBudget
 
         graph, queries = workload
-        service = BatchQueryService(graph, num_engines=2,
-                                    use_threads=False)
+        service = BatchQueryService(graph, num_engines=2)
         tracer = Tracer()
         report = service.run(
             queries, budget=QueryBudget(max_results=1), tracer=tracer,
@@ -489,7 +486,7 @@ class TestCounterAndGaugeExposition:
         graph = generators.chung_lu(150, 800, seed=4)
         queries = generate_queries(graph, 4, 6, seed=2)
         service = BatchQueryService(
-            graph, num_engines=2, sharing=True, use_threads=False
+            graph, num_engines=2, sharing=True
         )
         service.run(list(queries) + list(queries))  # force dedupe hits
         text = render_prometheus(service.metrics)
@@ -503,8 +500,7 @@ class TestCounterAndGaugeExposition:
     def test_attribution_gauges_set_on_profiled_runs(self):
         graph = generators.chung_lu(150, 800, seed=4)
         queries = generate_queries(graph, 4, 6, seed=2)
-        service = BatchQueryService(graph, num_engines=2,
-                                    use_threads=False)
+        service = BatchQueryService(graph, num_engines=2)
         service.run(queries, profile=True)
         text = render_prometheus(service.metrics)
         assert "pefp_attribution_preprocess_share" in text
@@ -520,7 +516,6 @@ class TestCounterAndGaugeExposition:
     def test_unprofiled_run_sets_no_attribution_gauges(self):
         graph = generators.chung_lu(150, 800, seed=4)
         queries = generate_queries(graph, 4, 6, seed=2)
-        service = BatchQueryService(graph, num_engines=2,
-                                    use_threads=False)
+        service = BatchQueryService(graph, num_engines=2)
         service.run(queries)
         assert "attribution" not in render_prometheus(service.metrics)

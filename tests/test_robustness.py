@@ -223,8 +223,7 @@ class TestServiceBudgetsAndDeadlines:
         assert batch.total_paths == 0
 
     def test_batch_deadline_degrades_instead_of_dropping(self):
-        service = BatchQueryService(self.graph, num_engines=2,
-                                    use_threads=False)
+        service = BatchQueryService(self.graph, num_engines=2)
         # The first query on each engine blows through this deadline, so
         # the rest of the batch must run degraded yet still be answered.
         batch = service.run(self.queries, batch_deadline_ms=1e-6)
@@ -260,14 +259,14 @@ class TestFailureRecovery:
         self.graph = G.gnm_random(35, 160, seed=21)
         self.queries = generate_queries(self.graph, 4, 12, seed=3)
 
-    @pytest.mark.parametrize("use_threads", [False, True])
-    def test_failed_engine_requeues_onto_survivors(self, use_threads):
+    @pytest.mark.parametrize("stealing", [False, True])
+    def test_failed_engine_requeues_onto_survivors(self, stealing):
         baseline = BatchQueryService(self.graph, num_engines=3).run(
             self.queries
         )
-        service = BatchQueryService(self.graph, num_engines=3,
-                                    inject_failures=1,
-                                    use_threads=use_threads)
+        service = BatchQueryService(
+            self.graph, num_engines=3, inject_failures=1,
+            scheduler="work-stealing" if stealing else "round-robin")
         batch = service.run(self.queries)
         assert batch.path_sets() == baseline.path_sets()
         assert batch.engine_failures == 1
@@ -328,8 +327,8 @@ class TestBusyAccountingSplit:
         self.queries = generate_queries(self.graph, 4, 12, seed=3)
 
     def test_host_and_device_seconds_partition_the_reports(self):
-        batch = BatchQueryService(self.graph, num_engines=3,
-                                  use_threads=False).run(self.queries)
+        batch = BatchQueryService(self.graph, num_engines=3).run(
+            self.queries)
         assert sum(batch.engine_device_seconds) == pytest.approx(
             sum(r.query_seconds for r in batch.reports)
         )
@@ -462,7 +461,7 @@ class TestServeBatchCliFlags:
 
         rc = main(["serve-batch", "rt", "-k", "3", "-n", "4",
                    "--engines", "2", "--deadline-ms", "0.000001",
-                   "--batch-deadline-ms", "0.001", "--no-threads"])
+                   "--batch-deadline-ms", "0.001"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "robustness" in out

@@ -32,14 +32,14 @@ from repro.service.scheduler import (
 # -- oracles: the policies before the group-level rewrite, verbatim -------
 
 
-def _estimate_all(queries: Sequence[Query], graph: CSRGraph,
-                  cache=None) -> list[float]:
+def _estimate_all(queries: Sequence[Query],
+                  graph: CSRGraph) -> list[float]:
     reverse = _scheduling_reverse(graph)
     return [estimate_query_work(graph, q, reverse) for q in queries]
 
 
 def round_robin(queries: Sequence[Query], num_engines: int,
-                graph: CSRGraph | None = None, cache=None) -> Assignment:
+                graph: CSRGraph | None = None) -> Assignment:
     """Deal queries to engines in arrival order."""
     _check(num_engines)
     assignment: Assignment = [[] for _ in range(num_engines)]
@@ -50,8 +50,7 @@ def round_robin(queries: Sequence[Query], num_engines: int,
 
 def longest_first(queries: Sequence[Query], num_engines: int,
                   graph: CSRGraph | None = None,
-                  weights: Sequence[float] | None = None,
-                  cache=None) -> Assignment:
+                  weights: Sequence[float] | None = None) -> Assignment:
     """LPT: heaviest query first, always to the least-loaded engine.
 
     ``weights`` overrides the built-in estimate (e.g. with measured
@@ -65,7 +64,7 @@ def longest_first(queries: Sequence[Query], num_engines: int,
                 "longest-first needs the graph (or explicit weights) "
                 "to estimate per-query work"
             )
-        weights = _estimate_all(queries, graph, cache)
+        weights = _estimate_all(queries, graph)
     elif len(weights) != len(queries):
         raise ConfigError(
             f"got {len(weights)} weights for {len(queries)} queries"
@@ -101,8 +100,7 @@ def requeue(pending: Sequence[int], num_engines: int,
 
 def steal_order(queries: Sequence[Query],
                 graph: CSRGraph | None = None,
-                weights: Sequence[float] | None = None,
-                cache=None) -> list[int]:
+                weights: Sequence[float] | None = None) -> list[int]:
     """Seed order of the shared work-stealing queue: heaviest first.
 
     Greedy list scheduling approximates LPT when the expensive queries
@@ -114,7 +112,7 @@ def steal_order(queries: Sequence[Query],
     if weights is None:
         if graph is None:
             return list(range(len(queries)))
-        weights = _estimate_all(queries, graph, cache)
+        weights = _estimate_all(queries, graph)
     elif len(weights) != len(queries):
         raise ConfigError(
             f"got {len(weights)} weights for {len(queries)} queries"
@@ -139,8 +137,7 @@ def group_by_source(queries: Sequence[Query]) -> list[list[int]]:
 
 def grouped_assignment(scheduler: str, queries: Sequence[Query],
                        num_engines: int,
-                       graph: CSRGraph | None = None,
-                       cache=None) -> Assignment:
+                       graph: CSRGraph | None = None) -> Assignment:
     """Static assignment that never splits a source group across engines.
 
     ``round-robin`` deals whole groups in first-appearance order;
@@ -162,7 +159,7 @@ def grouped_assignment(scheduler: str, queries: Sequence[Query],
             raise ConfigError(
                 "longest-first needs the graph to estimate per-query work"
             )
-        weights = _estimate_all(queries, graph, cache)
+        weights = _estimate_all(queries, graph)
         group_weights = [sum(weights[i] for i in members)
                          for members in groups]
         order = sorted(range(len(groups)),
@@ -177,8 +174,7 @@ def grouped_assignment(scheduler: str, queries: Sequence[Query],
 
 
 def grouped_steal_order(queries: Sequence[Query],
-                        graph: CSRGraph | None = None,
-                        cache=None) -> list[list[int]]:
+                        graph: CSRGraph | None = None) -> list[list[int]]:
     """Work-stealing queue of whole source groups, heaviest group first.
 
     An idle engine steals a *group*, not a query — sharing requires the
@@ -188,7 +184,7 @@ def grouped_steal_order(queries: Sequence[Query],
     groups = group_by_source(queries)
     if graph is None:
         return groups
-    weights = _estimate_all(queries, graph, cache)
+    weights = _estimate_all(queries, graph)
     group_weights = [sum(weights[i] for i in members) for members in groups]
     order = sorted(range(len(groups)),
                    key=lambda g: (-group_weights[g], g))

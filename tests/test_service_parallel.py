@@ -9,6 +9,7 @@ lifecycle, and recovery when a worker *process* dies outright.
 from __future__ import annotations
 
 import random
+import threading
 import time
 
 import pytest
@@ -181,6 +182,50 @@ class TestServiceConfig:
         ).run(queries)
         assert report.scheduler == "work-stealing"
         assert report.num_queries == len(queries)
+
+    def test_in_process_stealing_follows_the_modelled_clock(self):
+        """Each group goes to the engine with the least host + device
+        busy time when it is taken, ties to the lowest index: a replay
+        from the answers' own T1 and T2 gives the same assignment."""
+        graph, queries = make_batch(count=12)
+        report = BatchQueryService(
+            graph, num_engines=3, scheduler="work-stealing"
+        ).run(queries)
+        host, device = [0.0] * 3, [0.0] * 3
+        replay = [[] for _ in range(3)]
+        for i in steal_order(queries, graph=graph):
+            e = min(range(3), key=lambda e: host[e] + device[e])
+            replay[e].append(i)
+            host[e] += report.reports[i].preprocess_seconds
+            device[e] += report.reports[i].query_seconds
+        assert report.assignment == replay
+        assert all(replay)
+        assert report.engine_host_seconds == host
+        assert report.engine_device_seconds == device
+
+    @pytest.mark.parametrize("scheduler", ["round-robin", "work-stealing"])
+    def test_engines_run_on_the_calling_thread(self, scheduler):
+        graph, queries = make_batch(count=8)
+        service = BatchQueryService(graph, num_engines=3,
+                                    scheduler=scheduler)
+        threads = []
+
+        class Recorder:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, attr):
+                return getattr(self.inner, attr)
+
+            def run(self, *args, **kwargs):
+                threads.append(threading.current_thread())
+                return self.inner.run(*args, **kwargs)
+
+        for system in service.systems:
+            system.engine = Recorder(system.engine)
+        service.run(queries)
+        assert threads
+        assert set(threads) == {threading.current_thread()}
 
     def test_report_carries_backend(self):
         graph, queries = make_batch(count=4)

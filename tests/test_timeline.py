@@ -338,12 +338,11 @@ class TestServiceTimelines:
     def test_backends_agree_and_reconcile(self):
         graph = generators.chung_lu(120, 600, seed=3)
         queries = generate_queries(graph, 4, 8, seed=3)
-        serial_report, serial_tl = self._serve(
-            graph, queries, use_threads=False)
-        thread_report, thread_tl = self._serve(
-            graph, queries, use_threads=True)
+        serial_report, serial_tl = self._serve(graph, queries)
+        process_report, process_tl = self._serve(
+            graph, queries, backend="process")
         assert serial_tl.reconcile(serial_report.metrics) == []
-        assert thread_tl.reconcile(thread_report.metrics) == []
-        assert serial_tl.canonical_bytes() == thread_tl.canonical_bytes()
+        assert process_tl.reconcile(process_report.metrics) == []
+        assert serial_tl.canonical_bytes() == process_tl.canonical_bytes()
         assert serial_tl.counter_totals()["queries"] == len(queries)
         assert serial_report.timeline is serial_tl

@@ -3,7 +3,7 @@
 An index counts as served only once the ``round_done`` message carrying
 its answer arrives, so a worker process that dies after serving part of
 its round loses the whole round: every query dealt to it requeues onto
-the survivors, and the batch still answers exactly what the thread
+the survivors, and the batch still answers exactly what the in-process
 backend answers.
 """
 
