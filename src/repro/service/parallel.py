@@ -14,9 +14,11 @@ each worker runs the same per-engine loop,
   :class:`~repro.graph.csr.CSRGraph` each worker receives carries the
   reverse-CSR memo; the worker-local cache *adopts* it (no rebuild, no
   spurious miss) and Pre-BFS memoisation then happens per worker;
-- **work streams per round** — a static round ships each worker its task
-  list; a stealing round feeds one shared task queue that idle workers
-  pull groups from, closed by one sentinel per participant;
+- **one pipe per worker** — each worker talks to the coordinator over
+  its own duplex pipe and nothing else.  A static round ships the worker
+  its task list; in a stealing round the worker asks for a group, and
+  the coordinator grants the next one in steal order, or ``None`` when
+  none is left;
 - **one message per worker round** — a worker's answers
   (:class:`~repro.host.system.ServedAnswer` records: paths and modelled
   counters, no simulated device) ride on its single ``round_done``
@@ -25,37 +27,35 @@ each worker runs the same per-engine loop,
   (round, worker) order.  Result-cache duplicates share one ``paths``
   list, which the pickle memo sends once per message.
 
-A worker whose engine raises :class:`~repro.errors.EngineFailure`
-reports its unserved queries and is retired for the batch (the process
-stays up for the next batch — a :class:`~repro.service.batch.FlakyEngine`
-keeps its run count across batches, exactly like the in-process
-executor's engines).  A worker *process* that dies outright is detected
-by liveness polling and permanently removed from the pool.  An index counts as
-served only once a ``round_done`` carrying it arrives, so a worker that
-dies mid-round loses its whole round.  Either way the coordinator loop
-requeues what was left unserved onto the survivors by the one requeue
-rule.
+A worker whose engine raises :class:`~repro.errors.EngineFailure` is
+retired for the batch (the process stays up for the next batch — a
+:class:`~repro.service.batch.FlakyEngine` keeps its run count across
+batches, exactly like the in-process executor's engines).  A worker
+*process* that dies outright is seen at once, as end-of-file on its
+pipe, and permanently removed from the pool; under work stealing the
+survivors keep stealing.  The coordinator knows which indices each
+worker holds (its static list, or the groups it was granted), and an
+index counts as served only once a ``round_done`` carrying it arrives.
+So one rule covers every case: a round's unserved work is every held
+index no ``round_done`` reported served, plus every group nobody stole,
+and the coordinator loop requeues it onto the survivors.
 """
 
 from __future__ import annotations
 
 import functools
 import multiprocessing
-import queue as queue_mod
 import traceback
+from collections import deque
+from multiprocessing.connection import wait
 
 from repro.errors import ServiceError
 from repro.service.batch import BatchOutcome, dispatch
 from repro.service.cache import GraphArtifactCache
 from repro.service.metrics import MetricsRegistry, MetricsTimeline
 
-#: seconds the coordinator blocks on the result queue before polling
-#: worker liveness; also the workers' task-queue poll while stealing.
-POLL_INTERVAL = 0.2
 
-
-def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
-                 task_queue):
+def _worker_main(worker_idx, spec, fail_after, conn):
     """Engine worker loop: build once, then serve rounds until shutdown."""
     # Imported here (not at module top) only for clarity of what the
     # worker side actually needs.
@@ -65,7 +65,7 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
 
     try:
         graph = spec["graph"]
-        sharing = spec.get("sharing", False)
+        sharing = spec["sharing"]
         cache = GraphArtifactCache(share_forward=sharing)
         # The coordinator warmed the graph before pickling it, so its
         # reverse-CSR memo rode along: pin it instead of rebuilding.
@@ -84,14 +84,10 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
         trace = False
         window_seconds = None
         while True:
-            cmd = cmd_queue.get()
+            cmd = conn.recv()
             kind = cmd[0]
             if kind == "shutdown":
                 return
-            if kind == "abort":
-                # A stale round abort (the round already ended normally
-                # before the worker saw it): nothing to do.
-                continue
             if kind == "batch":
                 opts = cmd[1]
                 server = EngineServer(
@@ -100,11 +96,11 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
                     share=sharing,
                 )
                 trace = opts["trace"]
-                window_seconds = opts.get("window_seconds")
+                window_seconds = opts["window_seconds"]
                 continue
 
-            # kind is "serve" (a task list) or "steal" (pull from the
-            # shared queue until a sentinel or an abort).
+            # kind is "serve" (a task list) or "steal" (ask for groups
+            # until the coordinator grants None).
             metrics = MetricsRegistry()
             tracer = Tracer() if trace else None
             timeline = None
@@ -113,19 +109,16 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
             if kind == "serve":
                 source = [cmd[1]]
             else:
-                source = iter(
-                    functools.partial(_steal, task_queue, cmd_queue), None
-                )
+                source = iter(functools.partial(_steal, conn), None)
             stats_before = cache.stats()
             answers = []
             unserved = serve_source(
                 server, worker_idx, source, tracer, metrics, timeline,
                 lambda _w, idx, answer: answers.append((idx, answer)),
             )
-            result_queue.put(("round_done", worker_idx, {
+            conn.send(("round_done", {
                 "answers": answers,
                 "failed": bool(unserved),
-                "unserved": unserved,
                 "host_busy": server.host_busy,
                 "device_busy": server.device_busy,
                 "metrics": metrics,
@@ -143,35 +136,16 @@ def _worker_main(worker_idx, spec, fail_after, cmd_queue, result_queue,
         # before exiting so the failure is diagnosable, not just a dead
         # process.
         try:
-            result_queue.put(
-                ("fatal", worker_idx, traceback.format_exc())
-            )
+            conn.send(("fatal", traceback.format_exc()))
         except Exception:
             pass
         raise
 
 
-def _steal(task_queue, cmd_queue):
-    """The next task group off the shared queue; ``None`` ends the round.
-
-    A round ends at a sentinel, or on a round abort: during a steal round
-    the coordinator sends a worker nothing except (possibly) an abort, so
-    consuming the command queue here cannot eat a future command.
-    """
-    while True:
-        try:
-            task = task_queue.get(timeout=POLL_INTERVAL)
-        except queue_mod.Empty:
-            try:
-                if cmd_queue.get_nowait()[0] == "abort":
-                    return None
-            except queue_mod.Empty:
-                pass
-            continue
-        if task is None:
-            return None
-        # A singleton group travels as a bare (index, query) task.
-        return task if isinstance(task, list) else [task]
+def _steal(conn):
+    """Ask the coordinator for the next task group; ``None`` ends the round."""
+    conn.send(("steal", None))
+    return conn.recv()
 
 
 class ProcessEnginePool:
@@ -196,9 +170,8 @@ class ProcessEnginePool:
         self.mp_context = mp_context
         self.sharing = sharing
         self._procs = None
-        self._cmd = None
-        self._results = None
-        self._tasks = None
+        #: the coordinator's end of each worker's pipe.
+        self._conns = None
         #: workers whose *process* died; never used again.
         self._crashed: set[int] = set()
         self._fatal_tracebacks: dict[int, str] = {}
@@ -208,9 +181,6 @@ class ProcessEnginePool:
         if self._procs is not None:
             return
         ctx = multiprocessing.get_context(self.mp_context)
-        self._results = ctx.Queue()
-        self._tasks = ctx.Queue()
-        self._cmd = [ctx.Queue() for _ in range(self.num_engines)]
         fail_after = dict(self.failure_plan)
         spec = {
             "graph": self.graph,
@@ -219,49 +189,51 @@ class ProcessEnginePool:
             "engine_kwargs": self.engine_kwargs,
             "sharing": self.sharing,
         }
-        self._procs = []
+        self._procs, self._conns = [], []
         for w in range(self.num_engines):
+            conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(w, spec, fail_after.get(w), self._cmd[w],
-                      self._results, self._tasks),
+                args=(w, spec, fail_after.get(w), child_conn),
                 name=f"pefp-engine-{w}",
                 daemon=True,
             )
             proc.start()
+            # Only the worker may hold its end, so the pipe reads EOF the
+            # moment the worker dies (and no later worker inherits it).
+            child_conn.close()
             self._procs.append(proc)
+            self._conns.append(conn)
 
     def close(self) -> None:
         """Shut every worker down and reap the processes."""
         if self._procs is None:
             return
-        for w, proc in enumerate(self._procs):
-            if proc.is_alive():
-                try:
-                    self._cmd[w].put(("shutdown",))
-                except Exception:
-                    pass
+        for w in range(self.num_engines):
+            self._send(w, ("shutdown",))
         for proc in self._procs:
             proc.join(timeout=2.0)
         for proc in self._procs:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        for q in (self._results, self._tasks, *self._cmd):
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:
-                pass
+        for conn in self._conns:
+            conn.close()
         self._procs = None
-        self._cmd = None
-        self._results = None
-        self._tasks = None
+        self._conns = None
 
     def __del__(self):
         try:
             self.close()
         except Exception:
+            pass
+
+    def _send(self, w: int, message) -> None:
+        """Send ``message`` to worker ``w``.  A dead worker's pipe refuses
+        it; the death itself is read as EOF by the round's wait."""
+        try:
+            self._conns[w].send(message)
+        except OSError:
             pass
 
     # -- batch serving -------------------------------------------------
@@ -285,7 +257,7 @@ class ProcessEnginePool:
                 f"died; cannot serve the batch"
             )
         for w in live:
-            self._cmd[w].put(("batch", {
+            self._send(w, ("batch", {
                 "budget": budget,
                 "batch_deadline_s": batch_deadline_s,
                 "degraded_cycle_budget": degraded_cycle_budget,
@@ -312,52 +284,44 @@ class ProcessEnginePool:
         """Run one serving round; see :func:`repro.service.batch.dispatch`.
 
         Returns ``(unserved indices, engines lost)``: a worker is lost to
-        an ``EngineFailure`` (it reports its unserved remainder) or to
-        process death (its whole round is unserved: its answers ride on
-        the ``round_done`` that never came).
+        an ``EngineFailure`` (its ``round_done`` says so) or to process
+        death (EOF on its pipe, or a ``fatal`` report).  Unserved is
+        every index a worker held that no ``round_done`` reported
+        served, plus every group nobody stole.
         """
-        if steal:
-            for group in work:
-                tasks = [(i, queries[i]) for i in group]
-                self._tasks.put(tasks if len(tasks) > 1 else tasks[0])
-            for _ in engines:
-                self._tasks.put(None)
+        groups = deque(work if steal else ())
+        held = {w: [] if steal else list(work[w]) for w in engines}
         for w in engines:
-            self._cmd[w].put(
-                ("steal",) if steal
-                else ("serve", [(i, queries[i]) for i in work[w]])
-            )
-        pending = set(engines)
+            self._send(w, ("steal",) if steal
+                       else ("serve", [(i, queries[i]) for i in work[w]]))
+        pending = {self._conns[w]: w for w in engines}
+        done: dict[int, dict] = {}
         crashed: set[int] = set()
-        done_payloads: list[tuple[int, dict]] = []
-        aborted = False
         while pending:
-            try:
-                tag, w, payload = self._results.get(timeout=POLL_INTERVAL)
-            except queue_mod.Empty:
-                dead = {w for w in pending if not self._procs[w].is_alive()}
-                pending -= dead
-                crashed |= dead
-            else:
-                pending.discard(w)
+            for conn in wait(list(pending)):
+                w = pending[conn]
+                try:
+                    tag, payload = conn.recv()
+                except (EOFError, OSError):  # the worker process died
+                    tag, payload = "died", None
+                if tag == "steal":
+                    group = groups.popleft() if groups else []
+                    held[w] += group
+                    self._send(w, [(i, queries[i]) for i in group] or None)
+                    continue
+                del pending[conn]
                 if tag == "round_done":
-                    done_payloads.append((w, payload))
-                else:  # "fatal": the payload is the worker's traceback
-                    self._fatal_tracebacks[w] = payload
+                    done[w] = payload
+                else:
                     crashed.add(w)
-            if crashed and steal and not aborted:
-                # The dead worker's stolen group is lost mid-queue: stop
-                # the round and requeue everything not served.
-                aborted = True
-                for w in pending:
-                    self._cmd[w].put(("abort",))
+                    if tag == "fatal":  # the payload is its traceback
+                        self._fatal_tracebacks[w] = payload
 
         # Fold worker payloads in worker order, so metric-merge and trace
         # order are deterministic regardless of message interleaving.
-        unserved: list[int] = []
         served: set[int] = set()
         lost = set(crashed)
-        for w, payload in sorted(done_payloads, key=lambda t: t[0]):
+        for w, payload in sorted(done.items()):
             for idx, answer in payload["answers"]:
                 outcome.deliver(w, idx, answer)
                 served.add(idx)
@@ -366,26 +330,12 @@ class ProcessEnginePool:
             outcome.metric_registries.append(payload["metrics"])
             if payload["trace"]:
                 outcome.trace_records.append(payload["trace"])
-            if payload.get("timeline") is not None:
+            if payload["timeline"] is not None:
                 outcome.timelines.append(payload["timeline"])
             outcome.worker_cache_stats.update(payload["cache_delta"])
             if payload["failed"]:
                 lost.add(w)
-                unserved.extend(payload["unserved"])
         self._crashed |= crashed
-        if steal:
-            if lost:
-                self._drain_tasks()
-                unserved = [i for group in work for i in group
-                            if i not in served]
-        else:
-            unserved.extend(i for w in crashed for i in work[w])
+        unserved = [i for w in engines for i in held[w] if i not in served]
+        unserved += [i for group in groups for i in group]
         return unserved, sorted(lost)
-
-    def _drain_tasks(self) -> None:
-        """Empty the shared task queue (leftover tasks and sentinels)."""
-        while True:
-            try:
-                self._tasks.get(timeout=0.05)
-            except queue_mod.Empty:
-                return

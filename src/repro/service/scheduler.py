@@ -14,14 +14,15 @@ the classic per-query policy, so there is one implementation of each:
   makespan is within 4/3 of optimal, and the heaviest queries (largest
   k, densest neighbourhoods) stop serialising behind each other on one
   engine.
-- ``work-stealing`` has no static assignment at all: the batch becomes
-  one shared queue of groups, seeded heaviest first (see
-  :func:`steal_order`), and the engine that is free first takes the
-  next group — the greedy list-scheduling policy.  In-process "free
-  first" is read off the modelled clock (least host + device busy time,
-  ties to the lowest index), so a rerun repeats the assignment; across
-  worker processes it is the actual (wall) completion order, so there
-  the *assignment* is only known after the batch.  The *answers* stay
+- ``work-stealing`` has no static assignment at all: the batch's groups
+  are put in one steal order, heaviest first (see :func:`steal_order`),
+  and the engine that is free first takes the next group — the greedy
+  list-scheduling policy.  In-process "free first" is read off the
+  modelled clock (least host + device busy time, ties to the lowest
+  index), so a rerun repeats the assignment; across worker processes the
+  coordinator grants the next group to the worker that asks first, in
+  actual (wall) completion order, so there the *assignment* is only
+  known after the batch.  The *answers* stay
   placement-independent either way because every query's execution is
   deterministic in isolation.
 - :func:`requeue` is the one rule for work a failed engine left behind:

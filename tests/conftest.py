@@ -28,7 +28,7 @@ def pytest_addoption(parser):
 def pytest_runtest_call(item):
     """Fail (not hang) any test that exceeds the wall limit.
 
-    A hung engine loop or a stuck multiprocessing queue would otherwise
+    A hung engine loop or a stuck worker pipe would otherwise
     stall the whole suite; SIGALRM turns it into an ordinary test
     failure with a traceback pointing at the blocked line.  Skipped on
     platforms without SIGALRM and off the main thread, where the signal

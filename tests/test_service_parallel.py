@@ -8,15 +8,17 @@ lifecycle, and recovery when a worker *process* dies outright.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import threading
 import time
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ServiceError
 from repro.graph import generators as G
 from repro.host.query import Query
+from repro.host.system import PathEnumerationSystem
 from repro.observability.tracer import Tracer
 from repro.service import (
     BatchQueryService,
@@ -284,6 +286,36 @@ class TestPoolLifecycle:
             assert report.engine_failures >= 1
         finally:
             service.close()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched builder reaches the workers only by fork",
+    )
+    def test_worker_startup_error_surfaces_its_traceback(self,
+                                                         monkeypatch):
+        """A worker that raises while building its engine reports its
+        traceback before dying; the batch fails with that traceback in
+        the error, and the pool still closes."""
+        graph, queries = make_batch(count=4)
+        service = BatchQueryService(graph, num_engines=2,
+                                    backend="process", mp_context="fork")
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine build exploded in the worker")
+
+        # Patched after the service built its own systems, so only the
+        # forked workers see it.
+        monkeypatch.setattr(PathEnumerationSystem, "for_variant", broken)
+        try:
+            with pytest.raises(ServiceError) as info:
+                service.run(queries)
+        finally:
+            service.close()
+        message = str(info.value)
+        assert "first worker traceback:" in message
+        assert "Traceback (most recent call last)" in message
+        assert "engine build exploded in the worker" in message
+        assert service._pool is None
 
     def test_tracer_spans_cross_the_process_boundary(self):
         graph, queries = make_batch(count=6)

@@ -2,8 +2,9 @@
 
 An index counts as served only once the ``round_done`` message carrying
 its answer arrives, so a worker process that dies after serving part of
-its round loses the whole round: every query dealt to it requeues onto
-the survivors, and the batch still answers exactly what the in-process
+its round loses everything it held: every query dealt to it (static
+schedulers) or granted to it (work stealing) requeues onto the
+survivors, and the batch still answers exactly what the in-process
 backend answers.
 """
 
@@ -24,7 +25,9 @@ from repro.workloads import generate_queries
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched engine reaches the worker only by fork",
 )
-def test_worker_dying_mid_round_requeues_its_whole_round(monkeypatch):
+@pytest.mark.parametrize("scheduler", ["round-robin", "work-stealing"])
+def test_worker_dying_mid_round_requeues_its_whole_round(monkeypatch,
+                                                        scheduler):
     graph = G.gnm_random(35, 160, seed=21)
     queries = generate_queries(graph, 4, 12, seed=3)
     expected = BatchQueryService(graph, num_engines=2).run(queries)
@@ -40,15 +43,23 @@ def test_worker_dying_mid_round_requeues_its_whole_round(monkeypatch):
     monkeypatch.setattr(FlakyEngine, "run", die)
     # inject_failures=1 without a seed: engine 0 dies on its second run.
     service = BatchQueryService(graph, num_engines=2, backend="process",
-                                mp_context="fork", inject_failures=1)
+                                scheduler=scheduler, mp_context="fork",
+                                inject_failures=1)
     try:
         report = service.run(queries)
     finally:
         service.close()
 
-    dealt = report.assignment[0]
-    assert len(dealt) >= 2  # it served one query before dying
     assert report.failed_engines == [0]
     assert report.engine_failures == 1
-    assert report.requeued_queries == len(dealt)
     assert report.path_output_bytes() == expected.path_output_bytes()
+    if scheduler == "work-stealing":
+        # Under stealing the assignment is who served what: every index
+        # once, and none by the dead worker, whose answers never arrived.
+        served = sorted(i for engine in report.assignment for i in engine)
+        assert served == list(range(len(queries)))
+        assert report.assignment[0] == []
+    else:
+        dealt = report.assignment[0]
+        assert len(dealt) >= 2  # it served one query before dying
+        assert report.requeued_queries == len(dealt)
