@@ -47,17 +47,20 @@ One kernel per processing element
 ---------------------------------
 A :class:`_Kernel` is one PE's pipeline: its device, buffer and DRAM path
 areas, cached arrays and deferred accumulators.  Its phases are
-:meth:`~_Kernel.refill`, :meth:`~_Kernel.flush` and the batch loop
-:meth:`~_Kernel.run`, which runs up to a caller-given number of steps (a
-refill or a batch each) with its hot state in locals and folds the
-accumulators into the models when it returns.  Every folded quantity is
-a plain sum, so the fold is exact however a run is sliced into calls.
-The tables that depend only on (graph, barrier, target, k) live in one
-:class:`_RunTables` that every PE of a run reads.
+:meth:`~_Kernel.refill`, :meth:`~_Kernel.flush` and the resumable batch
+loop :meth:`~_Kernel.steps`, a generator that runs one step (a refill
+or a batch) per resume.  Between steps the kernel's hot state lives in
+the suspended generator's locals; the deferred accumulators fold into
+the models once per run, when the generator ends or is closed.  Every
+folded quantity is a plain sum, so one fold equals a fold per step.  A
+survivor whose tail vertex another PE owns goes to that PE's outbox at
+the moment it is admitted.  The tables that depend only on (graph,
+barrier, target, k) live in one :class:`_RunTables` that every PE of a
+run reads.
 
-:meth:`PEFPEngine.run` runs a single kernel to completion in one call.
-With ``DeviceConfig.num_pes > 1`` it hands over to
-:func:`repro.core.multi_pe.run_multi_pe`, which steps N kernels one
+:meth:`PEFPEngine.run` drains a single kernel's generator.  With
+``DeviceConfig.num_pes > 1`` it hands over to
+:func:`repro.core.multi_pe.run_multi_pe`, which resumes N kernels one
 refill or batch per superstep.
 
 ``docs/TIMING_MODEL.md`` derives why the charges are unchanged; the
@@ -406,11 +409,14 @@ class _Kernel:
 
     Owns the PE's :class:`Device`, its buffer and DRAM path areas and its
     cached arrays.  ``stats`` and ``results`` may be shared by several
-    kernels (the PEs of one multi-PE run); each :meth:`run` call folds
-    its counters into them on return.  With ``owners`` set (multi-PE),
-    survivors whose tail vertex another PE owns go to ``outbox[owner]``
-    as ``(vertices, next_ptr, last_ptr)`` records, and records routed to
-    this PE wait in ``inbox`` until the next call.  ``observe``, when
+    kernels (the PEs of one multi-PE run).  :meth:`steps` is the one
+    batch loop: it suspends after every refill or batch with its state
+    in locals and folds its counters into them once, when it ends or is
+    closed.  With ``owners`` set (multi-PE), a survivor whose tail
+    vertex another PE owns goes to ``outbox[owner]`` as a
+    ``(vertices, next_ptr, last_ptr)`` record when it is admitted, and
+    records routed to this PE wait in ``inbox`` until its next resume
+    pushes them.  ``observe``, when
     set, is called as ``observe(kind, wall_ns, fields)`` once per refill
     or batch — the signature of :meth:`DeviceProfiler.record`, ``fields``
     being the typed event's constructor arguments.
@@ -538,34 +544,24 @@ class _Kernel:
                 self.flush()
             buffer.push_path(verts, lo, hi)
 
-    def _route(self, push_v, push_lo, push_hi):
-        """Move survivors owned by other PEs to the outbox; return the
-        local ones (order kept on both sides)."""
-        owners = self.owners
-        me = self.index
-        outbox = self.outbox
-        keep_v: list = []
-        keep_lo: list = []
-        keep_hi: list = []
-        for idx, p in enumerate(push_v):
-            own = owners[p[-1]]
-            if own == me:
-                keep_v.append(p)
-                keep_lo.append(push_lo[idx])
-                keep_hi.append(push_hi[idx])
-            else:
-                outbox[own].append((p, push_lo[idx], push_hi[idx]))
-        return keep_v, keep_lo, keep_hi
+    def run(self) -> None:
+        """Run the kernel to completion or until a budget is spent."""
+        for _ in self.steps():
+            pass
 
-    def run(self, max_steps: int | None = None) -> None:
-        """Run refills and batches: until done, or ``max_steps`` of them.
+    def steps(self):
+        """The resumable batch loop: each resume runs one step.
 
-        The inbox is pushed first.  The loop stops when the buffer and
-        DRAM areas are empty, when a budget is spent (the cycle cap is
-        checked before each step, the result cap after each batch) or
-        after ``max_steps`` steps.  It keeps its state in locals and
-        folds the accumulators into the device models, the cached
-        arrays' counters and ``stats`` on return.
+        A resume first pushes the inbox, then runs one refill or one
+        batch, then suspends.  The generator returns when the buffer and
+        DRAM areas are empty or a budget is spent (the cycle cap is
+        checked before each step, the result cap after each batch).  Its
+        hot state stays in locals across steps; the deferred
+        accumulators fold into the device models, the cached arrays'
+        counters and ``stats`` once, when the generator ends or is
+        closed.  ``stats.results`` is the exception: the result budget
+        is per run and shared by every PE, so it is kept current at
+        every suspension.
         """
         stats = self.stats
         stage_cycles = stats.stage_cycles
@@ -573,15 +569,6 @@ class _Kernel:
         dram_area = self.dram_area
         clock = self.clock
         observe = self.observe
-        if observe is not None:
-            # A step's event covers the inbox push before it, too.
-            iter_cycles0 = clock.cycles
-            iter_wall0 = time.perf_counter_ns()
-            flush_cycles0 = stage_cycles.get("flush", 0)
-            flushes0 = stats.flushes
-        if self.inbox:
-            self._drain_inbox()
-
         t = self.tables
         target = t.target
         max_hops = t.max_hops
@@ -615,6 +602,8 @@ class _Kernel:
         prune_tab_get = prune_tab.get
         bhit_tab = t.bhit_tab
         owners = self.owners
+        me = self.index
+        outbox = self.outbox
         collect_paths = self.collect_paths
         on_result = self.on_result
         results_append = self.results.extend
@@ -622,449 +611,447 @@ class _Kernel:
         max_cycles = self.max_cycles
         clock_advance = clock.advance
 
-        # Local accumulators, folded into the device/stats objects on
-        # return (all folded quantities are plain sums, so deferring
+        # Local accumulators, folded into the device/stats objects when
+        # the run ends (all folded quantities are plain sums, so deferring
         # them is exact; the cold paths — seed, refill, flush — charge
         # the real models directly).
         br_ops = br_words = bw_ops = bw_words = 0          # BRAM port
         dr_ops = dr_words = dw_ops = dw_words = d_stall = 0  # DRAM port
         v_hits = v_miss = e_hits = e_miss = b_hits = b_miss = 0
         n_batches = n_expansions = n_intermediate = 0
-        # the result budget is per run, so this counts every PE's results
-        n_results = stats.results
         rej_t = rej_b = rej_v = 0
         # Per-parent-length tallies as lists (h <= max_hops always).  On a
         # single pipeline keys are first touched in ascending h order
         # under both schedulers — a length-(h+1) parent only exists after
-        # an expansion at length h — so adding them to the dicts in
-        # ascending order on return reproduces the reference dicts'
-        # insertion order exactly.
+        # an expansion at length h — so the fold re-inserts every key in
+        # ascending order: that reproduces the reference dicts' insertion
+        # order exactly, and the PEs of a multi-PE run, folding one after
+        # another, leave the same order.
         exp_list = [0] * (key_span + 1)
         new_list = [0] * (key_span + 1)
         acc_t1 = acc_t2 = acc_t3 = acc_t4 = acc_t5 = acc_ov = 0
-        steps_left = -1 if max_steps is None else max_steps  # -1: no cap
 
-        # --- main loop (Algorithms 1 and 3) ----------------------------
-        while True:
-            # Budget check at the step boundary.
-            if max_cycles is not None and clock.cycles >= max_cycles:
-                break
-            bverts = buffer._verts
-            bnext = buffer._next
-            blast = buffer._last
-            bhead = buffer._head
-            if len(bverts) == bhead:  # buffer empty
-                if buffer_in_bram and not dram_area.is_empty:
-                    self.refill()
-                    steps_left -= 1
-                    if steps_left == 0:
-                        break
-                    if observe is not None:
-                        iter_cycles0 = clock.cycles
-                        iter_wall0 = time.perf_counter_ns()
-                    continue  # re-check the cycle budget after the stall
-                break
-
-            # --- batch selection (Batch-DFS fused; FIFO via scheduler) --
-            if use_dfs:
-                sel: list[tuple] = []
-                cnt = 0
-                i = len(bverts) - 1
-                while i >= bhead:
-                    p1 = bnext[i]
-                    p2 = p1 + (theta2 - cnt)
-                    pl = blast[i]
-                    if p2 > pl:
-                        p2 = pl
-                    if p2 > p1:
-                        sel.append((bverts[i], p1, p2))
-                        bnext[i] = p2
-                        cnt += p2 - p1
-                        if cnt >= theta2:
-                            break
-                    i -= 1
-                j = len(bverts) - 1
-                while j >= bhead and bnext[j] >= blast[j]:
-                    j -= 1
-                j += 1
-                if j < len(bverts):
-                    del bverts[j:]
-                    del bnext[j:]
-                    del blast[j:]
-            else:
-                sel = fifo_batch(buffer, theta2)
-            if not sel:
-                break  # defensive: cannot happen with a non-empty buffer
-            n_batches += 1
-            n_e = len(sel)
-
-            # --- stages 2-4 per entry, via the pruning tables -----------
-            # Fully-cached arrays (the common configuration) charge a
-            # fixed pattern per entry — one wide BRAM access of ``size``
-            # words each for stages 2 and 3 — so those charges fold into
-            # batch-level sums of ``size`` below; only the closed-form
-            # wide-port ceiling of stage 2 stays per-entry.  Partially
-            # cached or uncached arrays keep the general per-entry split.
-            s2b = s2d = s3b = s3d = 0
-            n_items = 0
-            batch_nt = batch_pass = 0
-            nv = n_push = n1 = n2 = 0
-            batch_results: list[tuple[int, ...]] = []
-            push_v: list[tuple[int, ...]] = []
-            push_lo: list[int] = []
-            push_hi: list[int] = []
-            wres = 0
-            for pv, elo, ehi in sel:
-                h = len(pv) - 1
-                size = ehi - elo
-                n_items += size
-                exp_list[h] += size
-                v = pv[-1]
-                tables = prune_tab_get(v * key_span + h)
-                if tables is None:
-                    vlo = iptr_l[v]
-                    vhi = iptr_l[v + 1]
-                    thresh = max_hops - 1 - h
-                    tpos: list[int] = []
-                    cpos: list[int] = []
-                    cu_full: list[int] = []
-                    if vhi - vlo <= 128:
-                        # small slice: a plain loop beats numpy call
-                        # overhead (the typical degree by a wide margin)
-                        us = indices_np[vlo:vhi].tolist()
-                        bs = edge_bar[vlo:vhi].tolist()
-                        for i, u in enumerate(us):
-                            if u == target:
-                                tpos.append(vlo + i)
-                            elif bs[i] <= thresh:
-                                cpos.append(vlo + i)
-                                cu_full.append(u)
-                    else:
-                        slice_u = indices_np[vlo:vhi]
-                        t_mask = slice_u == target
-                        ok = (edge_bar[vlo:vhi] <= thresh) & ~t_mask
-                        cp = np.flatnonzero(ok)
-                        cu_full = slice_u[cp].tolist()
-                        tpos = (np.flatnonzero(t_mask) + vlo).tolist()
-                        cpos = (cp + vlo).tolist()
-                    tables = (
-                        vlo, vhi, len(tpos), len(cu_full),
-                        tpos, cpos, cu_full,
-                    )
-                    prune_tab[v * key_span + h] = tables
-                vlo, vhi, n_t, n_pass, tpos, cpos, cu = tables
-                if elo == vlo and ehi == vhi:
-                    cand = cu  # full slice (common case)
-                else:
-                    if n_t:
-                        n_t = (bisect_left(tpos, ehi)
-                               - bisect_left(tpos, elo))
-                    if n_pass:
-                        a = bisect_left(cpos, elo)
-                        b = bisect_left(cpos, ehi)
-                        cand = cu[a:b]
-                        n_pass = b - a
-                    else:
-                        cand = cu  # empty
-                # stage 2: edge fetch — one read_range per entry
-                if e_all_hit:
-                    s2b += ceil_tab[size]
-                else:
-                    nh = c_e - elo
-                    if nh > 0:
-                        if nh > size:
-                            nh = size
-                        s2b += ceil_tab[nh]
-                        e_hits += nh
-                        br_ops += 1
-                        br_words += nh
-                    else:
-                        nh = 0
-                    nm = size - nh
-                    if nm:
-                        s2d += rl + nm - 1
-                        e_miss += nm
-                        dr_ops += 1
-                        dr_words += nm
-                        d_stall += rl1
-                # stage 3: barrier fetch — one gather per entry
-                if not b_all_hit:
-                    if b_partial:
-                        bp = bhit_tab.get(v)
-                        if bp is None:
-                            bp = [0]
-                            bp.extend(np.cumsum(
-                                indices_np[vlo:vhi] < c_b).tolist())
-                            bhit_tab[v] = bp
-                        nbh = bp[ehi - vlo] - bp[elo - vlo]
-                    else:
-                        nbh = 0
-                    if nbh:
-                        s3b += nbh
-                        b_hits += nbh
-                        br_ops += 1
-                        br_words += nbh
-                    nbm = size - nbh
-                    if nbm:
-                        s3d += nbm * rl
-                        b_miss += nbm
-                        dr_ops += 1
-                        dr_words += nbm
-                        d_stall += nbm * rl1
-                # stage 4: verification outcomes (Algorithm 2)
-                batch_nt += n_t
-                batch_pass += n_pass
-                if n_t and h < max_hops:
-                    full = pv + (target,)
-                    if n_t == 1:
-                        batch_results.append(full)
-                    else:
-                        batch_results.extend([full] * n_t)
-                    wres += (h + 3) * n_t
-                # the surviving candidates' visited check, fused with the
-                # write-back bookkeeping of the paths it admits
-                for u in cand:
-                    if u in pv:
-                        rej_v += 1
-                        continue
-                    nv += 1
-                    new_list[h] += 1
-                    if v_partial:
-                        if u < c_v:
-                            n1 += 1
-                        if u + 1 < c_v:
-                            n2 += 1
-                    nlo = iptr_l[u]
-                    nhi = iptr_l[u + 1]
-                    if nlo < nhi:
-                        n_push += 1
-                        push_v.append(pv + (u,))
-                        push_lo.append(nlo)
-                        push_hi.append(nhi)
-            n_expansions += n_items
-            rej_t += batch_nt
-            rej_b += n_items - batch_nt - batch_pass
-            n_intermediate += nv
-            if e_all_hit:
-                e_hits += n_items
-                br_ops += n_e
-                br_words += n_items
-            if b_all_hit:
-                s3b += n_items
-                b_hits += n_items
-                br_ops += n_e
-                br_words += n_items
-            t4 = verify_tab[n_items]
-
-            # Result budget: keep only what fits; dropped results mean the
-            # answer is definitively incomplete.  The kept prefix is still
-            # a subset of the unbudgeted answer (same deterministic order).
-            if max_results is not None:
-                room = max_results - n_results
-                if len(batch_results) > room:
-                    batch_results = batch_results[:room]
-                    self.dropped = True
-                    wres = sum(len(p) + 1 for p in batch_results)
-
-            # --- stage 1: load; stage 5: write-back ---------------------
-            moved = n_e * rec_w
-            if buffer_in_bram:
-                t1 = 2 * -(-moved // pw)
-                s1d = 0
-                br_ops += 1
-                br_words += moved
-                bw_ops += 1
-                bw_words += moved
-            else:
-                s1d = (rl + moved - 1) + 2 * n_e * wl
-                t1 = s1d + -(-moved // pw)
-                dr_ops += 1
-                dr_words += moved
-                d_stall += rl1
-                dw_ops += 1
-                dw_words += 2 * n_e
-                d_stall += 2 * n_e * wl1
-                bw_ops += 1
-                bw_words += moved
-
-            s5b = s5d = 0
-            if batch_results:
-                if collect_paths:
-                    results_append(batch_results)
-                if on_result is not None:
-                    for p in batch_results:
-                        on_result(p)
-                n_results += len(batch_results)
-                s5d += wl + wres - 1
-                dw_ops += 1
-                dw_words += wres
-                d_stall += wl1
-            if nv:
-                # the two vertex_arr gathers (slice bounds of every tail)
-                if v_all_hit:
-                    s5b += 2 * nv
-                    v_hits += 2 * nv
-                    br_ops += 2
-                    br_words += 2 * nv
-                else:
-                    for n_hit, n_mis in ((n1, nv - n1), (n2, nv - n2)):
-                        if n_hit:
-                            s5b += n_hit
-                            v_hits += n_hit
-                            br_ops += 1
-                            br_words += n_hit
-                        if n_mis:
-                            s5d += n_mis * rl
-                            v_miss += n_mis
-                            dr_ops += 1
-                            dr_words += n_mis
-                            d_stall += n_mis * rl1
-                if n_push:
-                    # one record write per admitted path (dead ends were
-                    # dropped in the fused loop without a write)
-                    if buffer_in_bram:
-                        s5b += n_push * ceil_rec
-                        bw_ops += n_push
-                        bw_words += n_push * rec_w
-                    else:
-                        s5d += n_push * (wl + rec_w - 1)
-                        dw_ops += n_push
-                        dw_words += n_push * rec_w
-                        d_stall += n_push * wl1
-
-            # Fold the overlapped stages into the device clock: concurrent
-            # on-chip stages; off-chip traffic shares the DRAM channels;
-            # fixed control cost per batch.
-            t2 = s2b + s2d
-            t3 = s3b + s3d
-            t5 = s5b + s5d
-            dram_cycles = s1d + s2d + s3d + s5d
-            mx = t1
-            if t2 > mx:
-                mx = t2
-            if t3 > mx:
-                mx = t3
-            if t4 > mx:
-                mx = t4
-            if t5 > mx:
-                mx = t5
-            dram_bound = -(-dram_cycles // channels)
-            if dram_bound > mx:
-                mx = dram_bound
-            batch_cycles = mx + overhead
-            clock_advance(batch_cycles)
-            acc_t1 += t1
-            acc_t2 += t2
-            acc_t3 += t3
-            acc_t4 += t4
-            acc_t5 += t5
-            acc_ov += overhead
-
-            # Survivors owned by another PE wait in the outbox for the
-            # superstep boundary; the rest are pushed here, and overflow
-            # stalls the pipeline.
-            if owners is not None and push_v:
-                push_v, push_lo, push_hi = self._route(push_v, push_lo,
-                                                       push_hi)
-            if push_v:
+        # --- main loop (Algorithms 1 and 3), one step per resume --------
+        try:
+            while True:
+                if observe is not None:
+                    # A step's event covers the inbox push before it, too.
+                    iter_cycles0 = clock.cycles
+                    iter_wall0 = time.perf_counter_ns()
+                    flush_cycles0 = stage_cycles.get("flush", 0)
+                    flushes0 = stats.flushes
+                if self.inbox:
+                    self._drain_inbox()
+                # Budget check at the step boundary.
+                if max_cycles is not None and clock.cycles >= max_cycles:
+                    return
                 bverts = buffer._verts
                 bnext = buffer._next
                 blast = buffer._last
-                n_buf = len(bverts) - buffer._head
-                cap = buffer.capacity_paths
-                if n_buf + len(push_v) <= cap:
-                    # no flush possible: append wholesale
-                    bverts.extend(push_v)
-                    bnext.extend(push_lo)
-                    blast.extend(push_hi)
-                    n_buf += len(push_v)
-                    if n_buf > buffer.peak_occupancy:
-                        buffer.peak_occupancy = n_buf
-                    push_v = ()
-                for idx in range(len(push_v)):
-                    if buffer_in_bram and n_buf >= cap:
+                bhead = buffer._head
+                if len(bverts) == bhead:  # buffer empty
+                    if buffer_in_bram and not dram_area.is_empty:
+                        self.refill()
+                        yield
+                        continue  # re-check the cycle budget after the stall
+                    return
+
+                # --- batch selection (Batch-DFS fused; FIFO via scheduler) --
+                if use_dfs:
+                    sel: list[tuple] = []
+                    cnt = 0
+                    i = len(bverts) - 1
+                    while i >= bhead:
+                        p1 = bnext[i]
+                        p2 = p1 + (theta2 - cnt)
+                        pl = blast[i]
+                        if p2 > pl:
+                            p2 = pl
+                        if p2 > p1:
+                            sel.append((bverts[i], p1, p2))
+                            bnext[i] = p2
+                            cnt += p2 - p1
+                            if cnt >= theta2:
+                                break
+                        i -= 1
+                    j = len(bverts) - 1
+                    while j >= bhead and bnext[j] >= blast[j]:
+                        j -= 1
+                    j += 1
+                    if j < len(bverts):
+                        del bverts[j:]
+                        del bnext[j:]
+                        del blast[j:]
+                else:
+                    sel = fifo_batch(buffer, theta2)
+                if not sel:
+                    return  # defensive: cannot happen with a non-empty buffer
+                n_batches += 1
+                n_e = len(sel)
+
+                # --- stages 2-4 per entry, via the pruning tables -----------
+                # Fully-cached arrays (the common configuration) charge a
+                # fixed pattern per entry — one wide BRAM access of ``size``
+                # words each for stages 2 and 3 — so those charges fold into
+                # batch-level sums of ``size`` below; only the closed-form
+                # wide-port ceiling of stage 2 stays per-entry.  Partially
+                # cached or uncached arrays keep the general per-entry split.
+                s2b = s2d = s3b = s3d = 0
+                n_items = 0
+                batch_nt = batch_pass = 0
+                nv = n_push = n1 = n2 = 0
+                batch_results: list[tuple[int, ...]] = []
+                push_v: list[tuple[int, ...]] = []
+                push_lo: list[int] = []
+                push_hi: list[int] = []
+                wres = 0
+                for pv, elo, ehi in sel:
+                    h = len(pv) - 1
+                    size = ehi - elo
+                    n_items += size
+                    exp_list[h] += size
+                    v = pv[-1]
+                    tables = prune_tab_get(v * key_span + h)
+                    if tables is None:
+                        vlo = iptr_l[v]
+                        vhi = iptr_l[v + 1]
+                        thresh = max_hops - 1 - h
+                        tpos: list[int] = []
+                        cpos: list[int] = []
+                        cu_full: list[int] = []
+                        if vhi - vlo <= 128:
+                            # small slice: a plain loop beats numpy call
+                            # overhead (the typical degree by a wide margin)
+                            us = indices_np[vlo:vhi].tolist()
+                            bs = edge_bar[vlo:vhi].tolist()
+                            for i, u in enumerate(us):
+                                if u == target:
+                                    tpos.append(vlo + i)
+                                elif bs[i] <= thresh:
+                                    cpos.append(vlo + i)
+                                    cu_full.append(u)
+                        else:
+                            slice_u = indices_np[vlo:vhi]
+                            t_mask = slice_u == target
+                            ok = (edge_bar[vlo:vhi] <= thresh) & ~t_mask
+                            cp = np.flatnonzero(ok)
+                            cu_full = slice_u[cp].tolist()
+                            tpos = (np.flatnonzero(t_mask) + vlo).tolist()
+                            cpos = (cp + vlo).tolist()
+                        tables = (
+                            vlo, vhi, len(tpos), len(cu_full),
+                            tpos, cpos, cu_full,
+                        )
+                        prune_tab[v * key_span + h] = tables
+                    vlo, vhi, n_t, n_pass, tpos, cpos, cu = tables
+                    if elo == vlo and ehi == vhi:
+                        cand = cu  # full slice (common case)
+                    else:
+                        if n_t:
+                            n_t = (bisect_left(tpos, ehi)
+                                   - bisect_left(tpos, elo))
+                        if n_pass:
+                            a = bisect_left(cpos, elo)
+                            b = bisect_left(cpos, ehi)
+                            cand = cu[a:b]
+                            n_pass = b - a
+                        else:
+                            cand = cu  # empty
+                    # stage 2: edge fetch — one read_range per entry
+                    if e_all_hit:
+                        s2b += ceil_tab[size]
+                    else:
+                        nh = c_e - elo
+                        if nh > 0:
+                            if nh > size:
+                                nh = size
+                            s2b += ceil_tab[nh]
+                            e_hits += nh
+                            br_ops += 1
+                            br_words += nh
+                        else:
+                            nh = 0
+                        nm = size - nh
+                        if nm:
+                            s2d += rl + nm - 1
+                            e_miss += nm
+                            dr_ops += 1
+                            dr_words += nm
+                            d_stall += rl1
+                    # stage 3: barrier fetch — one gather per entry
+                    if not b_all_hit:
+                        if b_partial:
+                            bp = bhit_tab.get(v)
+                            if bp is None:
+                                bp = [0]
+                                bp.extend(np.cumsum(
+                                    indices_np[vlo:vhi] < c_b).tolist())
+                                bhit_tab[v] = bp
+                            nbh = bp[ehi - vlo] - bp[elo - vlo]
+                        else:
+                            nbh = 0
+                        if nbh:
+                            s3b += nbh
+                            b_hits += nbh
+                            br_ops += 1
+                            br_words += nbh
+                        nbm = size - nbh
+                        if nbm:
+                            s3d += nbm * rl
+                            b_miss += nbm
+                            dr_ops += 1
+                            dr_words += nbm
+                            d_stall += nbm * rl1
+                    # stage 4: verification outcomes (Algorithm 2)
+                    batch_nt += n_t
+                    batch_pass += n_pass
+                    if n_t and h < max_hops:
+                        full = pv + (target,)
+                        if n_t == 1:
+                            batch_results.append(full)
+                        else:
+                            batch_results.extend([full] * n_t)
+                        wres += (h + 3) * n_t
+                    # the surviving candidates' visited check, fused with the
+                    # write-back bookkeeping of the paths it admits
+                    for u in cand:
+                        if u in pv:
+                            rej_v += 1
+                            continue
+                        nv += 1
+                        new_list[h] += 1
+                        if v_partial:
+                            if u < c_v:
+                                n1 += 1
+                            if u + 1 < c_v:
+                                n2 += 1
+                        nlo = iptr_l[u]
+                        nhi = iptr_l[u + 1]
+                        if nlo < nhi:
+                            # the write-back below charges every admitted
+                            # path; one whose tail another PE owns waits in
+                            # the outbox for the superstep boundary
+                            n_push += 1
+                            if owners is None or owners[u] == me:
+                                push_v.append(pv + (u,))
+                                push_lo.append(nlo)
+                                push_hi.append(nhi)
+                            else:
+                                outbox[owners[u]].append((pv + (u,), nlo, nhi))
+                n_expansions += n_items
+                rej_t += batch_nt
+                rej_b += n_items - batch_nt - batch_pass
+                n_intermediate += nv
+                if e_all_hit:
+                    e_hits += n_items
+                    br_ops += n_e
+                    br_words += n_items
+                if b_all_hit:
+                    s3b += n_items
+                    b_hits += n_items
+                    br_ops += n_e
+                    br_words += n_items
+                t4 = verify_tab[n_items]
+
+                # Result budget: keep only what fits; dropped results mean the
+                # answer is definitively incomplete.  The kept prefix is still
+                # a subset of the unbudgeted answer (same deterministic order).
+                if max_results is not None:
+                    room = max_results - stats.results
+                    if len(batch_results) > room:
+                        batch_results = batch_results[:room]
+                        self.dropped = True
+                        wres = sum(len(p) + 1 for p in batch_results)
+
+                # --- stage 1: load; stage 5: write-back ---------------------
+                moved = n_e * rec_w
+                if buffer_in_bram:
+                    t1 = 2 * -(-moved // pw)
+                    s1d = 0
+                    br_ops += 1
+                    br_words += moved
+                    bw_ops += 1
+                    bw_words += moved
+                else:
+                    s1d = (rl + moved - 1) + 2 * n_e * wl
+                    t1 = s1d + -(-moved // pw)
+                    dr_ops += 1
+                    dr_words += moved
+                    d_stall += rl1
+                    dw_ops += 1
+                    dw_words += 2 * n_e
+                    d_stall += 2 * n_e * wl1
+                    bw_ops += 1
+                    bw_words += moved
+
+                s5b = s5d = 0
+                if batch_results:
+                    if collect_paths:
+                        results_append(batch_results)
+                    if on_result is not None:
+                        for p in batch_results:
+                            on_result(p)
+                    stats.results += len(batch_results)
+                    s5d += wl + wres - 1
+                    dw_ops += 1
+                    dw_words += wres
+                    d_stall += wl1
+                if nv:
+                    # the two vertex_arr gathers (slice bounds of every tail)
+                    if v_all_hit:
+                        s5b += 2 * nv
+                        v_hits += 2 * nv
+                        br_ops += 2
+                        br_words += 2 * nv
+                    else:
+                        for n_hit, n_mis in ((n1, nv - n1), (n2, nv - n2)):
+                            if n_hit:
+                                s5b += n_hit
+                                v_hits += n_hit
+                                br_ops += 1
+                                br_words += n_hit
+                            if n_mis:
+                                s5d += n_mis * rl
+                                v_miss += n_mis
+                                dr_ops += 1
+                                dr_words += n_mis
+                                d_stall += n_mis * rl1
+                    if n_push:
+                        # one record write per admitted path (dead ends were
+                        # dropped in the fused loop without a write)
+                        if buffer_in_bram:
+                            s5b += n_push * ceil_rec
+                            bw_ops += n_push
+                            bw_words += n_push * rec_w
+                        else:
+                            s5d += n_push * (wl + rec_w - 1)
+                            dw_ops += n_push
+                            dw_words += n_push * rec_w
+                            d_stall += n_push * wl1
+
+                # Fold the overlapped stages into the device clock: concurrent
+                # on-chip stages; off-chip traffic shares the DRAM channels;
+                # fixed control cost per batch.
+                t2 = s2b + s2d
+                t3 = s3b + s3d
+                t5 = s5b + s5d
+                dram_cycles = s1d + s2d + s3d + s5d
+                mx = t1
+                if t2 > mx:
+                    mx = t2
+                if t3 > mx:
+                    mx = t3
+                if t4 > mx:
+                    mx = t4
+                if t5 > mx:
+                    mx = t5
+                dram_bound = -(-dram_cycles // channels)
+                if dram_bound > mx:
+                    mx = dram_bound
+                batch_cycles = mx + overhead
+                clock_advance(batch_cycles)
+                acc_t1 += t1
+                acc_t2 += t2
+                acc_t3 += t3
+                acc_t4 += t4
+                acc_t5 += t5
+                acc_ov += overhead
+
+                # Local survivors are pushed here; overflow stalls the
+                # pipeline.
+                if push_v:
+                    bverts = buffer._verts
+                    bnext = buffer._next
+                    blast = buffer._last
+                    n_buf = len(bverts) - buffer._head
+                    cap = buffer.capacity_paths
+                    if n_buf + len(push_v) <= cap:
+                        # no flush possible: append wholesale
+                        bverts.extend(push_v)
+                        bnext.extend(push_lo)
+                        blast.extend(push_hi)
+                        n_buf += len(push_v)
                         if n_buf > buffer.peak_occupancy:
                             buffer.peak_occupancy = n_buf
-                        self.flush()
-                        bverts = buffer._verts
-                        bnext = buffer._next
-                        blast = buffer._last
-                        n_buf = 0
-                    bverts.append(push_v[idx])
-                    bnext.append(push_lo[idx])
-                    blast.append(push_hi[idx])
-                    n_buf += 1
-                if n_buf > buffer.peak_occupancy:
-                    buffer.peak_occupancy = n_buf
+                        push_v = ()
+                    for idx in range(len(push_v)):
+                        if buffer_in_bram and n_buf >= cap:
+                            if n_buf > buffer.peak_occupancy:
+                                buffer.peak_occupancy = n_buf
+                            self.flush()
+                            bverts = buffer._verts
+                            bnext = buffer._next
+                            blast = buffer._last
+                            n_buf = 0
+                        bverts.append(push_v[idx])
+                        bnext.append(push_lo[idx])
+                        blast.append(push_hi[idx])
+                        n_buf += 1
+                    if n_buf > buffer.peak_occupancy:
+                        buffer.peak_occupancy = n_buf
 
-            if observe is not None:
-                stage_breakdown = dict(zip(
-                    ("load", "edge_fetch", "barrier_fetch", "verify",
-                     "writeback"),
-                    (t1, t2, t3, t4, t5),
-                ))
-                flush_now = stage_cycles.get("flush", 0)
-                observe("batch", iter_wall0, {
-                    "entries": n_e,
-                    "expansions": n_items,
-                    "results": len(batch_results),
-                    "new_paths": nv,
-                    "cycles": clock.cycles - iter_cycles0,
-                    "pipeline_cycles": batch_cycles - overhead,
-                    "overhead_cycles": overhead,
-                    "flush_cycles": flush_now - flush_cycles0,
-                    "flushes": stats.flushes - flushes0,
-                    "dram_cycles": dram_cycles,
-                    "buffer_paths": len(buffer),
-                    "stage_cycles": stage_breakdown,
-                })
-                iter_cycles0 = clock.cycles
-                iter_wall0 = time.perf_counter_ns()
-                flush_cycles0 = flush_now
-                flushes0 = stats.flushes
+                if observe is not None:
+                    stage_breakdown = dict(zip(
+                        ("load", "edge_fetch", "barrier_fetch", "verify",
+                         "writeback"),
+                        (t1, t2, t3, t4, t5),
+                    ))
+                    flush_now = stage_cycles.get("flush", 0)
+                    observe("batch", iter_wall0, {
+                        "entries": n_e,
+                        "expansions": n_items,
+                        "results": len(batch_results),
+                        "new_paths": nv,
+                        "cycles": clock.cycles - iter_cycles0,
+                        "pipeline_cycles": batch_cycles - overhead,
+                        "overhead_cycles": overhead,
+                        "flush_cycles": flush_now - flush_cycles0,
+                        "flushes": stats.flushes - flushes0,
+                        "dram_cycles": dram_cycles,
+                        "buffer_paths": len(buffer),
+                        "stage_cycles": stage_breakdown,
+                    })
 
-            if max_results is not None and n_results >= max_results:
-                break
-            steps_left -= 1
-            if steps_left == 0:
-                break
-
-        # --- fold the deferred accumulators into the models -------------
-        port = self.bram.port
-        port.reads += br_ops
-        port.read_words += br_words
-        port.writes += bw_ops
-        port.write_words += bw_words
-        port = self.dram.port
-        port.reads += dr_ops
-        port.read_words += dr_words
-        port.writes += dw_ops
-        port.write_words += dw_words
-        port.stall_cycles += d_stall
-        self.vertex_arr.hits += v_hits
-        self.vertex_arr.misses += v_miss
-        self.edge_arr.hits += e_hits
-        self.edge_arr.misses += e_miss
-        self.bar_arr.hits += b_hits
-        self.bar_arr.misses += b_miss
-        stats.batches += n_batches
-        stats.expansions += n_expansions
-        stats.results = n_results
-        stats.intermediate_paths += n_intermediate
-        stats.rejected_target += rej_t
-        stats.rejected_barrier += rej_b
-        stats.rejected_visited += rej_v
-        for tally, counts in (
-                (stats.expansions_by_parent_length, exp_list),
-                (stats.new_paths_by_parent_length, new_list)):
-            for h, c in enumerate(counts):
-                if c:
-                    tally[h] = tally.get(h, 0) + c
-        for name, acc in (("load", acc_t1), ("edge_fetch", acc_t2),
-                          ("barrier_fetch", acc_t3), ("verify", acc_t4),
-                          ("writeback", acc_t5), ("overhead", acc_ov)):
-            if acc:
-                stage_cycles[name] = stage_cycles.get(name, 0) + acc
+                if max_results is not None and stats.results >= max_results:
+                    return
+                yield
+        finally:
+            # --- fold the deferred accumulators into the models, once ----
+            port = self.bram.port
+            port.reads += br_ops
+            port.read_words += br_words
+            port.writes += bw_ops
+            port.write_words += bw_words
+            port = self.dram.port
+            port.reads += dr_ops
+            port.read_words += dr_words
+            port.writes += dw_ops
+            port.write_words += dw_words
+            port.stall_cycles += d_stall
+            self.vertex_arr.hits += v_hits
+            self.vertex_arr.misses += v_miss
+            self.edge_arr.hits += e_hits
+            self.edge_arr.misses += e_miss
+            self.bar_arr.hits += b_hits
+            self.bar_arr.misses += b_miss
+            stats.batches += n_batches
+            stats.expansions += n_expansions
+            stats.intermediate_paths += n_intermediate
+            stats.rejected_target += rej_t
+            stats.rejected_barrier += rej_b
+            stats.rejected_visited += rej_v
+            for tally, counts in (
+                    (stats.expansions_by_parent_length, exp_list),
+                    (stats.new_paths_by_parent_length, new_list)):
+                for h, c in enumerate(counts):
+                    c += tally.pop(h, 0)
+                    if c:
+                        tally[h] = c
+            for name, acc in (("load", acc_t1), ("edge_fetch", acc_t2),
+                              ("barrier_fetch", acc_t3), ("verify", acc_t4),
+                              ("writeback", acc_t5), ("overhead", acc_ov)):
+                if acc:
+                    stage_cycles[name] = stage_cycles.get(name, 0) + acc
 
 
 class _CostClock(Clock):

@@ -17,9 +17,9 @@ Superstep model (BSP lockstep)
 ------------------------------
 Each iteration of the global loop is one *superstep*:
 
-1. every PE with work runs its kernel for one step — push the records
-   routed to it into the buffer area, then run one refill or one
-   processing batch on its local clock;
+1. every PE with work resumes its kernel for one step — push the
+   records routed to it into the buffer area, then run one refill or
+   one processing batch on its local clock — and the kernel suspends;
 2. remote records route through per-destination FIFOs behind a
    round-robin arbiter; destinations drain in parallel, so the routing
    charge is the max over destination FIFOs;
@@ -37,11 +37,13 @@ are emitted here, not through the sink.
 
 Why N=1 is byte-identical to the single-PE engine
 -------------------------------------------------
-Each step is one batch (or refill) of the vectorised kernel, and the
-kernel's fold at the end of every call is exact because everything it
-folds is a plain sum.  With one PE every vertex is local, nothing is
-routed, and routing and barrier charges are zero, so the superstep loop
-runs the single-PE kernel's loop one step per call: same paths in the
+Each step is one batch (or refill) of the vectorised kernel's one
+batch loop, a generator the single-PE engine drains.  Between steps its
+state lives in the suspended generator, and it folds its accumulators
+once per run, when the driver closes it; everything it folds is a plain
+sum.  With one PE every vertex is local, nothing reaches the outbox,
+and routing and barrier charges are zero, so the superstep loop runs
+the single-PE kernel's loop one resume at a time: same paths in the
 same order, same cycles, stats, port traffic and profile, by
 construction.  ``docs/TIMING_MODEL.md`` spells the argument out.
 """
@@ -120,6 +122,7 @@ def run_multi_pe(
     global_cycles = pes[owners[source]].seed(source, sink.record)
 
     # --- superstep loop ------------------------------------------------
+    steps = [pe.steps() for pe in pes]
     superstep = 0
     inter_messages = 0
     inter_route = inter_arbiter = inter_stall = inter_barrier = 0
@@ -127,32 +130,37 @@ def run_multi_pe(
         # Every PE with work takes one step; the slowest holds the
         # superstep (ties resolve to the lowest PE index).
         events.clear()
-        stepped: list[tuple[int, int]] = []
+        stepped: list[tuple[_Kernel, int]] = []
         crit = -1
         crit_delta = -1
-        for pe in pes:
-            if not pe.has_work():
+        for pe, step in zip(pes, steps):
+            if not (pe.inbox or pe.buffer or pe.dram_area):
                 continue
             before = pe.clock.cycles
-            pe.run(1)
+            # a step that spends the result budget ends its kernel's
+            # generator; the loop stops after this superstep
+            next(step, None)
             delta = pe.clock.cycles - before
             if delta > crit_delta:
                 crit, crit_delta = len(stepped), delta
-            stepped.append((pe.index, delta))
+            stepped.append((pe, delta))
         if not stepped:
             break
 
-        # Route foreign records through the per-destination FIFOs.
-        # Destinations drain in parallel: the superstep pays the slowest
-        # FIFO's charge (ties to the lowest destination index).
+        # Route foreign records through the per-destination FIFOs.  Only
+        # the PEs that stepped filled an outbox.  Destinations drain in
+        # parallel: the superstep pays the slowest FIFO's charge (ties to
+        # the lowest destination index).
+        fifos: dict[int, dict[int, list]] = {}
+        for pe, _ in stepped:
+            for dest, queue in enumerate(pe.outbox):
+                if queue:
+                    fifos.setdefault(dest, {})[pe.index] = queue
         route_total = 0
         crit_charge = None
         step_messages = 0
-        for dest in range(num_pes):
-            queues = {pe.index: pe.outbox[dest] for pe in pes
-                      if pe.outbox[dest]}
-            if not queues:
-                continue
+        for dest in sorted(fifos):
+            queues = fifos[dest]
             delivered, charge = arbiter.merge(dest, queues)
             pes[dest].inbox.extend(delivered)
             for queue in queues.values():
@@ -190,19 +198,22 @@ def run_multi_pe(
                 # Shadow spans: every stepped PE on its own track.
                 # Attribution folds only the critical batch / refill /
                 # inter_pe spans above; these are for the timeline view.
-                for pos, ((i, delta), (kind, wall0, _)) in enumerate(
+                for pos, ((pe, delta), (kind, wall0, _)) in enumerate(
                         zip(stepped, events)):
                     tracer.complete(
                         "pe_step", wall0,
                         modelled_seconds=delta / frequency,
-                        track=f"pe{i}",
-                        pe=i, kind=kind, cycles=delta,
+                        track=f"pe{pe.index}",
+                        pe=pe.index, kind=kind, cycles=delta,
                         critical=(pos == crit),
                     )
 
         superstep += 1
         if max_results is not None and stats.results >= max_results:
             break
+    # Suspended kernels fold their accumulators as they close.
+    for step in steps:
+        step.close()
 
     stats.inter_pe_messages = inter_messages
     stats.inter_pe_route_cycles = inter_route

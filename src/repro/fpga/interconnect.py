@@ -31,13 +31,12 @@ quantities are integers; the totals tile the ``inter_pe`` segment of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.fpga.device import DeviceConfig
 
 
-@dataclass(frozen=True)
-class RouteCharge:
+class RouteCharge(NamedTuple):
     """Cycle breakdown for one destination FIFO in one superstep."""
 
     destination: int
@@ -83,36 +82,34 @@ class RoundRobinArbiter:
         round-by-round interleave: round ``r`` delivers the ``r``-th
         record of every queue longer than ``r``, in cyclic order from the
         pointer.  The pointer then rests one past the last granted
-        source.  One pass over the records builds it.
+        source.  One pass over the records builds it; a lone source
+        (the common case) is delivered as it stands.
         """
-        n = self.num_pes
-        start = self._grant[destination]
-        active = sorted(
-            ((src - start) % n, src, q) for src, q in queues.items() if q
-        )
-        messages = sum(len(q) for _, _, q in active)
+        active = [(src, q) for src, q in queues.items() if q]
         contenders = len(active)
-        delivered: list = []
-        if active:
-            last = active[-1][1]
-            if contenders == 1:
-                delivered.extend(active[0][2])
-            else:
-                rnd = 0
-                while active:
-                    for _, last, q in active:
-                        delivered.append(q[rnd])
-                    rnd += 1
-                    active = [a for a in active if len(a[2]) > rnd]
-            self._grant[destination] = (last + 1) % n
+        if contenders == 1:
+            last, q = active[0]
+            delivered = q[:]
+        else:
+            n = self.num_pes
+            start = self._grant[destination]
+            active.sort(key=lambda a: (a[0] - start) % n)
+            delivered = []
+            rnd = 0
+            while active:
+                for last, q in active:
+                    delivered.append(q[rnd])
+                rnd += 1
+                active = [a for a in active if len(a[1]) > rnd]
+        messages = len(delivered)
+        if messages:
+            self._grant[destination] = (last + 1) % self.num_pes
         charge = RouteCharge(
-            destination=destination,
-            messages=messages,
-            contenders=contenders,
-            hop_cycles=self.hop_cycles if messages else 0,
-            stream_cycles=max(0, messages - 1),
-            arbiter_cycles=max(0, contenders - 1) * self.arbiter_cycles,
-            stall_cycles=max(0, messages - self.fifo_records),
+            destination, messages, contenders,
+            self.hop_cycles if messages else 0,
+            max(0, messages - 1),
+            max(0, contenders - 1) * self.arbiter_cycles,
+            max(0, messages - self.fifo_records),
         )
         return delivered, charge
 

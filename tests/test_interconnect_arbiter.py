@@ -11,7 +11,7 @@ leave the same persisted grant pointers, merge after merge.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fpga.device import DeviceConfig
@@ -70,6 +70,16 @@ def _scenario(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_scenario())
+# one non-empty queue
+@example((3, [0, 0, 0], 2, [(1, {0: [(0, 0), (0, 1), (0, 2)]})]))
+# one empty queue
+@example((2, [0, 0], 1, [(0, {1: []})]))
+# a lone queue from the source at the grant pointer, then a contended
+# merge that starts from the pointer it left
+@example((4, [0, 2, 0, 0], 1, [
+    (1, {2: [(2, 0), (2, 1)]}),
+    (1, {0: [(0, 0)], 2: [(2, 0)], 3: [(3, 0), (3, 1)]}),
+]))
 def test_interleave_matches_grant_loop(scenario):
     n, grants, fifo, merges = scenario
     cfg = DeviceConfig(num_pes=n, inter_pe_fifo_records=fifo)
