@@ -33,16 +33,17 @@ class CachedArray:
     ) -> None:
         if cache_budget_words < 0:
             raise ConfigError(f"negative cache budget for {label}")
-        self._data = np.asarray(data)
+        self._data = data = np.asarray(data)
         self._bram = bram
         self._dram = dram
         self.label = label
         self.enabled = enabled
-        self.cached_len = self.prefix_len(len(self._data),
-                                          cache_budget_words, enabled)
-        dram.allocate(len(self._data), f"{label}(dram)")
-        if self.cached_len:
-            bram.allocate(self.cached_len, f"{label}(bram)")
+        size = len(data)
+        self.cached_len = cached = self.prefix_len(size, cache_budget_words,
+                                                   enabled)
+        dram.allocate(size, f"{label}(dram)")
+        if cached:
+            bram.allocate(cached, f"{label}(bram)")
         self.hits = 0
         self.misses = 0
 

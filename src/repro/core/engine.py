@@ -49,9 +49,13 @@ A :class:`_Kernel` is one PE's pipeline: its device, buffer and DRAM path
 areas, cached arrays and deferred accumulators.  Its phases are
 :meth:`~_Kernel.refill`, :meth:`~_Kernel.flush` and the resumable batch
 loop :meth:`~_Kernel.steps`, a generator that runs one step (a refill
-or a batch) per resume.  Between steps the kernel's hot state lives in
-the suspended generator's locals; the deferred accumulators fold into
-the models once per run, when the generator ends or is closed.  Every
+or a batch) per resume and yields the cycles it charged.  A batch is
+one walk down the Batch-DFS stack top that runs stages 2-4 on each
+slice as it is selected; the FIFO ablation feeds the same loop body
+from :func:`~repro.core.batching.fifo_batch`'s list.  Between steps the
+kernel's hot state lives in the suspended generator's locals; the
+deferred accumulators fold into the models once per run, when the
+generator ends or is closed.  Every
 folded quantity is a plain sum, so one fold equals a fold per step.  A
 survivor whose tail vertex another PE owns goes to that PE's outbox at
 the moment it is admitted.  The tables that depend only on (graph,
@@ -336,7 +340,7 @@ def _finish_run(kernels: list["_Kernel"], device, stats: EngineStats,
         seconds=device.elapsed_seconds(),
         stats=stats,
         device=device,
-        truncated=any(k.dropped or k.has_work() for k in kernels),
+        truncated=any(k.dropped or k.has_work for k in kernels),
         profile=profile,
     )
 
@@ -416,7 +420,8 @@ class _Kernel:
     vertex another PE owns goes to ``outbox[owner]`` as a
     ``(vertices, next_ptr, last_ptr)`` record when it is admitted, and
     records routed to this PE wait in ``inbox`` until its next resume
-    pushes them.  ``observe``, when
+    pushes them.  The driver takes each filled outbox queue whole and
+    leaves a fresh one.  ``observe``, when
     set, is called as ``observe(kind, wall_ns, fields)`` once per refill
     or batch — the signature of :meth:`DeviceProfiler.record`, ``fields``
     being the typed event's constructor arguments.
@@ -443,6 +448,11 @@ class _Kernel:
             if owners is not None else []
         )
         self.inbox: list[tuple] = []
+        #: records wait in the inbox, the buffer or the DRAM area: the one
+        #: test of whether this PE steps.  The batch loop sets it at every
+        #: suspension (its inbox is empty then) and the multi-PE driver
+        #: when it delivers to the inbox.
+        self.has_work = False
         self.observe = None
         #: set once a batch dropped results to the result budget.
         self.dropped = False
@@ -472,10 +482,6 @@ class _Kernel:
                                    "bar_arr", enabled=cfg.use_cache)
         self.dram_area = DramArea()
 
-    def has_work(self) -> bool:
-        return (len(self.buffer) > 0 or not self.dram_area.is_empty
-                or bool(self.inbox))
-
     def seed(self, source: int, record) -> int:
         """Push the path consisting of just ``source``; returns the
         setup cycles and passes them to ``record`` (a
@@ -489,6 +495,7 @@ class _Kernel:
             else:
                 self.dram.burst_write(self.tables.rec_w)
             self.buffer.push(PathRecord((source,), lo, hi))
+            self.has_work = True
         cycles = self.clock.cycles
         record("kernel_setup", setup_wall, {"cycles": cycles})
         return cycles
@@ -536,7 +543,8 @@ class _Kernel:
         """
         buffer = self.buffer
         records, self.inbox = self.inbox, []
-        if len(buffer) + len(records) <= buffer.capacity_paths:
+        if (len(buffer._verts) - buffer._head + len(records)
+                <= buffer.capacity_paths):
             buffer.extend(records)  # no flush possible
             return
         for verts, lo, hi in records:
@@ -553,9 +561,11 @@ class _Kernel:
         """The resumable batch loop: each resume runs one step.
 
         A resume first pushes the inbox, then runs one refill or one
-        batch, then suspends.  The generator returns when the buffer and
-        DRAM areas are empty or a budget is spent (the cycle cap is
-        checked before each step, the result cap after each batch).  Its
+        batch, then sets :attr:`has_work` and suspends, yielding the
+        cycles the step charged (the inbox push included).  The
+        generator returns when the buffer and DRAM areas are empty or a
+        budget is spent (the cycle cap is checked before each step; the
+        result cap after each batch, whose delta is still yielded).  Its
         hot state stays in locals across steps; the deferred
         accumulators fold into the device models, the cached arrays'
         counters and ``stats`` once, when the generator ends or is
@@ -634,62 +644,39 @@ class _Kernel:
         # --- main loop (Algorithms 1 and 3), one step per resume --------
         try:
             while True:
+                # a step's delta covers the inbox push before it, too
+                step0 = clock._cycles
                 if observe is not None:
-                    # A step's event covers the inbox push before it, too.
-                    iter_cycles0 = clock.cycles
                     iter_wall0 = time.perf_counter_ns()
                     flush_cycles0 = stage_cycles.get("flush", 0)
                     flushes0 = stats.flushes
                 if self.inbox:
                     self._drain_inbox()
                 # Budget check at the step boundary.
-                if max_cycles is not None and clock.cycles >= max_cycles:
+                if max_cycles is not None and clock._cycles >= max_cycles:
                     return
                 bverts = buffer._verts
                 bnext = buffer._next
                 blast = buffer._last
                 bhead = buffer._head
                 if len(bverts) == bhead:  # buffer empty
-                    if buffer_in_bram and not dram_area.is_empty:
-                        self.refill()
-                        yield
+                    if buffer_in_bram and dram_area._stack:
+                        self.refill()  # the buffer now holds work
+                        yield clock._cycles - step0
                         continue  # re-check the cycle budget after the stall
+                    self.has_work = False
                     return
 
-                # --- batch selection (Batch-DFS fused; FIFO via scheduler) --
+                # --- one walk per batch: select each slice (Batch-DFS from
+                # the stack top, or FIFO via the scheduler's list) and run
+                # stages 2-4 on it at once --------------------------------
                 if use_dfs:
-                    sel: list[tuple] = []
+                    fifo = None
+                    top = len(bverts)
                     cnt = 0
-                    i = len(bverts) - 1
-                    while i >= bhead:
-                        p1 = bnext[i]
-                        p2 = p1 + (theta2 - cnt)
-                        pl = blast[i]
-                        if p2 > pl:
-                            p2 = pl
-                        if p2 > p1:
-                            sel.append((bverts[i], p1, p2))
-                            bnext[i] = p2
-                            cnt += p2 - p1
-                            if cnt >= theta2:
-                                break
-                        i -= 1
-                    j = len(bverts) - 1
-                    while j >= bhead and bnext[j] >= blast[j]:
-                        j -= 1
-                    j += 1
-                    if j < len(bverts):
-                        del bverts[j:]
-                        del bnext[j:]
-                        del blast[j:]
                 else:
-                    sel = fifo_batch(buffer, theta2)
-                if not sel:
-                    return  # defensive: cannot happen with a non-empty buffer
-                n_batches += 1
-                n_e = len(sel)
-
-                # --- stages 2-4 per entry, via the pruning tables -----------
+                    fifo = iter(fifo_batch(buffer, theta2))
+                n_e = 0
                 # Fully-cached arrays (the common configuration) charge a
                 # fixed pattern per entry — one wide BRAM access of ``size``
                 # words each for stages 2 and 3 — so those charges fold into
@@ -705,7 +692,29 @@ class _Kernel:
                 push_lo: list[int] = []
                 push_hi: list[int] = []
                 wres = 0
-                for pv, elo, ehi in sel:
+                while True:
+                    if fifo is None:
+                        if cnt >= theta2:
+                            break
+                        top -= 1
+                        if top < bhead:
+                            break
+                        elo = bnext[top]
+                        ehi = elo + (theta2 - cnt)
+                        pl = blast[top]
+                        if ehi > pl:
+                            ehi = pl
+                        if ehi <= elo:
+                            continue
+                        bnext[top] = ehi
+                        cnt += ehi - elo
+                        pv = bverts[top]
+                    else:
+                        entry = next(fifo, None)
+                        if entry is None:
+                            break
+                        pv, elo, ehi = entry
+                    n_e += 1
                     h = len(pv) - 1
                     size = ehi - elo
                     n_items += size
@@ -838,6 +847,19 @@ class _Kernel:
                                 push_hi.append(nhi)
                             else:
                                 outbox[owners[u]].append((pv + (u,), nlo, nhi))
+                if use_dfs:
+                    # pop the exhausted run at the stack top
+                    j = len(bverts) - 1
+                    while j >= bhead and bnext[j] >= blast[j]:
+                        j -= 1
+                    j += 1
+                    if j < len(bverts):
+                        del bverts[j:]
+                        del bnext[j:]
+                        del blast[j:]
+                if not n_e:
+                    return  # defensive: cannot happen with a non-empty buffer
+                n_batches += 1
                 n_expansions += n_items
                 rej_t += batch_nt
                 rej_b += n_items - batch_nt - batch_pass
@@ -1002,7 +1024,7 @@ class _Kernel:
                         "expansions": n_items,
                         "results": len(batch_results),
                         "new_paths": nv,
-                        "cycles": clock.cycles - iter_cycles0,
+                        "cycles": clock._cycles - step0,
                         "pipeline_cycles": batch_cycles - overhead,
                         "overhead_cycles": overhead,
                         "flush_cycles": flush_now - flush_cycles0,
@@ -1012,9 +1034,12 @@ class _Kernel:
                         "stage_cycles": stage_breakdown,
                     })
 
-                if max_results is not None and stats.results >= max_results:
+                self.has_work = (len(buffer._verts) > buffer._head
+                                 or bool(dram_area._stack))
+                spent = max_results is not None and stats.results >= max_results
+                yield clock._cycles - step0
+                if spent:
                     return
-                yield
         finally:
             # --- fold the deferred accumulators into the models, once ----
             port = self.bram.port

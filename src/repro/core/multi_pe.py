@@ -17,12 +17,15 @@ Superstep model (BSP lockstep)
 ------------------------------
 Each iteration of the global loop is one *superstep*:
 
-1. every PE with work resumes its kernel for one step — push the
-   records routed to it into the buffer area, then run one refill or
-   one processing batch on its local clock — and the kernel suspends;
+1. every PE with work (its kernel's ``has_work`` flag) resumes its
+   kernel for one step — push the records routed to it into the buffer
+   area, then run one refill or one processing batch on its local
+   clock — and the kernel suspends, yielding the step's cycles;
 2. remote records route through per-destination FIFOs behind a
    round-robin arbiter; destinations drain in parallel, so the routing
-   charge is the max over destination FIFOs;
+   charge is the max over destination FIFOs.  Each outbox queue is
+   handed over whole (a lone source's queue becomes the destination's
+   inbox as it stands) and its kernel gets a fresh one;
 3. a barrier sync joins the PEs.
 
 The global clock advances by ``max(PE step deltas) + routing + barrier``
@@ -134,13 +137,12 @@ def run_multi_pe(
         crit = -1
         crit_delta = -1
         for pe, step in zip(pes, steps):
-            if not (pe.inbox or pe.buffer or pe.dram_area):
+            if not pe.has_work:
                 continue
-            before = pe.clock.cycles
-            # a step that spends the result budget ends its kernel's
-            # generator; the loop stops after this superstep
-            next(step, None)
-            delta = pe.clock.cycles - before
+            # the kernel yields its step's delta; a step that spends the
+            # result budget still yields, and the loop stops after this
+            # superstep
+            delta = next(step)
             if delta > crit_delta:
                 crit, crit_delta = len(stepped), delta
             stepped.append((pe, delta))
@@ -148,23 +150,28 @@ def run_multi_pe(
             break
 
         # Route foreign records through the per-destination FIFOs.  Only
-        # the PEs that stepped filled an outbox.  Destinations drain in
+        # the PEs that stepped filled an outbox; each queue collected is
+        # handed over (the arbiter may deliver a lone queue as the inbox)
+        # and its kernel fills a fresh one.  Destinations drain in
         # parallel: the superstep pays the slowest FIFO's charge (ties to
         # the lowest destination index).
         fifos: dict[int, dict[int, list]] = {}
         for pe, _ in stepped:
-            for dest, queue in enumerate(pe.outbox):
+            outbox = pe.outbox
+            for dest, queue in enumerate(outbox):
                 if queue:
                     fifos.setdefault(dest, {})[pe.index] = queue
+                    outbox[dest] = []
         route_total = 0
         crit_charge = None
         step_messages = 0
         for dest in sorted(fifos):
-            queues = fifos[dest]
-            delivered, charge = arbiter.merge(dest, queues)
-            pes[dest].inbox.extend(delivered)
-            for queue in queues.values():
-                queue.clear()
+            delivered, charge = arbiter.merge(dest, fifos[dest])
+            # Every inbox is empty at the boundary: a PE with records
+            # waiting steps, and a step pushes its inbox first.
+            receiver = pes[dest]
+            receiver.inbox = delivered
+            receiver.has_work = True
             step_messages += charge.messages
             if charge.total > route_total:
                 route_total = charge.total

@@ -128,7 +128,8 @@ class BufferArea:
         All of them must fit: the caller flushes first when they might
         not.
         """
-        if len(self) + len(records) > self.capacity_paths:
+        occupancy = len(self._verts) - self._head + len(records)
+        if occupancy > self.capacity_paths:
             raise CapacityError(
                 f"buffer area overflow (capacity {self.capacity_paths}); "
                 "the engine must flush before pushing"
@@ -138,7 +139,6 @@ class BufferArea:
             self._verts.extend(verts)
             self._next.extend(next_ptrs)
             self._last.extend(last_ptrs)
-        occupancy = len(self._verts) - self._head
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
 

@@ -86,19 +86,12 @@ class Device:
     """
 
     def __init__(self, config: DeviceConfig | None = None) -> None:
-        self.config = config or DeviceConfig()
-        self.clock = Clock()
-        self.bram = Bram(self.clock, self.config.bram_words, "bram",
-                         port_words=self.config.bram_port_words)
-        self.dram = Dram(
-            self.clock,
-            self.config.dram_words,
-            "dram",
-            read_latency=self.config.dram_read_latency,
-            write_latency=self.config.dram_write_latency,
-            burst_words=self.config.dram_burst_words,
-        )
-        self.pcie = self.config.pcie
+        self.config = cfg = config or DeviceConfig()
+        self.clock = clock = Clock()
+        self.bram = Bram(clock, cfg.bram_words, "bram", cfg.bram_port_words)
+        self.dram = Dram(clock, cfg.dram_words, "dram", cfg.dram_read_latency,
+                         cfg.dram_write_latency, cfg.dram_burst_words)
+        self.pcie = cfg.pcie
 
     @property
     def cycles(self) -> int:

@@ -7,6 +7,9 @@ crossbar into the destination PE's input FIFO at superstep boundaries
 has one FIFO fed by up to ``num_pes - 1`` source links; a round-robin
 arbiter interleaves contending sources one record per grant, rotating
 its grant pointer across supersteps so no source is starved.
+:meth:`RoundRobinArbiter.merge` computes that order one round per
+iteration, not one record per iteration, and hands a lone source's
+queue over as the delivery list without a copy.
 
 Cycle charges per destination ``d`` receiving ``m`` records from ``c``
 distinct sources in one superstep:
@@ -82,25 +85,33 @@ class RoundRobinArbiter:
         round-by-round interleave: round ``r`` delivers the ``r``-th
         record of every queue longer than ``r``, in cyclic order from the
         pointer.  The pointer then rests one past the last granted
-        source.  One pass over the records builds it; a lone source
-        (the common case) is delivered as it stands.
+        source.  One iteration builds one round: while the same queues
+        contend, ``zip`` over their common length yields those rounds
+        whole, and the queues that ran out drop before the next run.  A
+        lone source (the common case) is its own delivery order: its
+        queue is returned as it stands, handed over to the caller, who
+        must not reuse it.
         """
         active = [(src, q) for src, q in queues.items() if q]
         contenders = len(active)
         if contenders == 1:
-            last, q = active[0]
-            delivered = q[:]
+            last, delivered = active[0]
         else:
             n = self.num_pes
             start = self._grant[destination]
             active.sort(key=lambda a: (a[0] - start) % n)
             delivered = []
-            rnd = 0
-            while active:
-                for last, q in active:
-                    delivered.append(q[rnd])
-                rnd += 1
-                active = [a for a in active if len(a[1]) > rnd]
+            done = 0
+            while len(active) > 1:
+                run = min([len(q) for _, q in active])
+                for rnd in zip(*[q[done:run] for _, q in active]):
+                    delivered += rnd
+                done = run
+                last = active[-1][0]
+                active = [a for a in active if len(a[1]) > run]
+            if active:
+                last, q = active[0]
+                delivered += q[done:]
         messages = len(delivered)
         if messages:
             self._grant[destination] = (last + 1) % self.num_pes

@@ -58,12 +58,6 @@ class MemoryPort:
         }
 
 
-@dataclass
-class _Allocation:
-    label: str
-    words: int
-
-
 class _Memory:
     """Shared behaviour: capacity reservation and traffic accounting.
 
@@ -79,13 +73,11 @@ class _Memory:
         self.capacity_words = capacity_words
         self.name = name
         self.port = MemoryPort()
-        self._allocations: list[_Allocation] = []
+        #: ``(label, words)`` in allocation order, and their running total.
+        self._allocations: list[tuple[str, int]] = []
+        self.allocated_words = 0
 
     # -- capacity ------------------------------------------------------
-    @property
-    def allocated_words(self) -> int:
-        return sum(a.words for a in self._allocations)
-
     @property
     def free_words(self) -> int:
         return self.capacity_words - self.allocated_words
@@ -94,15 +86,17 @@ class _Memory:
         """Reserve ``words`` for a named structure (raises on overflow)."""
         if words < 0:
             raise ConfigError(f"negative allocation {label!r} on {self.name}")
-        if words > self.free_words:
+        free = self.free_words
+        if words > free:
             raise CapacityError(
                 f"{self.name}: allocating {words} words for {label!r} exceeds "
-                f"free capacity {self.free_words}/{self.capacity_words}"
+                f"free capacity {free}/{self.capacity_words}"
             )
-        self._allocations.append(_Allocation(label, words))
+        self._allocations.append((label, words))
+        self.allocated_words += words
 
     def allocations(self) -> dict[str, int]:
-        return {a.label: a.words for a in self._allocations}
+        return dict(self._allocations)
 
     def reset_traffic(self) -> None:
         self.port = MemoryPort()

@@ -575,6 +575,9 @@ def _build_pe_scaling(seed: int) -> dict[str, Metric]:
     are exact-class metrics; ``paths_per_second_per_pe`` records the
     modelled per-PE throughput so scaling regressions (e.g. an interconnect
     charge accidentally doubled) surface as metric diffs.
+    ``n4_over_n1_wall_x`` is the simulator's own cost of modelling four PEs:
+    the wall time of the N=4 sweep over that of the N=1 sweep (wall class,
+    recorded and never gated).
     """
     from repro.datasets import load_dataset
     from repro.fpga.device import DeviceConfig
@@ -589,7 +592,9 @@ def _build_pe_scaling(seed: int) -> dict[str, Metric]:
     def sweep(**engine_kwargs):
         system = PathEnumerationSystem.for_variant(graph, "pefp",
                                                    **engine_kwargs)
+        start = time.perf_counter()
         reports = [system.execute(q, profile=True) for q in queries]
+        wall = time.perf_counter() - start
         agg = aggregate_profiles(
             [r.profile for r in reports if r.profile is not None])
         return {
@@ -599,6 +604,7 @@ def _build_pe_scaling(seed: int) -> dict[str, Metric]:
             "seconds": sum(r.query_seconds for r in reports),
             "inter_pe_cycles": agg["inter_pe_cycles"],
             "inter_pe_messages": agg["inter_pe_messages"],
+            "wall": wall,
         }
 
     plain = sweep()
@@ -620,6 +626,10 @@ def _build_pe_scaling(seed: int) -> dict[str, Metric]:
             float(all(r["path_sets"] == runs[1]["path_sets"]
                       for r in runs.values())),
             headline=True),
+        "n4_over_n1_wall_x": Metric(
+            "n4_over_n1_wall_x",
+            runs[4]["wall"] / runs[1]["wall"] if runs[1]["wall"] > 0 else 0.0,
+            CLASS_WALL, "lower", "x"),
     }
     for n, r in runs.items():
         per_pe = r["paths"] / (r["seconds"] * n) if r["seconds"] else 0.0

@@ -137,6 +137,25 @@ class TestAllocation:
         with pytest.raises(CapacityError, match="b"):
             bram.allocate(41, "b")
 
+    def test_totals_track_a_sequence_of_allocations(self, clock):
+        dram = Dram(clock, 100)
+        steps = [("a", 30), ("b", 0), ("c", 45), ("a", 5)]
+        total = 0
+        for label, words in steps:
+            dram.allocate(words, label)
+            total += words
+            assert dram.allocated_words == total
+            assert dram.free_words == 100 - total
+        # a repeated label keeps its last size; the total counts both
+        assert dram.allocations() == {"a": 5, "b": 0, "c": 45}
+        with pytest.raises(CapacityError, match=r"exceeds free capacity 20/100"):
+            dram.allocate(21, "d")
+        # a refused allocation reserves nothing
+        assert dram.allocated_words == 80
+        assert dram.allocations() == {"a": 5, "b": 0, "c": 45}
+        dram.allocate(20, "d")
+        assert dram.free_words == 0
+
     def test_negative_allocation(self, clock):
         bram = Bram(clock, 100)
         with pytest.raises(ConfigError):

@@ -68,8 +68,19 @@ def _scenario(draw):
     return n, grants, fifo, merges
 
 
+def _queues(lengths):
+    """``{src: n}`` -> the records of a merge, as ``_scenario`` draws them."""
+    return {src: [(src, i) for i in range(n)] for src, n in lengths.items()}
+
+
 @settings(max_examples=300, deadline=None)
 @given(_scenario())
+# merge shapes of multi-PE runs that the drawn queues (at most 7 records)
+# never reach, each from a non-zero grant pointer: a short queue beside a
+# long one, two singletons beside a longer queue, three long queues
+@example((4, [2, 0, 0, 0], 64, [(0, _queues({1: 3, 3: 54}))]))
+@example((4, [0, 3, 0, 0], 64, [(1, _queues({0: 1, 2: 1, 3: 4}))]))
+@example((4, [0, 0, 1, 0], 64, [(2, _queues({0: 14, 1: 15, 3: 18}))]))
 # one non-empty queue
 @example((3, [0, 0, 0], 2, [(1, {0: [(0, 0), (0, 1), (0, 2)]})]))
 # one empty queue

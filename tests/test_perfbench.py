@@ -346,17 +346,20 @@ class TestScenarios:
 # the CLI, end to end on a fast scenario
 # ----------------------------------------------------------------------
 class TestBenchCLI:
-    SCENARIO = ["--scenario", "service.cache.rt", "--runs", "1"]
+    SCENARIO = ["--scenario", "service.cache.rt"]
 
-    def _run(self, tmp_path, out=None):
-        argv = ["bench", "run", "--dir", str(tmp_path)] + self.SCENARIO
+    def _run(self, tmp_path, out=None, runs=1):
+        argv = (["bench", "run", "--dir", str(tmp_path), "--runs", str(runs)]
+                + self.SCENARIO)
         if out:
             argv += ["--out", str(out)]
         return main(argv)
 
     def test_run_compare_flat(self, tmp_path, capsys):
-        assert self._run(tmp_path) == 0
-        assert self._run(tmp_path) == 0
+        # medians of three runs, as CI's perf gate takes them: one host
+        # hiccup in a single ~25 ms run would exceed the wall tolerance
+        assert self._run(tmp_path, runs=3) == 0
+        assert self._run(tmp_path, runs=3) == 0
         assert {i for i, _ in snapshot_paths(tmp_path)} == {0, 1}
         rc = main(["bench", "compare", "--dir", str(tmp_path)])
         out = capsys.readouterr().out
