@@ -121,16 +121,21 @@ class CSRGraph:
     def from_edges(
         cls, num_vertices: int, edges: Iterable[tuple[int, int]]
     ) -> "CSRGraph":
-        """Build from an edge iterable, deduplicating and dropping self loops."""
-        pairs = {(u, v) for u, v in edges if u != v}
-        if pairs:
-            arr = np.array(sorted(pairs), dtype=np.int64)
-            if arr.min() < 0 or arr.max() >= num_vertices:
-                bad = int(arr.min()) if arr.min() < 0 else int(arr.max())
-                raise VertexNotFoundError(bad, num_vertices)
-            srcs, dsts = arr[:, 0], arr[:, 1]
-        else:
-            srcs = dsts = np.empty(0, dtype=np.int64)
+        """Build from an edge iterable or an ``(m, 2)`` array,
+        deduplicating and dropping self loops."""
+        if not isinstance(edges, np.ndarray):
+            edges = np.fromiter(edges, dtype=np.dtype((np.int64, 2)))
+        pairs = np.asarray(edges, dtype=np.int64)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        if pairs.size:
+            lo, hi = int(pairs.min()), int(pairs.max())
+            if lo < 0 or hi >= num_vertices:
+                raise VertexNotFoundError(lo if lo < 0 else hi, num_vertices)
+        # Sorted codes u * n + v order the rows; each first copy differs
+        # from the code before it (np.unique would hash before sorting).
+        codes = np.sort(pairs[:, 0] * num_vertices + pairs[:, 1])
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        srcs, dsts = np.divmod(codes, num_vertices)
         counts = np.bincount(srcs, minlength=num_vertices)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

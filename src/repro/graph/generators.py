@@ -9,6 +9,9 @@ topology classes the paper's analysis relies on (density, skew, diameter).
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable
+
 import numpy as np
 
 from repro.errors import GraphError
@@ -17,6 +20,29 @@ from repro.graph.csr import CSRGraph
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def _distinct_pairs(
+    n: int, target: int, draw: Callable[[int], np.ndarray], max_rounds: float
+) -> np.ndarray:
+    """Up to ``target`` distinct non-loop pairs ``(u, v)``, an (m, 2) array.
+
+    Each round draws ``us``, then ``vs``, and keeps the first new pairs in
+    order of first occurrence, as a loop adding each to a set would.  Kept
+    codes ``u * n + v`` lead each round's array, each its own first
+    occurrence, so one ``np.unique`` finds them and the new ones after.
+    """
+    kept = np.empty(0, dtype=np.int64)
+    rounds = 0
+    while kept.size < target and rounds < max_rounds:
+        size = 2 * (target - kept.size) + 8
+        us, vs = draw(size), draw(size)
+        codes = np.concatenate((kept, (us * n + vs)[us != vs]))
+        _, first = np.unique(codes, return_index=True)
+        # First occurrences are distinct, so a plain sort orders them.
+        kept = codes[np.sort(first)[:target]]
+        rounds += 1
+    return np.column_stack(np.divmod(kept, n))
 
 
 def gnm_random(num_vertices: int, num_edges: int, seed: int = 0) -> CSRGraph:
@@ -28,19 +54,10 @@ def gnm_random(num_vertices: int, num_edges: int, seed: int = 0) -> CSRGraph:
         raise GraphError(
             f"cannot place {num_edges} edges in a {num_vertices}-vertex digraph"
         )
-    rng = _rng(seed)
-    edges: set[tuple[int, int]] = set()
     # Rejection sampling is fine: callers keep density far below complete.
-    while len(edges) < num_edges:
-        need = num_edges - len(edges)
-        us = rng.integers(0, num_vertices, size=2 * need + 8)
-        vs = rng.integers(0, num_vertices, size=2 * need + 8)
-        for u, v in zip(us, vs):
-            if u != v:
-                edges.add((int(u), int(v)))
-                if len(edges) == num_edges:
-                    break
-    return CSRGraph.from_edges(num_vertices, edges)
+    draw = partial(_rng(seed).integers, 0, num_vertices)
+    pairs = _distinct_pairs(num_vertices, num_edges, draw, np.inf)
+    return CSRGraph.from_edges(num_vertices, pairs)
 
 
 def chung_lu(
@@ -54,6 +71,10 @@ def chung_lu(
     Vertex weights follow ``w_i ~ i^{-1/(exponent-1)}``; endpoints of each
     edge are sampled independently proportional to weight, matching the
     power-law degree distributions of real web/social graphs.
+
+    Two caps apply silently: the edge target is at most ``n(n-1)/2``, and
+    sampling stops after 60 rounds of draws, so a graph whose draws keep
+    repeating the same pairs returns with fewer edges than asked for.
     """
     if num_vertices <= 1:
         return CSRGraph.empty(max(num_vertices, 0))
@@ -61,23 +82,12 @@ def chung_lu(
     ranks = np.arange(1, num_vertices + 1, dtype=np.float64)
     weights = ranks ** (-1.0 / (exponent - 1.0))
     probs = weights / weights.sum()
-    edges: set[tuple[int, int]] = set()
-    attempts = 0
     target = min(num_edges, num_vertices * (num_vertices - 1) // 2)
-    while len(edges) < target and attempts < 60:
-        need = target - len(edges)
-        us = rng.choice(num_vertices, size=2 * need + 8, p=probs)
-        vs = rng.choice(num_vertices, size=2 * need + 8, p=probs)
-        for u, v in zip(us, vs):
-            if u != v:
-                edges.add((int(u), int(v)))
-                if len(edges) == target:
-                    break
-        attempts += 1
+    draw = partial(rng.choice, num_vertices, p=probs)
+    pairs = _distinct_pairs(num_vertices, target, draw, 60)
     # Shuffle labels so that high-degree vertices are not the low ids.
     perm = rng.permutation(num_vertices)
-    relabeled = ((int(perm[u]), int(perm[v])) for u, v in edges)
-    return CSRGraph.from_edges(num_vertices, relabeled)
+    return CSRGraph.from_edges(num_vertices, perm[pairs])
 
 
 def preferential_attachment(
@@ -186,20 +196,16 @@ def hub_spoke(
     tight dense core; WikiTalk: a handful of super-nodes).
     """
     rng = _rng(seed)
-    n = num_hubs * (1 + spokes_per_hub)
-    edges: set[tuple[int, int]] = set()
-    for h in range(num_hubs):
-        hub = h * (1 + spokes_per_hub)
-        for i in range(spokes_per_hub):
-            spoke = hub + 1 + i
-            edges.add((spoke, hub))
-            if rng.random() < 0.5:
-                edges.add((hub, spoke))
-    hubs = [h * (1 + spokes_per_hub) for h in range(num_hubs)]
-    for a in hubs:
-        for b in hubs:
-            if a != b and rng.random() < hub_clique_p:
-                edges.add((a, b))
+    stride = 1 + spokes_per_hub
+    n = num_hubs * stride
+    # One coin per spoke, in id order, then one per ordered hub pair a != b.
+    spokes = np.flatnonzero(np.arange(n) % stride)
+    spoke_edges = np.column_stack((spokes, spokes - spokes % stride))
+    back = rng.random(spokes.size) < 0.5
+    pairs = np.divmod(np.flatnonzero(~np.eye(num_hubs, dtype=bool)), num_hubs)
+    core = rng.random(pairs[0].size) < hub_clique_p
+    edges = np.concatenate((spoke_edges, spoke_edges[back, ::-1],
+                            stride * np.column_stack(pairs)[core]))
     return CSRGraph.from_edges(n, edges)
 
 
@@ -208,16 +214,11 @@ def layered_dag(layers: int, width: int, p_forward: float,
     """Layered DAG with forward edges only — handy for exact path counting
     in tests (the number of s-t paths has a closed form on such graphs)."""
     rng = _rng(seed)
-    n = layers * width
-    edges = []
-    for layer in range(layers - 1):
-        for i in range(width):
-            u = layer * width + i
-            for j in range(width):
-                v = (layer + 1) * width + j
-                if rng.random() < p_forward:
-                    edges.append((u, v))
-    return CSRGraph.from_edges(n, edges)
+    # One coin per (layer, i, j), in that order.
+    coins = rng.random((max(layers - 1, 0), width, width)) < p_forward
+    layer, i, j = np.nonzero(coins)
+    edges = np.column_stack((layer * width + i, (layer + 1) * width + j))
+    return CSRGraph.from_edges(layers * width, edges)
 
 
 def graph_union(*graphs: CSRGraph) -> CSRGraph:
@@ -236,26 +237,19 @@ def graph_union(*graphs: CSRGraph) -> CSRGraph:
                 "graph_union requires equal vertex counts: "
                 f"{n} vs {g.num_vertices}"
             )
-    edges: set[tuple[int, int]] = set()
-    for g in graphs:
-        edges.update(g.edges())
+    edges = np.concatenate([
+        np.column_stack((np.repeat(np.arange(n), g.out_degrees()), g.indices))
+        for g in graphs])
     return CSRGraph.from_edges(n, edges)
 
 
 def complete_digraph(num_vertices: int) -> CSRGraph:
     """Complete directed graph (every ordered pair)."""
-    edges = [
-        (u, v)
-        for u in range(num_vertices)
-        for v in range(num_vertices)
-        if u != v
-    ]
-    return CSRGraph.from_edges(num_vertices, edges)
+    pairs = np.divmod(np.arange(num_vertices * num_vertices), num_vertices)
+    return CSRGraph.from_edges(num_vertices, np.column_stack(pairs))
 
 
 def cycle_graph(num_vertices: int) -> CSRGraph:
     """Single directed cycle ``0 -> 1 -> ... -> 0``."""
-    if num_vertices < 2:
-        return CSRGraph.empty(max(num_vertices, 0))
-    edges = [(i, (i + 1) % num_vertices) for i in range(num_vertices)]
-    return CSRGraph.from_edges(num_vertices, edges)
+    ids = np.arange(max(num_vertices, 0))
+    return CSRGraph.from_edges(ids.size, np.column_stack((ids, np.roll(ids, -1))))

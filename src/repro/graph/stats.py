@@ -28,11 +28,10 @@ class GraphStats:
 
 def _undirected_adjacency(graph: CSRGraph) -> CSRGraph:
     """Union of the graph and its reverse (one BFS hop either direction)."""
-    edges = set()
-    for u, v in graph.edges():
-        edges.add((u, v))
-        edges.add((v, u))
-    return CSRGraph.from_edges(graph.num_vertices, edges)
+    n = graph.num_vertices
+    fwd = np.column_stack((np.repeat(np.arange(n), graph.out_degrees()),
+                           graph.indices))
+    return CSRGraph.from_edges(n, np.concatenate((fwd, fwd[:, ::-1])))
 
 
 def _bfs_distances(graph: CSRGraph, source: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Tests for the dataset registry (Table II stand-ins)."""
 
+import hashlib
+
 import pytest
 
 from repro.datasets import DATASETS, dataset_keys, load_dataset
@@ -67,3 +69,33 @@ class TestStandInFidelity:
     def test_deterministic_builds(self):
         spec = DATASETS["se"]
         assert spec.build() == spec.build()
+
+
+#: ``sha256(indptr.tobytes() + indices.tobytes())`` of every stand-in.
+#: Every modelled metric, oracle golden and committed benchmark baseline
+#: rests on these exact graphs, so a build change must leave them equal.
+DATASET_DIGESTS = {
+    "rt": "7b8899758caf24e4a2512c58a53d0c5da411a690de4f93e5a79c28155a8487fc",
+    "se": "b53d4098868cbd533b759d46eeb6f8d44b2030563001fcff282642e574ed9e0a",
+    "sd": "3120e9e0a4ef3d16a99f7287e6f4f7688ac24284a3b52d3ba027f78b693ed71f",
+    "am": "0bf627a9e137641cfe4cdf03606b03b673256f81c6d2de45495b9664ba894c22",
+    "ts": "fc84ba40ea6996188892d339e24a79a8f8b3cdb1c400efc54441727a99ff162b",
+    "bd": "b06ba6011fc47df9f7b7253e72e4ca74b258aa21abdb124180aebbb762760830",
+    "bs": "691ed6e96ff6f2925ea31c96bdbfb84068bb9bc26e6258a3f8b2deb9b1cd34d3",
+    "wg": "6c3aef71685b427a053a414ec07ab5aa669733507907ddd153789f4711a4db73",
+    "sk": "7efa3eff77c2dfaf18585cfa93a978f14f26d83b8a4c356a95e59705b98dd780",
+    "wt": "f99c67393fdad4280c174af56f041b183fc1d6ddde94cbe69ae0fd41171108af",
+    "lj": "6e020c6d0b9efa11cb4138b35b6cf5dc38d943098d1096d1608afcb42a255ea3",
+    "dp": "ab17394fb2708d6261611d87ebe65ffe0c863a1140bbe38591fdbfc080532d29",
+}
+
+
+def test_digests_cover_every_dataset():
+    assert tuple(DATASET_DIGESTS) == dataset_keys()
+
+
+@pytest.mark.parametrize("key", list(DATASET_DIGESTS))
+def test_dataset_bytes_are_pinned(key):
+    g = load_dataset(key)
+    digest = hashlib.sha256(g.indptr.tobytes() + g.indices.tobytes())
+    assert digest.hexdigest() == DATASET_DIGESTS[key]

@@ -37,6 +37,10 @@ class TestBasics:
         assert g.num_edges == 0
         assert g.out_degree(0) == 0
 
+    def test_from_edges_rejects_triples(self):
+        with pytest.raises(ValueError):
+            CSRGraph.from_edges(3, [(0, 1, 2), (1, 2, 0)])
+
     def test_from_edges_dedupes_and_drops_self_loops(self):
         g = CSRGraph.from_edges(3, [(0, 1), (0, 1), (1, 1), (1, 2)])
         assert g.num_edges == 2
