@@ -1,10 +1,12 @@
 """Low-overhead span tracer for the PEFP query lifecycle.
 
 A *span* is one timed region of work — a Pre-BFS run, a PCIe transfer,
-one Batch-DFS processing batch.  Spans nest: each thread keeps its own
-stack of open spans, so ``with tracer.span("kernel"): ...`` parents
-everything opened inside it without any explicit plumbing, even when
-several threads trace into one tracer.
+one Batch-DFS processing batch.  Spans nest: the tracer keeps one stack
+of open spans, so ``with tracer.span("kernel"): ...`` parents everything
+opened inside it without any explicit plumbing.  A tracer is a one-thread
+object: the batch service's in-process executor serves its engines in
+order on the calling thread, and every process worker traces into a
+private tracer whose records the coordinator ingests.
 
 Every span records two clocks:
 
@@ -14,9 +16,9 @@ Every span records two clocks:
   timing model charged for the work — the clock the paper's claims live
   on, and the one the Chrome export lays its timeline out in.
 
-The tracer appends finished spans to an in-memory list under a lock and
-serialises them to JSONL (:meth:`Tracer.write_jsonl`); the Chrome
-``trace_event`` export lives in :mod:`repro.observability.chrome`.
+The tracer appends finished spans to an in-memory list and serialises
+them to JSONL (:meth:`Tracer.write_jsonl`); the Chrome ``trace_event``
+export lives in :mod:`repro.observability.chrome`.
 
 Zero cost when disabled
 -----------------------
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -134,27 +135,23 @@ class Span:
 
 
 class Tracer:
-    """Thread-safe span collector with per-thread nesting stacks."""
+    """One-thread span collector with one nesting stack."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._records: list[SpanRecord] = []
         self._ids = itertools.count(1)
-        self._local = threading.local()
+        #: open spans, innermost last.
+        self._stack: list[Span] = []
+        #: track of the enclosing :meth:`track` scope, if any.
+        self._track: str | None = None
         self._open = 0
 
     def __bool__(self) -> bool:
         return True
 
     # -- span lifecycle ------------------------------------------------
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
     def _resolve_track(self, parent: "Span | None") -> str:
         """Track of a new span: enclosing scope, else parent, else main.
 
@@ -166,22 +163,21 @@ class Tracer:
         therefore assign identical tracks, which is what lets the
         attribution layer group queries by engine regardless of backend.
         """
-        scoped = getattr(self._local, "track", None)
-        if scoped is not None:
-            return scoped
+        if self._track is not None:
+            return self._track
         return parent.track if parent else DEFAULT_TRACK
 
     def span(self, name: str, *, track: str | None = None,
              detach: bool = False, **attrs) -> Span:
         """Open a span named ``name``; use as ``with tracer.span(...)``.
 
-        The parent is the innermost open span *on this thread*; the
-        track comes from the enclosing :meth:`track` scope, falling back
-        to the parent's track.  ``detach=True`` forces a parentless span
+        The parent is the innermost open span; the track comes from the
+        enclosing :meth:`track` scope, falling back to the parent's
+        track.  ``detach=True`` forces a parentless span
         (used for PCIe transfers, which live on their own track rather
         than inside the query that issued them).
         """
-        stack = self._stack()
+        stack = self._stack
         parent = stack[-1] if stack and not detach else None
         if track is None:
             track = self._resolve_track(parent)
@@ -200,7 +196,7 @@ class Tracer:
         handling on the fast path.  Parent and track resolve exactly as
         in :meth:`span`.
         """
-        stack = self._stack()
+        stack = self._stack
         parent = stack[-1] if stack else None
         if track is None:
             track = self._resolve_track(parent)
@@ -215,37 +211,32 @@ class Tracer:
                               else float(modelled_seconds)),
             attrs=attrs,
         )
-        with self._lock:
-            self._records.append(record)
+        self._records.append(record)
 
     @contextmanager
     def track(self, name: str):
-        """Scope setting the default track of top-level spans (per thread).
+        """Scope setting the default track of the spans opened inside it.
 
         The batch service wraps each engine worker's serving loop in
         ``tracer.track(f"engine{i}")`` so every query span lands on that
         engine's row of the timeline.
         """
-        previous = getattr(self._local, "track", None)
-        self._local.track = name
+        previous = self._track
+        self._track = name
         try:
             yield self
         finally:
-            if previous is None:
-                del self._local.track
-            else:
-                self._local.track = previous
+            self._track = previous
 
     def _push(self, span: Span) -> None:
-        self._stack().append(span)
-        with self._lock:
-            self._open += 1
+        self._stack.append(span)
+        self._open += 1
 
     def _pop(self, span: Span, end_ns: int) -> None:
-        stack = self._stack()
+        stack = self._stack
         if not stack or stack[-1] is not span:
-            # Mis-nested exit (span closed on a different thread or out
-            # of order): record it anyway, but do not corrupt the stack.
+            # Mis-nested exit (spans closed out of order): record it
+            # anyway, but do not corrupt the stack.
             try:
                 stack.remove(span)
             except ValueError:
@@ -262,9 +253,8 @@ class Tracer:
             modelled_seconds=span.modelled_seconds,
             attrs=span.attrs,
         )
-        with self._lock:
-            self._open -= 1
-            self._records.append(record)
+        self._open -= 1
+        self._records.append(record)
 
     def ingest(self, records) -> None:
         """Merge spans recorded by another tracer into this one.
@@ -280,31 +270,26 @@ class Tracer:
         """
         from dataclasses import replace
 
-        ordered = sorted(records, key=lambda r: r.span_id)
-        with self._lock:
-            mapping: dict[int, int] = {}
-            for record in ordered:
-                new_id = next(self._ids)
-                mapping[record.span_id] = new_id
-                self._records.append(replace(
-                    record,
-                    span_id=new_id,
-                    parent_id=(None if record.parent_id is None
-                               else mapping.get(record.parent_id)),
-                ))
+        mapping: dict[int, int] = {}
+        for record in sorted(records, key=lambda r: r.span_id):
+            new_id = next(self._ids)
+            mapping[record.span_id] = new_id
+            self._records.append(replace(
+                record,
+                span_id=new_id,
+                parent_id=(None if record.parent_id is None
+                           else mapping.get(record.parent_id)),
+            ))
 
     # -- introspection / export ----------------------------------------
     @property
     def open_spans(self) -> int:
         """Spans entered but not yet exited (0 after a clean run)."""
-        with self._lock:
-            return self._open
+        return self._open
 
     def records(self) -> list[SpanRecord]:
         """Finished spans, ordered by wall start time."""
-        with self._lock:
-            records = list(self._records)
-        return sorted(records, key=lambda r: (r.start_ns, r.span_id))
+        return sorted(self._records, key=lambda r: (r.start_ns, r.span_id))
 
     def write_jsonl(self, path) -> None:
         """One JSON object per line, one line per finished span."""

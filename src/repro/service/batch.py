@@ -681,8 +681,7 @@ class BatchQueryService:
         ``"spawn"``, ...); ``None`` uses the platform default.
     sharing:
         Enables cross-query work sharing: identical ``(s, t, k, budget)``
-        queries are answered once through the cache's single-flight
-        result memo (duplicates charged one memo probe), queries sharing
+        queries are answered once through the cache's result memo (duplicates charged one memo probe), queries sharing
         a source are scheduled as indivisible groups on one engine, and
         their ``(k-1)``-hop forward BFS is computed once per group via
         the forward-frontier memo.  Answers, device cycles and traffic

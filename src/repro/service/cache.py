@@ -24,18 +24,17 @@ Both follow the Pre-BFS memo's charging convention: a hit charges one
 The cache is keyed by graph *identity*: artifacts are only valid for the
 exact immutable :class:`CSRGraph` instance they were derived from, and
 keying by ``id()`` (with a pinning reference) avoids hashing the arrays.
-All four memos run one protocol (:meth:`GraphArtifactCache._memo`): every
-method is thread-safe, and lookups are *single-flight* — when two engine
-workers request the same missing artifact concurrently, one builds it
-while the other waits and then reads the cached copy, so an artifact is
-never computed twice.  A builder that *raises* releases its latch without
-recording a miss (only ``build_failures`` ticks); the waiters re-probe,
-one re-claims, and the eventual successful build counts the single miss.
+All four memos run one protocol (:meth:`GraphArtifactCache._memo`).  The
+cache is a one-thread object: the in-process executor serves its engines
+in order on the calling thread and every process worker holds a private
+cache, so no two lookups ever overlap and the memos need no lock.  A
+builder that *raises* inserts nothing and records no miss (only
+``build_failures`` ticks); the next lookup builds again and counts the
+one miss.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 
@@ -58,22 +57,22 @@ CACHE_STAT_KEYS = (
     "build_failures",
 )
 
-#: memo name -> the attribute bounding its size (``None``: unbounded).
-_BOUNDS = {"reverse": None, "prebfs": "max_prebfs_entries",
-           "forward": "max_forward_entries", "result": "max_result_entries"}
-#: memo name -> (hits counter, misses counter, bound, span name), named
-#: once here so the hit path formats no strings.
-_MEMOS = {name: (f"{name}_hits", f"{name}_misses", bound, f"{name}_cache")
-          for name, bound in _BOUNDS.items()}
+#: memo name -> most entries kept (least-recently-used eviction past it);
+#: read at lookup time.  The per-graph reverse memo is unbounded — a
+#: service holds O(1) resident graphs.
+MEMO_BOUNDS = {"prebfs": 4096, "forward": 1024, "result": 4096}
+#: memo name -> (hits counter, misses counter, span name), named once
+#: here so the hit path formats no strings.
+_MEMOS = {name: (f"{name}_hits", f"{name}_misses", f"{name}_cache")
+          for name in ("reverse", "prebfs", "forward", "result")}
 
 
 class GraphArtifactCache:
     """Reverse-CSR, Pre-BFS, forward-frontier and result cache of a service.
 
-    ``max_prebfs_entries`` / ``max_forward_entries`` / ``max_result_entries``
-    bound the per-query memos (least-recently-used eviction: a hit
-    refreshes its entry); the per-graph reverse entries are unbounded — a
-    service holds O(1) resident graphs.
+    The per-query memos are bounded by :data:`MEMO_BOUNDS`
+    (least-recently-used eviction: a hit refreshes its entry); the
+    per-graph reverse entries are unbounded.
 
     ``share_forward=True`` routes :meth:`pre_bfs` misses through the
     forward-frontier memo so same-source queries share their forward BFS.
@@ -83,23 +82,10 @@ class GraphArtifactCache:
     historical per-query charges.
     """
 
-    def __init__(self, max_prebfs_entries: int = 4096,
-                 max_forward_entries: int = 1024,
-                 max_result_entries: int = 4096,
-                 share_forward: bool = False) -> None:
-        self._lock = threading.Lock()
+    def __init__(self, share_forward: bool = False) -> None:
         #: memo name -> key -> (graph pin, artifact), in recency order;
         #: a key is id(graph) (reverse) or a tuple that starts with it.
         self._tables = {name: OrderedDict() for name in _MEMOS}
-        #: single-flight latches for artifacts currently being built,
-        #: keyed by (memo name, key).
-        self._inflight: dict[tuple, threading.Event] = {}
-        #: bumped by :meth:`clear`; builds claimed under an older
-        #: generation discard their insert (see :meth:`clear`).
-        self._generation = 0
-        self.max_prebfs_entries = max_prebfs_entries
-        self.max_forward_entries = max_forward_entries
-        self.max_result_entries = max_result_entries
         self.share_forward = share_forward
         self.reverse_hits = 0
         self.reverse_misses = 0
@@ -116,38 +102,24 @@ class GraphArtifactCache:
     def _memo(self, name: str, key, graph: CSRGraph, build,
               counter: OpCounter | None, hit_op: str,
               tracer) -> tuple[object, bool]:
-        """The single-flight memo protocol; returns ``(value, hit)``.
+        """The memo protocol; returns ``(value, hit)``.
 
         A hit refreshes the entry's recency, ticks ``<name>_hits`` and
-        charges one ``hit_op`` to ``counter``.  A miss claims the build
-        latch of ``(name, key)`` — concurrent callers of the same key block
-        on it, then re-probe — and runs ``build()``, whose own charges are
-        the miss's cost.  The value is inserted only while the cache
-        generation is unchanged since the claim (:meth:`clear` bumps it),
-        evicting the least recently used entries beyond the memo's bound;
-        either way it is returned and ``<name>_misses`` ticks.  A raising
-        ``build`` ticks ``build_failures`` only and releases the latch.
+        charges one ``hit_op`` to ``counter``.  A miss runs ``build()``,
+        whose own charges are the miss's cost, ticks ``<name>_misses``
+        and inserts the value, evicting the least recently used entries
+        beyond the memo's bound.  A raising ``build`` ticks
+        ``build_failures`` only, inserts nothing and re-raises.
         ``tracer`` records the lookup as a ``<name>_cache`` span tagged
         with whether it hit.
         """
         start = time.perf_counter_ns() if tracer else 0
-        hits, misses, bound, span = _MEMOS[name]
+        hits, misses, span = _MEMOS[name]
         table = self._tables[name]
-        while True:
-            with self._lock:
-                entry = table.get(key)
-                if entry is not None:
-                    table.move_to_end(key)
-                    setattr(self, hits, getattr(self, hits) + 1)
-                    break
-                flight = (name, key)
-                latch = self._inflight.get(flight)
-                if latch is None:
-                    latch = self._inflight[flight] = threading.Event()
-                    gen = self._generation
-                    break
-            latch.wait()
+        entry = table.get(key)
         if entry is not None:
+            table.move_to_end(key)
+            setattr(self, hits, getattr(self, hits) + 1)
             if counter is not None:
                 counter.add(hit_op)
             if tracer:
@@ -155,22 +127,15 @@ class GraphArtifactCache:
             return entry[1], True
         try:
             value = build()
-            with self._lock:
-                setattr(self, misses, getattr(self, misses) + 1)
-                if gen == self._generation:
-                    table[key] = (graph, value)
-                    if bound is not None:
-                        limit = getattr(self, bound)
-                        while len(table) > limit:
-                            table.popitem(last=False)
         except BaseException:
-            with self._lock:
-                self.build_failures += 1
+            self.build_failures += 1
             raise
-        finally:
-            with self._lock:
-                del self._inflight[flight]
-            latch.set()
+        setattr(self, misses, getattr(self, misses) + 1)
+        table[key] = (graph, value)
+        limit = MEMO_BOUNDS.get(name)
+        if limit is not None:
+            while len(table) > limit:
+                table.popitem(last=False)
         if tracer:
             tracer.complete(span, start, hit=False)
         return value, False
@@ -215,10 +180,8 @@ class GraphArtifactCache:
         """
         if not graph.has_cached_reverse:
             return
-        with self._lock:
-            self._tables["reverse"].setdefault(
-                id(graph), (graph, graph.reverse())
-            )
+        self._tables["reverse"].setdefault(id(graph),
+                                           (graph, graph.reverse()))
 
     # -- forward-frontier memo -----------------------------------------
     def forward_frontier(self, graph: CSRGraph, source: int, hops: int,
@@ -277,10 +240,9 @@ class GraphArtifactCache:
     def result(self, graph: CSRGraph, query: Query, budget_key,
                build, counter: OpCounter | None = None,
                tracer=None) -> tuple[object, bool]:
-        """Single-flight memo of one query's full end-to-end result.
+        """Memo of one query's full end-to-end result.
 
-        ``build`` runs the query (once, under the single-flight claim)
-        and its return value is memoised under
+        ``build`` runs the query on a miss and its return value is memoised under
         ``(graph, s, t, k, budget_key)``; ``budget_key`` must capture
         every term that can change the answer or its accounting (budget
         caps, profiling) because a truncated answer is only valid under
@@ -300,27 +262,12 @@ class GraphArtifactCache:
     # -- introspection -------------------------------------------------
     def stats(self) -> dict[str, int]:
         """Hit/miss counters as a plain dict (for metrics snapshots)."""
-        with self._lock:
-            stats = {key: getattr(self, key) for key in CACHE_STAT_KEYS}
-            for name, (_, _, bound, _) in _MEMOS.items():
-                if bound is not None:
-                    stats[f"{name}_entries"] = len(self._tables[name])
-            return stats
+        stats = {key: getattr(self, key) for key in CACHE_STAT_KEYS}
+        for name in MEMO_BOUNDS:
+            stats[f"{name}_entries"] = len(self._tables[name])
+        return stats
 
     def clear(self) -> None:
-        """Drop every cached artifact (counters are kept).
-
-        Safe against builders in flight: clearing bumps the cache
-        generation, and a build claimed under an older generation
-        discards its insert on completion — so a builder racing with
-        ``clear()`` can never silently repopulate the just-cleared cache.
-        The discarded build still returns its value to its caller and
-        still counts as a miss (the work was done and charged).
-        In-flight latches stay armed: their waiters wake when the builder
-        releases, re-probe the now-empty cache, and rebuild into the new
-        generation.
-        """
-        with self._lock:
-            self._generation += 1
-            for table in self._tables.values():
-                table.clear()
+        """Drop every cached artifact (counters are kept)."""
+        for table in self._tables.values():
+            table.clear()

@@ -19,6 +19,10 @@ kinds:
   sketch estimates once it is dropped, so merged shards never
   over-weight a small worker (see :meth:`MetricsRegistry.merge`).
 
+The registry is the one object here that another thread reads — the
+Prometheus scrape thread calls :meth:`MetricsRegistry.snapshot` — so it
+alone takes a lock; a timeline is used by one thread at a time.
+
 Windowed telemetry
 ------------------
 :class:`MetricsTimeline` buckets the same counters and sample series
@@ -428,12 +432,6 @@ class _WindowStore(_Store):
     keep_exact = False
 
 
-def _locks(a, b):
-    """Both objects' locks in one fixed order, so two threads merging a
-    pair in opposite directions cannot deadlock."""
-    return sorted((a._lock, b._lock), key=id)
-
-
 class MetricsRegistry:
     """Thread-safe counters, gauges and sample series for one service."""
 
@@ -553,7 +551,9 @@ class MetricsRegistry:
         """
         if other is self:
             raise ConfigError("cannot merge a registry into itself")
-        first, second = _locks(self, other)
+        # Both locks in one fixed order, so two threads merging a pair in
+        # opposite directions cannot deadlock.
+        first, second = sorted((self._lock, other._lock), key=id)
         with first, second:
             self._store.merge(other._store)
             # Gauges are levels, not totals: the merged-in (newer)
@@ -596,9 +596,11 @@ class MetricsTimeline:
     (the serving layer uses each engine's accumulated busy seconds).
     Every accumulation is exactly mergeable — see the module docstring —
     so per-worker shards combine into the same timeline bytes no matter
-    the backend, worker count or merge order.  Thread-safe; picklable
-    (the process backend ships per-round worker timelines back to the
-    coordinator the same way it ships registries).
+    the backend, worker count or merge order.  A one-thread object (only
+    the registry is read from another thread, by the Prometheus scrape
+    thread); picklable as it is, so the process backend ships per-round
+    worker timelines back to the coordinator the same way it ships
+    registries.
     """
 
     def __init__(self,
@@ -609,25 +611,9 @@ class MetricsTimeline:
                 f"window_seconds must be positive, got {window_seconds}"
             )
         self.window_seconds = window_seconds
-        self._lock = threading.Lock()
         self._windows: dict[int, _WindowStore] = {}
         #: window index -> gauge name -> (modelled timestamp, value).
         self._gauges: dict[int, dict[str, tuple[float, float]]] = {}
-
-    # -- pickling ------------------------------------------------------
-    def __getstate__(self) -> dict:
-        with self._lock:
-            return {
-                "window_seconds": self.window_seconds,
-                "windows": self._windows,
-                "gauges": self._gauges,
-            }
-
-    def __setstate__(self, state: dict) -> None:
-        self.window_seconds = state["window_seconds"]
-        self._lock = threading.Lock()
-        self._windows = state["windows"]
-        self._gauges = state["gauges"]
 
     # -- recording -----------------------------------------------------
     def window_index(self, t: float) -> int:
@@ -635,7 +621,6 @@ class MetricsTimeline:
         return int(float(t) // self.window_seconds)
 
     def _window(self, idx: int) -> _WindowStore:
-        # Caller holds the lock.
         win = self._windows.get(idx)
         if win is None:
             win = self._windows[idx] = _WindowStore()
@@ -648,8 +633,7 @@ class MetricsTimeline:
         counts = [(name, int(n)) for name, n in counts if n]
         if not (counts or samples):
             return
-        with self._lock:
-            self._window(self.window_index(t)).update(counts, samples)
+        self._window(self.window_index(t)).update(counts, samples)
 
     def record(self, t: float, name: str, n: int = 1) -> None:
         """Add ``n`` to window counter ``name`` at modelled time ``t``."""
@@ -662,10 +646,9 @@ class MetricsTimeline:
     def set_gauge(self, t: float, name: str, value: float) -> None:
         """Set window gauge ``name``; the latest ``(t, value)`` wins."""
         idx = self.window_index(t)
-        with self._lock:
-            self._window(idx)
-            _keep_latest(self._gauges.setdefault(idx, {}),
-                         {name: (float(t), float(value))})
+        self._window(idx)
+        _keep_latest(self._gauges.setdefault(idx, {}),
+                     {name: (float(t), float(value))})
 
     # -- merging -------------------------------------------------------
     def merge(self, other: "MetricsTimeline") -> None:
@@ -677,16 +660,14 @@ class MetricsTimeline:
                 f"cannot merge timelines with different windows: "
                 f"{self.window_seconds} vs {other.window_seconds}"
             )
-        first, second = _locks(self, other)
-        with first, second:
-            for idx, win in other._windows.items():
-                self._window(idx).merge(win)
-            for idx, entries in other._gauges.items():
-                _keep_latest(self._gauges.setdefault(idx, {}), entries)
+        for idx, win in other._windows.items():
+            self._window(idx).merge(win)
+        for idx, entries in other._gauges.items():
+            _keep_latest(self._gauges.setdefault(idx, {}), entries)
 
     def _fold(self, indices) -> _WindowStore:
-        """The windows at ``indices`` merged into one store (caller
-        holds the lock; missing indices are empty windows)."""
+        """The windows at ``indices`` merged into one store (missing
+        indices are empty windows)."""
         fold = _WindowStore()
         for idx in indices:
             win = self._windows.get(idx)
@@ -697,27 +678,23 @@ class MetricsTimeline:
     # -- views ---------------------------------------------------------
     @property
     def num_windows(self) -> int:
-        with self._lock:
-            return len(self._windows)
+        return len(self._windows)
 
     def indices(self) -> list[int]:
         """Sorted indices of the non-empty windows."""
-        with self._lock:
-            return sorted(self._windows)
+        return sorted(self._windows)
 
     def span(self) -> tuple[int, int] | None:
         """(first, last) non-empty window index, or ``None`` if empty."""
-        with self._lock:
-            if not self._windows:
-                return None
-            return min(self._windows), max(self._windows)
+        if not self._windows:
+            return None
+        return min(self._windows), max(self._windows)
 
     def counter_totals(self) -> dict[str, int]:
         """Every windowed counter summed over all windows."""
         totals: Counter[str] = Counter()
-        with self._lock:
-            for win in self._windows.values():
-                totals.update(win.counters)
+        for win in self._windows.values():
+            totals.update(win.counters)
         return dict(totals)
 
     def sliding(self, windows: int = 1) -> list[dict]:
@@ -736,23 +713,22 @@ class MetricsTimeline:
             return []
         first, last = bounds
         out = []
-        with self._lock:
-            for idx in range(first, last + 1):
-                trailing = range(idx - windows + 1, idx + 1)
-                fold = self._fold(trailing)
-                gauges: dict[str, tuple[float, float]] = {}
-                for back in trailing:
-                    _keep_latest(gauges, self._gauges.get(back, {}))
-                out.append({
-                    "index": idx,
-                    "start_seconds": idx * self.window_seconds,
-                    "end_seconds": (idx + 1) * self.window_seconds,
-                    "counters": dict(fold.counters),
-                    "gauges": {name: value
-                               for name, (_t, value) in gauges.items()},
-                    "series": {name: s.sketch
-                               for name, s in fold.series.items()},
-                })
+        for idx in range(first, last + 1):
+            trailing = range(idx - windows + 1, idx + 1)
+            fold = self._fold(trailing)
+            gauges: dict[str, tuple[float, float]] = {}
+            for back in trailing:
+                _keep_latest(gauges, self._gauges.get(back, {}))
+            out.append({
+                "index": idx,
+                "start_seconds": idx * self.window_seconds,
+                "end_seconds": (idx + 1) * self.window_seconds,
+                "counters": dict(fold.counters),
+                "gauges": {name: value
+                           for name, (_t, value) in gauges.items()},
+                "series": {name: s.sketch
+                           for name, s in fold.series.items()},
+            })
         return out
 
     # -- reconciliation ------------------------------------------------
@@ -769,8 +745,7 @@ class MetricsTimeline:
         (a fresh service with the timeline passed to each run); gauges
         are levels, not totals, and are exempt by construction.
         """
-        with self._lock:
-            fold = self._fold(self._windows)
+        fold = self._fold(self._windows)
         problems: list[str] = []
         with registry._lock:
             terminal = registry._store
@@ -802,25 +777,24 @@ class MetricsTimeline:
     # -- export --------------------------------------------------------
     def to_dict(self) -> dict:
         """Canonical JSON-safe view (sorted names, non-empty windows)."""
-        with self._lock:
-            windows = []
-            for idx in sorted(self._windows):
-                win = self._windows[idx]
-                gauges = self._gauges.get(idx, {})
-                windows.append({
-                    "index": idx,
-                    "start_seconds": idx * self.window_seconds,
-                    "end_seconds": (idx + 1) * self.window_seconds,
-                    "counters": {name: win.counters[name]
-                                 for name in sorted(win.counters)},
-                    "gauges": {
-                        name: {"t": gauges[name][0],
-                               "value": gauges[name][1]}
-                        for name in sorted(gauges)
-                    },
-                    "series": {name: win.series[name].sketch.to_dict()
-                               for name in sorted(win.series)},
-                })
+        windows = []
+        for idx in sorted(self._windows):
+            win = self._windows[idx]
+            gauges = self._gauges.get(idx, {})
+            windows.append({
+                "index": idx,
+                "start_seconds": idx * self.window_seconds,
+                "end_seconds": (idx + 1) * self.window_seconds,
+                "counters": {name: win.counters[name]
+                             for name in sorted(win.counters)},
+                "gauges": {
+                    name: {"t": gauges[name][0],
+                           "value": gauges[name][1]}
+                    for name in sorted(gauges)
+                },
+                "series": {name: win.series[name].sketch.to_dict()
+                           for name in sorted(win.series)},
+            })
         return {
             "version": 1,
             "window_seconds": self.window_seconds,

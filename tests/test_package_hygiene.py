@@ -1,7 +1,9 @@
 """Package-level hygiene: every module documented, public API importable."""
 
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -63,3 +65,18 @@ def test_public_classes_documented():
 
 def test_version_is_set():
     assert repro.__version__ == "1.0.0"
+
+
+def test_threading_only_where_a_second_thread_runs():
+    """Only the scrape thread's server, the registry it reads and the
+    per-thread BFS scratch of ``graph/csr.py`` import ``threading``; the
+    artifact cache, tracer and timeline are one-thread objects."""
+    root = pathlib.Path(repro.__file__).parent
+    importers = sorted(
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        if re.search(r"^\s*(import threading|from threading import)",
+                     path.read_text(encoding="utf-8"), re.MULTILINE)
+    )
+    assert importers == ["graph/csr.py", "observability/prometheus.py",
+                         "service/metrics.py"]

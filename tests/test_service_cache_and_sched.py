@@ -1,9 +1,8 @@
 """Tests for the shared artifact cache and the batch schedulers."""
 
-import threading
-
 import pytest
 
+import repro.service.cache as cache_mod
 from repro.errors import ConfigError
 from repro.graph import generators as G
 from repro.host.cost_model import OpCounter
@@ -92,8 +91,9 @@ class TestGraphArtifactCache:
         cache.pre_bfs(graph, query, ops)
         assert ops.as_dict() == {"set_lookup": 1}
 
-    def test_prebfs_eviction(self, graph):
-        cache = GraphArtifactCache(max_prebfs_entries=1)
+    def test_prebfs_eviction(self, graph, monkeypatch):
+        monkeypatch.setitem(cache_mod.MEMO_BOUNDS, "prebfs", 1)
+        cache = GraphArtifactCache()
         cache.pre_bfs(graph, Query(0, 5, 4))
         cache.pre_bfs(graph, Query(0, 6, 4))
         cache.pre_bfs(graph, Query(0, 5, 4))  # evicted, recomputed
@@ -107,159 +107,9 @@ class TestGraphArtifactCache:
         cache.reverse(graph)
         assert cache.reverse_misses == 2
 
-    def test_single_flight_under_contention(self, graph):
-        cache = GraphArtifactCache()
-        query = Query(0, 5, 4)
-        results = []
-
-        def worker():
-            results.append(cache.pre_bfs(graph, query))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert cache.prebfs_misses == 1
-        assert cache.prebfs_hits == 7
-        assert all(r is results[0] for r in results)
-        assert graph.rev_builds == 1
-
 
 class TestCacheLifecycle:
-    """Regression tests for clear()/builder races and builder exceptions."""
-
-    def test_clear_during_build_does_not_repopulate(self, graph):
-        """A builder racing with clear() must not silently repopulate the
-        just-cleared cache; its caller still gets the value and the miss
-        is still counted (the work was done and charged)."""
-        cache = GraphArtifactCache()
-        query = Query(0, 5, 4)
-        in_build = threading.Event()
-        finish_build = threading.Event()
-        real_pre_bfs = pre_bfs
-
-        def slow_build(g, q, counter=None, sd_s=None):
-            in_build.set()
-            finish_build.wait(timeout=5.0)
-            return real_pre_bfs(g, q, counter, sd_s=sd_s)
-
-        import repro.service.cache as cache_mod
-        results = []
-
-        def builder():
-            results.append(cache.pre_bfs(graph, query))
-
-        original = cache_mod.pre_bfs
-        cache_mod.pre_bfs = slow_build
-        try:
-            t = threading.Thread(target=builder)
-            t.start()
-            assert in_build.wait(timeout=5.0)
-            cache.clear()  # races with the in-flight build
-            finish_build.set()
-            t.join(timeout=5.0)
-        finally:
-            cache_mod.pre_bfs = original
-        assert len(results) == 1
-        assert cache.prebfs_misses == 1
-        # The stale build was discarded: the cache is still empty, and a
-        # fresh lookup rebuilds into the new generation.
-        assert cache.stats()["prebfs_entries"] == 0
-        rebuilt = cache.pre_bfs(graph, query)
-        assert cache.prebfs_misses == 2
-        assert cache.stats()["prebfs_entries"] == 1
-        assert rebuilt is cache.pre_bfs(graph, query)
-
-    def test_clear_leaves_waiters_rebuilding_fresh(self, graph):
-        """Waiters blocked on a latch while clear() runs must wake, find
-        the cache empty, and rebuild — not deadlock or read stale state."""
-        cache = GraphArtifactCache()
-        query = Query(0, 5, 4)
-        in_build = threading.Event()
-        finish_build = threading.Event()
-        real_pre_bfs = pre_bfs
-        calls = []
-
-        def slow_build(g, q, counter=None, sd_s=None):
-            calls.append(1)
-            if len(calls) == 1:
-                in_build.set()
-                finish_build.wait(timeout=5.0)
-            return real_pre_bfs(g, q, counter, sd_s=sd_s)
-
-        import repro.service.cache as cache_mod
-        results = []
-
-        def worker():
-            results.append(cache.pre_bfs(graph, query))
-
-        original = cache_mod.pre_bfs
-        cache_mod.pre_bfs = slow_build
-        try:
-            builder = threading.Thread(target=worker)
-            builder.start()
-            assert in_build.wait(timeout=5.0)
-            waiter = threading.Thread(target=worker)
-            waiter.start()
-            cache.clear()
-            finish_build.set()
-            builder.join(timeout=5.0)
-            waiter.join(timeout=5.0)
-        finally:
-            cache_mod.pre_bfs = original
-        assert len(results) == 2
-        # First build discarded (stale generation); the waiter re-probed
-        # the empty cache and rebuilt: two misses, entry present.
-        assert cache.prebfs_misses == 2
-        assert cache.stats()["prebfs_entries"] == 1
-
-    def test_builder_exception_releases_waiters_single_miss(self, graph):
-        """A raising builder must wake its waiters without recording a
-        miss; the retry that succeeds counts exactly one miss total."""
-        cache = GraphArtifactCache()
-        query = Query(0, 5, 4)
-        barrier = threading.Barrier(2)
-        real_pre_bfs = pre_bfs
-        calls = []
-
-        def flaky_build(g, q, counter=None, sd_s=None):
-            calls.append(1)
-            if len(calls) == 1:
-                barrier.wait(timeout=5.0)  # waiter is queued behind us
-                raise RuntimeError("injected builder failure")
-            return real_pre_bfs(g, q, counter, sd_s=sd_s)
-
-        import repro.service.cache as cache_mod
-        outcomes = []
-
-        def first():
-            try:
-                cache.pre_bfs(graph, query)
-                outcomes.append("ok")
-            except RuntimeError:
-                outcomes.append("raised")
-
-        def second():
-            barrier.wait(timeout=5.0)
-            outcomes.append(cache.pre_bfs(graph, query))
-
-        original = cache_mod.pre_bfs
-        cache_mod.pre_bfs = flaky_build
-        try:
-            t1 = threading.Thread(target=first)
-            t2 = threading.Thread(target=second)
-            t1.start()
-            t2.start()
-            t1.join(timeout=5.0)
-            t2.join(timeout=5.0)
-        finally:
-            cache_mod.pre_bfs = original
-        assert "raised" in outcomes
-        assert cache.prebfs_misses == 1  # only the successful retry
-        assert cache.build_failures == 1
-        assert cache.prebfs_hits == 0
-        assert cache.stats()["prebfs_entries"] == 1
+    """Regression test for builder exceptions."""
 
     def test_result_cache_builder_exception_not_cached(self, graph):
         cache = GraphArtifactCache()
@@ -278,81 +128,8 @@ class TestCacheLifecycle:
 
 
 class TestSingleFlightMemos:
-    """Satellite: two threads, one missing key, slow builder -> exactly
-    one build, one miss, one hit — for Pre-BFS and the result cache."""
-
-    def test_prebfs_two_threads_one_build(self, graph):
-        cache = GraphArtifactCache()
-        query = Query(0, 5, 4)
-        in_build = threading.Event()
-        release = threading.Event()
-        real_pre_bfs = pre_bfs
-        builds = []
-
-        def slow_build(g, q, counter=None, sd_s=None):
-            builds.append(1)
-            in_build.set()
-            release.wait(timeout=5.0)
-            return real_pre_bfs(g, q, counter, sd_s=sd_s)
-
-        import repro.service.cache as cache_mod
-        results = []
-
-        def worker():
-            results.append(cache.pre_bfs(graph, query))
-
-        original = cache_mod.pre_bfs
-        cache_mod.pre_bfs = slow_build
-        try:
-            t1 = threading.Thread(target=worker)
-            t1.start()
-            assert in_build.wait(timeout=5.0)
-            t2 = threading.Thread(target=worker)
-            t2.start()
-            release.set()
-            t1.join(timeout=5.0)
-            t2.join(timeout=5.0)
-        finally:
-            cache_mod.pre_bfs = original
-        assert len(builds) == 1
-        assert cache.prebfs_misses == 1
-        assert cache.prebfs_hits == 1
-        assert results[0] is results[1]
-
-    def test_result_cache_two_threads_one_build(self, graph):
-        cache = GraphArtifactCache()
-        query = Query(0, 5, 4)
-        in_build = threading.Event()
-        release = threading.Event()
-        builds = []
-
-        def slow_build():
-            builds.append(1)
-            in_build.set()
-            release.wait(timeout=5.0)
-            return ("the", "answer")
-
-        outcomes = []
-
-        def worker():
-            outcomes.append(
-                cache.result(graph, query, None, slow_build)
-            )
-
-        t1 = threading.Thread(target=worker)
-        t1.start()
-        assert in_build.wait(timeout=5.0)
-        t2 = threading.Thread(target=worker)
-        t2.start()
-        release.set()
-        t1.join(timeout=5.0)
-        t2.join(timeout=5.0)
-        assert len(builds) == 1
-        assert cache.result_misses == 1
-        assert cache.result_hits == 1
-        values = sorted(o[1] for o in outcomes)
-        assert values == [False, True]  # one miss, one hit
-        assert all(o[0] is outcomes[0][0] for o in outcomes)
+    """The result and forward-frontier memos: one build per key, then
+    hits charged as one memo probe."""
 
     def test_result_cache_hit_charges_probe(self, graph):
         cache = GraphArtifactCache()
