@@ -39,7 +39,7 @@ per-expansion Python loops, without changing a single charged cycle:
   successor positions/ids are built array-at-once and memoised — the
   barrier and target checks of Algorithm 2 become table lookups;
 - every memory-model charge of the straight-line loop
-  (:mod:`repro.core.engine_reference`) has a closed form in the slice
+  (``tests/engine_reference.py``) has a closed form in the slice
   bounds and cache residency constants, so stage costs and port traffic
   are computed arithmetically and folded into the device models in bulk.
 
@@ -69,7 +69,8 @@ refill or batch per superstep.
 
 ``docs/TIMING_MODEL.md`` derives why the charges are unchanged; the
 differential suite asserts byte-identical results, stats, cycles,
-traffic, profiles and device spans against the reference loop.  Both
+traffic, profiles and device spans against the reference loop, which
+lives beside the test harness in ``tests/engine_reference.py``.  Both
 loops report their device events to one
 :class:`~repro.fpga.profile.DeviceProfiler` per run.
 """

@@ -58,6 +58,19 @@ class ServedAnswer:
     profile: DeviceProfile | None = None
     #: ``True`` when Pre-BFS proved the answer empty and no kernel ran.
     empty: bool = False
+    # What the batch service stamps on a delivered answer
+    # (:func:`repro.service.batch.serve_source`); its metrics and
+    # timelines are computed from these and the fields above.
+    #: served past the batch deadline, under the degraded budget.
+    degraded: bool = False
+    #: answered from the artifact cache's result memo.
+    result_hit: bool = False
+    #: the serving engine's modelled busy seconds (host + device) once
+    #: this answer was done: its completion time on the modelled clock.
+    completed_at: float = 0.0
+    #: queries left in the engine's static task list after this one
+    #: (``None`` under work stealing, where an engine has no queue).
+    queue_depth: int | None = None
 
     @property
     def num_paths(self) -> int:

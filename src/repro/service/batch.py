@@ -18,9 +18,12 @@ Dispatch is one loop over one kind of work:
   either deals it over the survivors (static schedulers) or steals it
   again (work stealing);
 - :func:`serve_source` is the per-engine loop every executor runs: serve
-  each member through :class:`EngineServer`, hand the answer back,
-  observe it, and return the unserved remainder on
-  :class:`~repro.errors.EngineFailure`.
+  each member through :class:`EngineServer`, stamp the answer with what
+  the coordinator observes, hand it back, and return the unserved
+  remainder on :class:`~repro.errors.EngineFailure`;
+- the coordinator observes every delivered answer once, in delivery
+  order (:func:`observe_report`): the metrics and timelines of a batch
+  are a projection of its answers, whichever executor served them.
 
 Two executors run a round:
 
@@ -60,11 +63,13 @@ degradation end to end:
   round.
 
 Latency, throughput, cache, robustness and per-engine utilization metrics
-land in a :class:`repro.service.metrics.MetricsRegistry` and are summarised
-on the returned :class:`ServiceBatchReport`.  Engine busy time is split
-into host (``T1`` preprocessing) and device (``T2`` kernel) seconds: the
-engines overlap *modelled* device time, while all host preprocessing
-shares one modelled CPU (and, in-process, one real interpreter thread).
+land in the service's cumulative
+:class:`repro.service.metrics.MetricsRegistry`; the returned
+:class:`ServiceBatchReport` summarises its own batch from its answers.
+Engine busy time is split into host (``T1`` preprocessing) and device
+(``T2`` kernel) seconds: the engines overlap *modelled* device time,
+while all host preprocessing shares one modelled CPU (and, in-process,
+one real interpreter thread).
 """
 
 from __future__ import annotations
@@ -162,7 +167,7 @@ class EngineServer:
 
     __slots__ = ("system", "budget", "batch_deadline_s",
                  "degraded_cycle_budget", "profile", "share",
-                 "host_busy", "device_busy", "last_result_hit")
+                 "host_busy", "device_busy")
 
     def __init__(self, system, budget: QueryBudget,
                  batch_deadline_s: float | None,
@@ -176,23 +181,17 @@ class EngineServer:
         self.share = share
         self.host_busy = 0.0
         self.device_busy = 0.0
-        #: whether the most recent :meth:`serve` was answered from the
-        #: result cache.  The dispatcher reads this to timestamp cache
-        #: hits on the telemetry timeline — per-query attributable and
-        #: deterministic, unlike diffing shared cache stats under
-        #: concurrent engines.
-        self.last_result_hit = False
 
     def serve(self, query: Query, tracer=None):
-        """Answer one query; returns ``(answer, degraded)``, the answer a
-        :class:`~repro.host.system.ServedAnswer` on every executor.
+        """Answer one query; returns ``(answer, degraded, result hit)``,
+        the answer a :class:`~repro.host.system.ServedAnswer` on every
+        executor.
 
         With ``share`` set the answer goes through the artifact cache's
         result memo, so duplicate queries run exactly once.  Propagates
         :class:`~repro.errors.EngineFailure` — requeueing is the
         dispatcher's job, not the engine's.
         """
-        self.last_result_hit = False
         q_budget = self.budget
         degraded = False
         if (
@@ -224,11 +223,10 @@ class EngineServer:
                 self.system.graph, query, (q_budget, self.profile),
                 build, counter=probe_ops, tracer=tracer,
             )
-            self.last_result_hit = hit
         if not hit:
             self.host_busy += answer.preprocess_seconds
             self.device_busy += answer.query_seconds
-            return answer, degraded
+            return answer, degraded, False
         # A hit is re-labelled for this query with ``T1`` set to the one
         # ``set_lookup`` memo probe — exactly what a naive rerun's Pre-BFS
         # memo hit would have charged, so the per-answer modelled numbers
@@ -243,28 +241,29 @@ class EngineServer:
             query=query,
             preprocess_seconds=probe_seconds,
             preprocess_ops=probe_ops,
-        ), degraded
+        ), degraded, True
 
 
 def observe_report(metrics: MetricsRegistry, report: ServedAnswer,
-                   engine_idx: int, degraded: bool = False,
-                   timeline: MetricsTimeline | None = None,
-                   t_end: float | None = None) -> None:
-    """Fold one query's outcome into a metrics registry.
+                   engine_idx: int,
+                   timeline: MetricsTimeline | None = None) -> None:
+    """Fold one delivered answer into the registry and the timeline.
 
-    A module function (not a service method) because the process backend
-    runs it inside worker processes against worker-local registries that
-    are merged on the coordinator afterwards — both backends must observe
-    identically for the merged view to match the in-process executor's.
+    The one place a served query is observed: the coordinator calls it
+    once per delivered answer, in delivery order, for every executor.
+    It reads only the answer — its modelled costs and the stamps
+    :func:`serve_source` put on it — so the executors' metrics and
+    timelines agree by construction.
 
     The query's counter increments and samples are built once and
     applied to the registry and, with a ``timeline``, to the tumbling
-    window of ``t_end`` — the serving engine's modelled completion time
-    for this query (its accumulated host + device busy seconds), which
-    every backend computes identically.  Each gets one ``update`` call
-    with the same lists.  With a timeline, a per-engine
-    ``engine{i}_device_seconds`` series is written to both so per-window
-    utilization stays reconcilable against a terminal total.  A device
+    window of ``report.completed_at`` (the serving engine's modelled
+    completion time).  Each gets one ``update`` call with the same
+    lists.  With a timeline, a per-engine ``engine{i}_device_seconds``
+    series is written to both so per-window utilization stays
+    reconcilable against a terminal total; a result-cache hit is counted
+    as ``result_hits`` and a static engine's queue depth set as the
+    ``engine{i}/queue_depth`` gauge in the same window.  A device
     profile's per-batch distributions go to the registry only.
     """
     counts = [
@@ -281,7 +280,7 @@ def observe_report(metrics: MetricsRegistry, report: ServedAnswer,
         counts.append(("empty_queries", 1))
     if report.truncated:
         counts.append(("truncated_queries", 1))
-    if degraded:
+    if report.degraded:
         counts.append(("degraded_queries", 1))
         samples.append(("degraded_latency_seconds", report.total_seconds))
     if timeline is not None:
@@ -292,7 +291,13 @@ def observe_report(metrics: MetricsRegistry, report: ServedAnswer,
         device_samples = _profile_events(report.profile, counts)
     metrics.update(counts, samples + device_samples)
     if timeline is not None:
+        t_end = report.completed_at
         timeline.update(t_end, counts, samples)
+        if report.result_hit:
+            timeline.record(t_end, "result_hits")
+        if report.queue_depth is not None:
+            timeline.set_gauge(t_end, f"engine{engine_idx}/queue_depth",
+                               report.queue_depth)
 
 
 def _profile_events(prof, counts: list) -> list:
@@ -331,40 +336,35 @@ def _profile_events(prof, counts: list) -> list:
 
 
 def serve_source(server: EngineServer, engine_idx: int, source, tracer,
-                 metrics: MetricsRegistry, timeline: MetricsTimeline | None,
                  deliver) -> list[int]:
     """The per-engine serve loop every executor runs.
 
     ``source`` yields groups of ``(batch index, query)`` tasks: a list
     holding one engine's whole static task list, or an iterator over the
-    groups the engine steals.  Each member is served, handed to
-    ``deliver(engine_idx, index, report)`` and observed into
-    ``metrics`` / ``timeline``; static sources also publish the engine's
-    queue depth (a stealing engine has no queue of its own).  On
-    :class:`~repro.errors.EngineFailure` the loop stops and returns the
-    unserved rest of the group — requeueing it is the coordinator's job.
+    groups the engine steals.  Each member is served, stamped with what
+    the coordinator observes of it — ``degraded``, ``result_hit``, the
+    engine's modelled completion time ``completed_at`` and, from a
+    static source, its ``queue_depth`` (a stealing engine has no queue
+    of its own) — and handed to ``deliver(engine_idx, index, answer)``.
+    On :class:`~repro.errors.EngineFailure` the loop stops and returns
+    the unserved rest of the group — requeueing it is the coordinator's
+    job.
     """
     static = isinstance(source, list)
     with (tracer or NULL_TRACER).track(f"engine{engine_idx}"):
         for group in source:
             for pos, (idx, query) in enumerate(group):
                 try:
-                    report, degraded = server.serve(query, tracer)
+                    answer, degraded, hit = server.serve(query, tracer)
                 except EngineFailure:
                     return [i for i, _ in group[pos:]]
-                deliver(engine_idx, idx, report)
-                t_end = server.host_busy + server.device_busy
-                observe_report(metrics, report, engine_idx,
-                               degraded=degraded, timeline=timeline,
-                               t_end=t_end)
-                if timeline is not None:
-                    if server.last_result_hit:
-                        timeline.record(t_end, "result_hits")
-                    if static:
-                        timeline.set_gauge(
-                            t_end, f"engine{engine_idx}/queue_depth",
-                            len(group) - pos - 1,
-                        )
+                # Stamped in place: a miss is built by this run and a
+                # hit is a copy, so no record is delivered twice.
+                answer.degraded = degraded
+                answer.result_hit = hit
+                answer.completed_at = server.host_busy + server.device_busy
+                answer.queue_depth = len(group) - pos - 1 if static else None
+                deliver(engine_idx, idx, answer)
     return []
 
 
@@ -374,8 +374,8 @@ class BatchOutcome:
 
     :func:`dispatch` fills the answers and the failure accounting; the
     executor fills the busy times, and the process executor also the
-    per-(round, worker) registries, traces, timelines and cache deltas
-    its workers shipped back, in deterministic (round, worker) order.
+    traces and cache deltas its workers shipped back, in deterministic
+    (round, worker) order.
     """
 
     reports: list
@@ -387,20 +387,18 @@ class BatchOutcome:
     failed_engines: list[int] = field(default_factory=list)
     engine_failures: int = 0
     requeued: int = 0
-    #: who served what, in serving order.
-    served_by: Assignment = field(default_factory=list)
-    metric_registries: list[MetricsRegistry] = field(default_factory=list)
+    #: ``(engine index, batch index)`` of every answer, in delivery order.
+    delivered: list[tuple[int, int]] = field(default_factory=list)
     #: span-record lists, one per worker round — every worker round
     #: numbers its spans from 1, so each list must be ingested on its own
     #: for parent links to remap without colliding.
     trace_records: list[list] = field(default_factory=list)
-    timelines: list[MetricsTimeline] = field(default_factory=list)
     #: summed per-round cache-stat deltas of worker-local caches.
     worker_cache_stats: Counter = field(default_factory=Counter)
 
     def deliver(self, engine_idx: int, idx: int, report) -> None:
         self.reports[idx] = report
-        self.served_by[engine_idx].append(idx)
+        self.delivered.append((engine_idx, idx))
 
 
 def dispatch(queries: list[Query], sharing: bool, scheduler: str,
@@ -421,14 +419,12 @@ def dispatch(queries: list[Query], sharing: bool, scheduler: str,
     engine survives.
     """
     outcome = BatchOutcome([None] * len(queries), [0.0] * num_engines,
-                           [0.0] * num_engines,
-                           served_by=[[] for _ in range(num_engines)])
+                           [0.0] * num_engines)
     groups = query_groups(queries, sharing)
     steal = scheduler == WORK_STEALING
     if steal:
         order = steal_order(queries, graph=graph, groups=groups)
         work = [groups[g] for g in order]
-        outcome.assignment = outcome.served_by
     else:
         work = outcome.assignment = SCHEDULERS[scheduler](
             queries, num_engines, graph=graph, groups=groups,
@@ -461,12 +457,23 @@ def dispatch(queries: list[Query], sharing: bool, scheduler: str,
         work = regrouped if steal else requeue(regrouped, num_engines,
                                                survivors)
     outcome.failed_engines = sorted(failed)
+    if steal:
+        # A stealing engine's assignment is what it served, in order.
+        outcome.assignment = [[] for _ in range(num_engines)]
+        for e, i in outcome.delivered:
+            outcome.assignment[e].append(i)
     return outcome
 
 
 @dataclass
 class ServiceBatchReport:
-    """Everything one batch produced: answers, timings, observability."""
+    """Everything one batch produced: answers, timings, observability.
+
+    Every figure here describes this batch alone — its answers, busy
+    times and failure accounting — except ``metrics`` and
+    ``cache_stats``, which are the service's cumulative views over every
+    batch it served.
+    """
 
     reports: list[ServedAnswer]
     assignment: Assignment
@@ -481,10 +488,15 @@ class ServiceBatchReport:
     #: modelled device (``T2``) seconds of the queries each engine served.
     engine_device_seconds: list[float]
     wall_seconds: float
+    #: the service's registry: cumulative over every batch it served.
     metrics: MetricsRegistry
     cache_stats: dict[str, int] = field(default_factory=dict)
     #: engines that raised :class:`~repro.errors.EngineFailure` mid-batch.
     failed_engines: list[int] = field(default_factory=list)
+    #: engines lost during this batch.
+    engine_failures: int = 0
+    #: queries of this batch re-dispatched after their engine failed.
+    requeued_queries: int = 0
     #: the seeded fault-injection plan the service ran under, as
     #: ``(engine index, fail_after)`` pairs (empty without injection).
     failure_plan: list[tuple[int, int]] = field(default_factory=list)
@@ -561,28 +573,22 @@ class ServiceBatchReport:
 
     @property
     def latency(self) -> LatencySummary | None:
-        """Modelled per-query latency summary (p50/p95/p99 et al.)."""
-        return self.metrics.summary("latency_seconds")
+        """Modelled per-query latency summary (p50/p95/p99 et al.) of
+        this batch."""
+        return _summary([r.total_seconds for r in self.reports])
 
     @property
     def degraded_latency(self) -> LatencySummary | None:
-        """Latency summary of queries served past the batch deadline."""
-        return self.metrics.summary("degraded_latency_seconds")
+        """Latency summary of this batch's queries served past the batch
+        deadline."""
+        return _summary([r.total_seconds for r in self.reports
+                         if r.degraded])
 
     @property
     def truncated_queries(self) -> int:
-        """Queries whose answers a budget or deadline truncated."""
-        return self.metrics.counter("truncated_queries")
-
-    @property
-    def requeued_queries(self) -> int:
-        """Queries re-dispatched after their engine failed."""
-        return self.metrics.counter("requeued_queries")
-
-    @property
-    def engine_failures(self) -> int:
-        """Engines lost mid-batch."""
-        return self.metrics.counter("engine_failures")
+        """Queries of this batch whose answers a budget or deadline
+        truncated."""
+        return sum(r.truncated for r in self.reports)
 
     @property
     def total_paths(self) -> int:
@@ -652,6 +658,10 @@ class ServiceBatchReport:
         from repro.reporting.service import service_report_table
 
         return service_report_table(self)
+
+
+def _summary(samples: list[float]) -> LatencySummary | None:
+    return LatencySummary.from_samples(samples) if samples else None
 
 
 class BatchQueryService:
@@ -888,13 +898,16 @@ class BatchQueryService:
         if self.backend == "process":
             outcome = self._dispatch_process(
                 queries, effective, batch_deadline_s,
-                degraded_cycle_budget, tr, profile, timeline,
+                degraded_cycle_budget, tr, profile,
             )
         else:
             outcome = self._dispatch_inline(
                 queries, effective, batch_deadline_s,
-                degraded_cycle_budget, tracer, profile, timeline,
+                degraded_cycle_budget, tracer, profile,
             )
+        for engine_idx, idx in outcome.delivered:
+            observe_report(self.metrics, outcome.reports[idx], engine_idx,
+                           timeline)
         if outcome.engine_failures:
             self.metrics.increment("engine_failures",
                                    outcome.engine_failures)
@@ -947,6 +960,8 @@ class BatchQueryService:
             metrics=self.metrics,
             cache_stats=cache_stats,
             failed_engines=outcome.failed_engines,
+            engine_failures=outcome.engine_failures,
+            requeued_queries=outcome.requeued,
             failure_plan=list(self.failure_plan),
             backend=self.backend,
             sharing=self.sharing,
@@ -991,10 +1006,9 @@ class BatchQueryService:
     # -- executors -----------------------------------------------------
     def _dispatch_inline(
         self, queries, effective, batch_deadline_s, degraded_cycle_budget,
-        tracer, profile, timeline,
+        tracer, profile,
     ) -> BatchOutcome:
-        """Run :func:`dispatch` on the calling thread, engine after engine,
-        observing straight into the service registry."""
+        """Run :func:`dispatch` on the calling thread, engine after engine."""
         servers = [
             EngineServer(system, effective, batch_deadline_s,
                          degraded_cycle_budget, profile,
@@ -1005,7 +1019,7 @@ class BatchQueryService:
         def run_round(outcome, engines, work, steal):
             def serve(e: int, source) -> list[int]:
                 return serve_source(servers[e], e, source, tracer,
-                                    self.metrics, timeline, outcome.deliver)
+                                    outcome.deliver)
 
             if not steal:
                 rests = [serve(e, [[(i, queries[i]) for i in work[e]]])
@@ -1035,10 +1049,10 @@ class BatchQueryService:
 
     def _dispatch_process(
         self, queries, effective, batch_deadline_s, degraded_cycle_budget,
-        tr, profile, timeline,
+        tr, profile,
     ) -> BatchOutcome:
-        """Run the batch on the worker-process pool and fold in what its
-        workers observed."""
+        """Run the batch on the worker-process pool and ingest the spans
+        its workers traced."""
         from repro.service.parallel import ProcessEnginePool
 
         if self._pool is None:
@@ -1061,19 +1075,7 @@ class BatchQueryService:
             degraded_cycle_budget=degraded_cycle_budget,
             profile=profile,
             trace=bool(tr),
-            window_seconds=(
-                timeline.window_seconds if timeline is not None else None
-            ),
         )
-        for registry in outcome.metric_registries:
-            self.metrics.merge(registry)
-        if timeline is not None:
-            # Worker shards arrive in (round, worker) order and merge
-            # exactly, so the combined timeline equals the in-process
-            # executors' (every merge here is commutative anyway; the
-            # order just makes the iteration self-evident).
-            for shard in outcome.timelines:
-                timeline.merge(shard)
         # One ingest per worker round: each round's tracer numbered its
         # spans from 1, so remapping them together would cross-wire
         # parent links between workers.

@@ -9,19 +9,22 @@ kinds:
   per-batch device cycles, stage occupancy, cache hit rates), summarised
   into :class:`LatencySummary` (count, exact sum, mean, min, max,
   nearest-rank p50/p95/p99).  A series is one :class:`HistogramSketch`
-  — a mergeable log-bucketed histogram at the fixed growth factor
+  — a log-bucketed histogram at the fixed growth factor
   :data:`SKETCH_GAMMA` — plus the list of raw observations, kept only
   while it holds every observation and at most :data:`EXACT_SAMPLES` of
   them.  Count, sum, mean, min and max come from the sketch, whose sum
   is an :class:`ExactSum` (Shewchuk partials), so the mean is the
-  correctly-rounded sum of every observation no matter the observation
-  or merge order.  Percentiles are exact while the raw list exists and
-  sketch estimates once it is dropped, so merged shards never
-  over-weight a small worker (see :meth:`MetricsRegistry.merge`).
+  correctly-rounded sum of every observation whatever their order.
+  Percentiles are exact while the raw list exists and sketch estimates
+  once it is dropped.
 
 The registry is the one object here that another thread reads — the
 Prometheus scrape thread calls :meth:`MetricsRegistry.snapshot` — so it
-alone takes a lock; a timeline is used by one thread at a time.
+alone takes a lock; a timeline is used by one thread at a time.  Both are
+filled in one place, on the coordinator: the service observes each
+delivered answer once (:func:`repro.service.batch.observe_report`),
+whichever executor served it, so no registry or timeline is ever built
+elsewhere and merged in.
 
 Windowed telemetry
 ------------------
@@ -29,21 +32,20 @@ Windowed telemetry
 into tumbling windows of *modelled* time, timestamped with the serving
 layer's deterministic engine clocks (an engine's accumulated host +
 device busy seconds).  The registry's terminal total and every window
-are one private accumulation type with one ``update`` and one
-``merge``: counters add, series merge their sketches exactly (integer
-bucket counts, :class:`ExactSum` totals).  Merging per-worker shards in
-any order therefore yields the same bytes.  Window series keep only
-their sketch, so a window's memory follows its bucket count, not its
-sample count; the fold of the windows holds the same counters, sketch
-buckets, counts and exact totals as the registry that saw the same
-events.  :meth:`MetricsTimeline.reconcile` checks counters, counts and
-totals, and the ``service.slo`` perfbench scenario gates it.  Gauges are
-not folded: a registry gauge is last-write-wins, a window gauge keeps the
-lexicographically largest ``(timestamp, value)`` pair.  Timelines are
-exported sketch-only (:mod:`repro.observability.timeline`), the
-registry as Prometheus text (:mod:`repro.observability.prometheus`).
-No wall-clock reads happen here; callers observe whatever notion of
-latency (modelled or measured) they want to track.
+are one private accumulation type with one ``update``; windows keep
+only their sketch, so a window's memory follows its bucket count, not
+its sample count.  Windows fold exactly (integer bucket counts add,
+:class:`ExactSum` totals combine), so the fold of every window holds the
+same counters, sketch buckets, counts and exact totals as the registry
+that saw the same events.  :meth:`MetricsTimeline.reconcile` checks
+counters, counts and totals, and the ``service.slo`` perfbench scenario
+gates it.  Gauges are not folded: a registry gauge is last-write-wins, a
+window gauge keeps the lexicographically largest ``(timestamp, value)``
+pair.  Timelines are exported sketch-only
+(:mod:`repro.observability.timeline`), the registry as Prometheus text
+(:mod:`repro.observability.prometheus`).  No wall-clock reads happen
+here; callers observe whatever notion of latency (modelled or measured)
+they want to track.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ EXACT_SAMPLES = 4096
 #: log-bucket growth factor of :class:`HistogramSketch`: 2^(1/8) per
 #: bucket (~9.05% wide), bounding a mid-bucket quantile estimate to
 #: ~4.4% relative error while keeping a microsecond..minute latency
-#: range inside ~300 buckets.  Fixed, so every sketch merges with every
+#: range inside ~300 buckets.  Fixed, so every sketch folds into every
 #: other; it is still written into :meth:`HistogramSketch.to_dict` and
 #: timeline files, and reading a file with another value is an error.
 SKETCH_GAMMA = 2.0 ** 0.125
@@ -110,9 +112,9 @@ class ExactSum:
     mathematical sum *is* the real-number sum of everything added, so
     :attr:`value` — ``math.fsum`` of the partials — is the correctly
     rounded total regardless of addition order.  That property is what
-    lets per-worker shards (process backend) and one in-order observer
-    (in-process backend) produce bit-identical totals: exact real arithmetic
-    commutes, a left-fold of rounded floats does not.
+    lets a fold of timeline windows and the registry that observed the
+    same values in order produce bit-identical totals: exact real
+    arithmetic commutes, a left-fold of rounded floats does not.
     """
 
     __slots__ = ("partials",)
@@ -135,11 +137,6 @@ class ExactSum:
             x = hi
         partials[i:] = [x]
 
-    def merge(self, other: "ExactSum") -> None:
-        """Fold another accumulation in (exact, order-independent)."""
-        for p in list(other.partials):
-            self.add(p)
-
     @property
     def value(self) -> float:
         """The correctly rounded sum of every value added so far."""
@@ -155,13 +152,13 @@ class HistogramSketch:
     Values land in geometric buckets ``[gamma^i, gamma^(i+1))`` with
     ``gamma = SKETCH_GAMMA`` (split by sign, with a dedicated zero
     bucket), so a bucket index is a pure function of the value: two
-    shards that observed the same multiset of values hold identical
-    bucket maps, and merging shards is exact — integer bucket counts add
-    commutatively, the total is an :class:`ExactSum`, min/max combine
-    losslessly.  Quantiles are bucket-resolution estimates (the
+    sketches that observed the same multiset of values hold identical
+    bucket maps, and folding one into another is exact — integer bucket
+    counts add commutatively, the total is an :class:`ExactSum`, min/max
+    combine losslessly.  Quantiles are bucket-resolution estimates (the
     geometric bucket midpoint, clamped to the observed min/max):
-    deterministic, shard-order independent, and within
-    ``(gamma - 1) / 2`` relative error.
+    deterministic, order independent, and within ``(gamma - 1) / 2``
+    relative error.
     """
 
     __slots__ = ("count", "_total", "minimum", "maximum", "zero",
@@ -202,10 +199,11 @@ class HistogramSketch:
         else:
             self.zero += 1
 
-    def merge(self, other: "HistogramSketch") -> None:
+    def fold(self, other: "HistogramSketch") -> None:
         """Add another sketch's buckets (exact, order-independent)."""
         self.count += other.count
-        self._total.merge(other._total)
+        for partial in list(other._total.partials):
+            self._total.add(partial)
         self.minimum = min(self.minimum, other.minimum)
         self.maximum = max(self.maximum, other.maximum)
         self.zero += other.zero
@@ -320,21 +318,15 @@ class LatencySummary:
     p99: float
 
     @classmethod
-    def from_samples(cls, samples: list[float]) -> "LatencySummary":
-        """Summarise a non-empty sample series."""
-        if not samples:
+    def from_samples(cls, samples) -> "LatencySummary":
+        """Summarise a non-empty sample series exactly as a registry
+        series that observed the same values reports it."""
+        series = _Series()
+        for value in samples:
+            series.observe(float(value))
+        if not series.sketch.count:
             raise ValueError("cannot summarise an empty sample series")
-        total = math.fsum(samples)
-        return cls(
-            count=len(samples),
-            total=total,
-            mean=total / len(samples),
-            minimum=min(samples),
-            maximum=max(samples),
-            p50=percentile(samples, 50),
-            p95=percentile(samples, 95),
-            p99=percentile(samples, 99),
-        )
+        return series.summary()
 
 
 class _Series:
@@ -356,14 +348,6 @@ class _Series:
                 exact.append(value)
             else:
                 self.exact = None
-
-    def merge(self, other: "_Series") -> None:
-        self.sketch.merge(other.sketch)
-        if (self.exact is not None and other.exact is not None
-                and len(self.exact) + len(other.exact) <= EXACT_SAMPLES):
-            self.exact.extend(other.exact)
-        else:
-            self.exact = None
 
     def summary(self) -> LatencySummary:
         sketch = self.sketch
@@ -390,8 +374,8 @@ class _Series:
 
 class _Store:
     """Counters and sample series: the registry's terminal total and
-    each timeline window are one of these, so both update and merge
-    the same way."""
+    each timeline window are one of these, so both update the same
+    way."""
 
     __slots__ = ("counters", "series")
     #: whether a new series keeps its raw observations.
@@ -413,16 +397,6 @@ class _Store:
                 s = series[name] = _Series(self.keep_exact)
             s.observe(float(value))
 
-    def merge(self, other: "_Store") -> None:
-        """Fold ``other`` in: counters add, series merge (exact and
-        order-independent; ``other`` is neither changed nor aliased)."""
-        self.counters.update(other.counters)
-        for name, theirs in other.series.items():
-            mine = self.series.get(name)
-            if mine is None:
-                mine = self.series[name] = _Series(self.keep_exact)
-            mine.merge(theirs)
-
 
 class _WindowStore(_Store):
     """A timeline window: its series keep only their sketch, so a
@@ -439,16 +413,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._store = _Store()
         self._gauges: dict[str, float] = {}
-
-    # -- pickling (locks cannot cross process boundaries) --------------
-    def __getstate__(self) -> dict:
-        with self._lock:
-            return {"store": self._store, "gauges": dict(self._gauges)}
-
-    def __setstate__(self, state: dict) -> None:
-        self._lock = threading.Lock()
-        self._store = state["store"]
-        self._gauges = state["gauges"]
 
     # -- counters and sample series --------------------------------------
     def update(self, counts, samples) -> None:
@@ -535,31 +499,6 @@ class MetricsRegistry:
             series = self._store.series.get(name)
             return series.summary() if series else None
 
-    # -- cross-registry aggregation ------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's observations into this one.
-
-        The process-parallel serving backend gives each worker its own
-        registry (a lock cannot span processes) and merges them on the
-        coordinator: counters add, and each series merges its sketch
-        exactly (integer bucket counts add, the :class:`ExactSum` totals
-        combine, so count/sum/mean/min/max match the pooled population
-        whatever the merge order).  The raw observation lists are
-        concatenated while both sides still hold theirs and the result
-        fits :data:`EXACT_SAMPLES`; otherwise the list is dropped and
-        merged quantiles come from the combined sketch.
-        """
-        if other is self:
-            raise ConfigError("cannot merge a registry into itself")
-        # Both locks in one fixed order, so two threads merging a pair in
-        # opposite directions cannot deadlock.
-        first, second = sorted((self._lock, other._lock), key=id)
-        with first, second:
-            self._store.merge(other._store)
-            # Gauges are levels, not totals: the merged-in (newer)
-            # registry's value wins.
-            self._gauges.update(other._gauges)
-
     # -- export --------------------------------------------------------
     def snapshot(self) -> dict[str, object]:
         """Plain-dict view: counters, gauges, per-series summaries.
@@ -594,13 +533,11 @@ class MetricsTimeline:
     Counters, gauges and sample series bucketed by
     ``floor(t / window_seconds)``, where ``t`` is a *modelled* timestamp
     (the serving layer uses each engine's accumulated busy seconds).
-    Every accumulation is exactly mergeable — see the module docstring —
-    so per-worker shards combine into the same timeline bytes no matter
-    the backend, worker count or merge order.  A one-thread object (only
-    the registry is read from another thread, by the Prometheus scrape
-    thread); picklable as it is, so the process backend ships per-round
-    worker timelines back to the coordinator the same way it ships
-    registries.
+    Every window accumulates exactly — see the module docstring — so the
+    same events give the same timeline bytes no matter the backend,
+    worker count or observation order.  A one-thread object (only the
+    registry is read from another thread, by the Prometheus scrape
+    thread).
     """
 
     def __init__(self,
@@ -650,29 +587,21 @@ class MetricsTimeline:
         _keep_latest(self._gauges.setdefault(idx, {}),
                      {name: (float(t), float(value))})
 
-    # -- merging -------------------------------------------------------
-    def merge(self, other: "MetricsTimeline") -> None:
-        """Fold another timeline's windows in (exact, order-independent)."""
-        if other is self:
-            raise ConfigError("cannot merge a timeline into itself")
-        if other.window_seconds != self.window_seconds:
-            raise ConfigError(
-                f"cannot merge timelines with different windows: "
-                f"{self.window_seconds} vs {other.window_seconds}"
-            )
-        for idx, win in other._windows.items():
-            self._window(idx).merge(win)
-        for idx, entries in other._gauges.items():
-            _keep_latest(self._gauges.setdefault(idx, {}), entries)
-
     def _fold(self, indices) -> _WindowStore:
-        """The windows at ``indices`` merged into one store (missing
-        indices are empty windows)."""
+        """The windows at ``indices`` folded into one store: counters
+        add, sketches fold, exactly and in any order (missing indices
+        are empty windows; no window is changed or aliased)."""
         fold = _WindowStore()
         for idx in indices:
             win = self._windows.get(idx)
-            if win is not None:
-                fold.merge(win)
+            if win is None:
+                continue
+            fold.counters.update(win.counters)
+            for name, theirs in win.series.items():
+                mine = fold.series.get(name)
+                if mine is None:
+                    mine = fold.series[name] = _Series(keep_exact=False)
+                mine.sketch.fold(theirs.sketch)
         return fold
 
     # -- views ---------------------------------------------------------
@@ -736,10 +665,10 @@ class MetricsTimeline:
         """Check the windowed view against a terminal registry, exactly.
 
         Returns a list of mismatch descriptions (empty == reconciled).
-        The windows are folded with the registry's own merge, so every
-        windowed counter must sum to the registry counter bit for bit,
-        and every windowed series must reproduce the registry series'
-        exact observation count and correctly-rounded total.
+        The windows fold exactly, so every windowed counter must sum to
+        the registry counter bit for bit, and every windowed series must
+        reproduce the registry series' exact observation count and
+        correctly-rounded total.
 
         Valid whenever this timeline saw every batch the registry saw
         (a fresh service with the timeline passed to each run); gauges
@@ -837,7 +766,7 @@ class MetricsTimeline:
         """Deterministic bytes of the whole timeline.
 
         Two runs that produced the same windowed events yield identical
-        bytes regardless of dispatch backend or worker merge order — the
+        bytes regardless of dispatch backend or observation order — the
         ``service.slo`` scenario's backend-agreement gate compares exactly
         this.
         """

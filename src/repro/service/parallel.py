@@ -20,12 +20,14 @@ each worker runs the same per-engine loop,
   the coordinator grants the next one in steal order, or ``None`` when
   none is left;
 - **one message per worker round** — a worker's answers
-  (:class:`~repro.host.system.ServedAnswer` records: paths and modelled
-  counters, no simulated device) ride on its single ``round_done``
-  message, together with the round's metrics registry, trace span
-  records, busy times and cache stats; the coordinator folds them in
-  (round, worker) order.  Result-cache duplicates share one ``paths``
-  list, which the pickle memo sends once per message.
+  (:class:`~repro.host.system.ServedAnswer` records: paths, modelled
+  counters and the serving stamps, no simulated device) ride on its
+  single ``round_done`` message, together with the round's trace span
+  records, busy times and cache stats; the coordinator delivers them in
+  (round, worker) order and observes each answer itself, exactly as it
+  does the in-process executor's — a worker keeps no metrics registry
+  or timeline.  Result-cache duplicates share one ``paths`` list, which
+  the pickle memo sends once per message.
 
 A worker whose engine raises :class:`~repro.errors.EngineFailure` is
 retired for the batch (the process stays up for the next batch — a
@@ -52,7 +54,6 @@ from multiprocessing.connection import wait
 from repro.errors import ServiceError
 from repro.service.batch import BatchOutcome, dispatch
 from repro.service.cache import GraphArtifactCache
-from repro.service.metrics import MetricsRegistry, MetricsTimeline
 
 
 def _worker_main(worker_idx, spec, fail_after, conn):
@@ -82,7 +83,6 @@ def _worker_main(worker_idx, spec, fail_after, conn):
 
         server = None
         trace = False
-        window_seconds = None
         while True:
             cmd = conn.recv()
             kind = cmd[0]
@@ -96,16 +96,11 @@ def _worker_main(worker_idx, spec, fail_after, conn):
                     share=sharing,
                 )
                 trace = opts["trace"]
-                window_seconds = opts["window_seconds"]
                 continue
 
             # kind is "serve" (a task list) or "steal" (ask for groups
             # until the coordinator grants None).
-            metrics = MetricsRegistry()
             tracer = Tracer() if trace else None
-            timeline = None
-            if window_seconds is not None:
-                timeline = MetricsTimeline(window_seconds)
             if kind == "serve":
                 source = [cmd[1]]
             else:
@@ -113,7 +108,7 @@ def _worker_main(worker_idx, spec, fail_after, conn):
             stats_before = cache.stats()
             answers = []
             unserved = serve_source(
-                server, worker_idx, source, tracer, metrics, timeline,
+                server, worker_idx, source, tracer,
                 lambda _w, idx, answer: answers.append((idx, answer)),
             )
             conn.send(("round_done", {
@@ -121,9 +116,7 @@ def _worker_main(worker_idx, spec, fail_after, conn):
                 "failed": bool(unserved),
                 "host_busy": server.host_busy,
                 "device_busy": server.device_busy,
-                "metrics": metrics,
                 "trace": tracer.records() if tracer else [],
-                "timeline": timeline,
                 "cache_delta": {
                     key: value - stats_before[key]
                     for key, value in cache.stats().items()
@@ -239,15 +232,8 @@ class ProcessEnginePool:
     # -- batch serving -------------------------------------------------
     def run_batch(self, queries, scheduler, graph, budget,
                   batch_deadline_s, degraded_cycle_budget, profile,
-                  trace, window_seconds=None) -> BatchOutcome:
-        """Serve one batch over the worker pool; see the module docstring.
-
-        ``window_seconds`` turns on windowed telemetry: each worker
-        accumulates a per-round
-        :class:`~repro.service.metrics.MetricsTimeline` shipped back on
-        ``round_done`` and surfaced as ``BatchOutcome.timelines`` in
-        deterministic (round, worker) order.
-        """
+                  trace) -> BatchOutcome:
+        """Serve one batch over the worker pool; see the module docstring."""
         self._ensure_started()
         live = [w for w in range(self.num_engines)
                 if w not in self._crashed]
@@ -263,7 +249,6 @@ class ProcessEnginePool:
                 "degraded_cycle_budget": degraded_cycle_budget,
                 "profile": profile,
                 "trace": trace,
-                "window_seconds": window_seconds,
             }))
 
         try:
@@ -317,7 +302,7 @@ class ProcessEnginePool:
                     if tag == "fatal":  # the payload is its traceback
                         self._fatal_tracebacks[w] = payload
 
-        # Fold worker payloads in worker order, so metric-merge and trace
+        # Fold worker payloads in worker order, so delivery and trace
         # order are deterministic regardless of message interleaving.
         served: set[int] = set()
         lost = set(crashed)
@@ -327,11 +312,8 @@ class ProcessEnginePool:
                 served.add(idx)
             outcome.host_busy[w] = payload["host_busy"]
             outcome.device_busy[w] = payload["device_busy"]
-            outcome.metric_registries.append(payload["metrics"])
             if payload["trace"]:
                 outcome.trace_records.append(payload["trace"])
-            if payload["timeline"] is not None:
-                outcome.timelines.append(payload["timeline"])
             outcome.worker_cache_stats.update(payload["cache_delta"])
             if payload["failed"]:
                 lost.add(w)

@@ -101,7 +101,6 @@ from repro.baselines import (BCDFS, TDFS, TDFS2, HPIndex, Join, NaiveBFS,
                              NaiveDFS, Yens)
 from repro.core.config import PEFPConfig, QueryBudget
 from repro.core.engine import PEFPEngine
-from repro.core.engine_reference import ReferencePEFPEngine
 from repro.core.multi_pe import run_multi_pe
 from repro.fpga.device import DeviceConfig
 from repro.graph import generators as G
@@ -113,6 +112,8 @@ from repro.preprocess.bfs import distances_with_default, k_hop_bfs
 from repro.preprocess.prebfs import pre_bfs
 from repro.service import BatchQueryService
 from repro.workloads import generate_queries, generate_shared_batch
+
+from engine_reference import ReferencePEFPEngine
 
 # ---------------------------------------------------------------------------
 # The oracle

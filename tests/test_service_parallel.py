@@ -2,8 +2,8 @@
 
 The oracle harness (oracle.py) proves executor equivalence end to end;
 these tests pin the individual mechanisms it relies on —
-artifact adoption, registry merge/pickling, trace-span ingestion, pool
-lifecycle, and recovery when a worker *process* dies outright.
+artifact adoption, trace-span ingestion, pool lifecycle, and recovery
+when a worker *process* dies outright.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.observability.tracer import Tracer
 from repro.service import (
     BatchQueryService,
     GraphArtifactCache,
-    MetricsRegistry,
     steal_order,
 )
 
@@ -59,58 +58,6 @@ class TestCacheAdopt:
         cache.adopt(graph)
         cache.reverse(graph)
         assert cache.stats()["reverse_misses"] == 1
-
-
-# -- metrics registry merge and pickling -------------------------------
-class TestMetricsMerge:
-    def test_merge_adds_counters_and_folds_series_exactly(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.increment("queries", 3)
-        b.increment("queries", 4)
-        b.increment("only_b")
-        for v in (1.0, 5.0):
-            a.observe("latency_seconds", v)
-        for v in (2.0, 10.0):
-            b.observe("latency_seconds", v)
-        a.merge(b)
-        assert a.counter("queries") == 7
-        assert a.counter("only_b") == 1
-        summary = a.summary("latency_seconds")
-        assert summary.count == 4
-        assert summary.mean == pytest.approx(4.5)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 10.0
-
-    def test_merge_adds_histogram_buckets(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.observe("h", 0.5)
-        b.observe("h", 5.0)
-        b.observe("h", 50.0)
-        a.merge(b)
-        pooled = MetricsRegistry()
-        for v in (0.5, 5.0, 50.0):
-            pooled.observe("h", v)
-        assert a.sketch("h").to_dict() == pooled.sketch("h").to_dict()
-        assert a.summary("h") == pooled.summary("h")
-
-    def test_merge_with_self_is_rejected(self):
-        a = MetricsRegistry()
-        with pytest.raises(ConfigError):
-            a.merge(a)
-
-    def test_registry_round_trips_through_pickle(self):
-        import pickle
-
-        a = MetricsRegistry()
-        a.increment("queries", 2)
-        a.observe("latency_seconds", 0.5)
-        a.observe("h", 3.0)
-        b = pickle.loads(pickle.dumps(a))
-        assert b.counter("queries") == 2
-        assert b.summary("latency_seconds").count == 1
-        assert b.summary("h") == a.summary("h")
-        b.increment("queries")  # the restored lock must work
-        assert b.counter("queries") == 3
 
 
 # -- trace ingestion ---------------------------------------------------
