@@ -41,7 +41,14 @@ per-expansion Python loops, without changing a single charged cycle:
 - every memory-model charge of the straight-line loop
   (``tests/engine_reference.py``) has a closed form in the slice
   bounds and cache residency constants, so stage costs and port traffic
-  are computed arithmetically and folded into the device models in bulk.
+  are computed arithmetically and folded into the device models in bulk;
+  the charges linear in run totals (entries loaded, paths pushed) fold
+  once per run;
+- a record's tail is named by its row end ``last_ptr``, which keys the
+  prune tables, so no charge reads a vertex id.  That lets the kernel
+  write paths in the caller's ids (``vertex_ids``, e.g. Pre-BFS's
+  ``old_of_new``): the seed, each prune-table candidate and the result's
+  target carry them, and no translation pass follows the run.
 
 One kernel per processing element
 ---------------------------------
@@ -78,7 +85,7 @@ loops report their device events to one
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,6 +247,7 @@ class PEFPEngine:
         budget: QueryBudget | None = None,
         tracer=None,
         profile: bool = False,
+        vertex_ids: list[int] | None = None,
     ) -> EngineRunResult:
         """Enumerate all s-t k-paths of ``graph`` on the simulated device.
 
@@ -248,7 +256,11 @@ class PEFPEngine:
         host path supplies the k-hop reverse-BFS distances with every
         unreached vertex set to ``k + 1`` (a valid lower bound that prunes
         it immediately; zeros would disable barrier pruning entirely).
-        Returned paths use ``graph``'s vertex ids.
+        Returned paths use ``graph``'s vertex ids, or, with
+        ``vertex_ids`` (a list holding the caller's id of each vertex of
+        ``graph``, e.g. Pre-BFS's ``old_of_new``), the caller's ids: the
+        kernel writes every path in them, so no translation pass follows.
+        ``source``, ``target`` and ``barrier`` stay in ``graph``'s ids.
 
         ``on_result`` streams each found path as it is produced (the
         device streams results over PCIe anyway); with
@@ -278,13 +290,14 @@ class PEFPEngine:
                 self, graph, source, target, max_hops, barrier,
                 on_result=on_result, collect_paths=collect_paths,
                 budget=budget, tracer=tracer, profile=profile,
+                vertex_ids=vertex_ids,
             )
         max_hops = _check_query(graph, source, target, max_hops, barrier)
         stats = EngineStats()
         results: list[tuple[int, ...]] = []
         kernel = _Kernel(
             self, graph, barrier,
-            _RunTables(self, graph, target, max_hops, barrier),
+            _RunTables(self, graph, target, max_hops, barrier, vertex_ids),
             stats, results, on_result=on_result,
             collect_paths=collect_paths,
             max_results=budget.max_results if budget is not None else None,
@@ -349,20 +362,37 @@ def _finish_run(kernels: list["_Kernel"], device, stats: EngineStats,
 class _RunTables:
     """Constants and memo tables of one run, shared by its PE kernels.
 
-    Everything here depends only on (graph, barrier, target, k) and the
-    configuration, never on a PE's state, so N kernels read one copy:
-    build time and memory do not grow with the PE count.  Every charged
-    cycle of the batch loop is the closed form of the memory-model call
-    the reference loop makes at the same point; the residency constants
-    (cached prefix lengths, equal on every PE) make hit/miss splits pure
-    arithmetic.  See docs/TIMING_MODEL.md ("Vectorised engine").
+    Everything here depends only on (graph, barrier, target, k, output
+    ids) and the configuration, never on a PE's state, so N kernels read
+    one copy: build time and memory do not grow with the PE count.  Every
+    charged cycle of the batch loop is the closed form of the
+    memory-model call the reference loop makes at the same point; the
+    residency constants (cached prefix lengths, equal on every PE) make
+    hit/miss splits pure arithmetic.  See docs/TIMING_MODEL.md
+    ("Vectorised engine").
+
+    ``vertex_ids`` (``None``: ``graph``'s own ids) is where the output
+    ids enter: the seed record, each candidate of a prune table and the
+    result's target carry them, so a record's vertex tuple is already
+    the path the caller reads.  Nothing the kernel charges depends on a
+    vertex id, so the tables charge what they charged in ``graph``'s
+    ids.  A record's tail is found by its row end ``last_ptr`` instead
+    (unique for a non-empty row, and every record's row is non-empty).
     """
 
     def __init__(self, engine: PEFPEngine, graph: CSRGraph, target: int,
-                 max_hops: int, barrier: np.ndarray) -> None:
+                 max_hops: int, barrier: np.ndarray,
+                 vertex_ids: list[int] | None = None) -> None:
         cfg = engine.config
         dcfg = engine.device_config
+        if vertex_ids is None:
+            vertex_ids = range(graph.num_vertices)
+        elif len(vertex_ids) != graph.num_vertices:
+            raise QueryError("vertex id table size does not match graph")
+        #: the output id of each vertex of ``graph``.
+        self.out = vertex_ids
         self.target = target
+        self.out_target = vertex_ids[target]
         self.max_hops = max_hops
         self.rec_w = rec_w = record_words(max_hops)
         self.key_span = max_hops + 1
@@ -398,15 +428,62 @@ class _RunTables:
         self.b_all_hit = c_b >= num_vertices
         self.v_partial = not self.v_all_hit and c_v > 0
         self.b_partial = 0 < c_b < num_vertices
-        #: per (vertex, parent-hops): (slice bounds, full-slice target and
-        #: survivor counts, target positions, surviving candidate
-        #: positions, surviving candidate ids) over the full successor
-        #: slice — the array-at-once form of Algorithm 2's target and
-        #: barrier checks, built lazily per run.
+        #: per (row end, parent-hops), keyed ``last_ptr * key_span + h``:
+        #: see :meth:`prune`.
         self.prune_tab: dict[int, tuple] = {}
-        #: per vertex: prefix counts of barrier-cache hits (only needed
+        #: per row end: prefix counts of barrier-cache hits (only needed
         #: when the barrier cache holds a proper prefix of the vertices).
         self.bhit_tab: dict[int, list[int]] = {}
+
+    def prune(self, last: int, h: int) -> tuple:
+        """Build and memoise the prune table of the vertex whose
+        successor row ends at ``last``, for parents of ``h`` hops.
+
+        The table is ``(row_lo, row_hi, target count, survivor count,
+        target positions, survivor positions, candidates)`` over the full
+        row — the array-at-once form of Algorithm 2's target and barrier
+        checks.  Each candidate is ``(out_id, row_lo, row_hi, sub_id)``:
+        the survivor's output id (what a path holds and the visited check
+        compares), its own successor row, and its ``graph`` id (for
+        residency and ownership).
+        """
+        iptr = self.iptr
+        # The row is non-empty, so the first index holding ``last`` is
+        # the one after the vertex's.
+        vlo = iptr[bisect_left(iptr, last) - 1]
+        vhi = last
+        target = self.target
+        out = self.out
+        indices = self.indices
+        edge_bar = self.edge_bar
+        thresh = self.max_hops - 1 - h
+        tpos: list[int] = []
+        cpos: list[int] = []
+        cand: list[tuple] = []
+        if vhi - vlo <= 128:
+            # small slice: a plain loop beats numpy call overhead (the
+            # typical degree by a wide margin)
+            pos = vlo
+            for u, b in zip(indices[vlo:vhi].tolist(),
+                            edge_bar[vlo:vhi].tolist()):
+                if u == target:
+                    tpos.append(pos)
+                elif b <= thresh:
+                    cpos.append(pos)
+                    cand.append((out[u], iptr[u], iptr[u + 1], u))
+                pos += 1
+        else:
+            slice_u = indices[vlo:vhi]
+            t_mask = slice_u == target
+            ok = (edge_bar[vlo:vhi] <= thresh) & ~t_mask
+            cp = np.flatnonzero(ok)
+            cand = [(out[u], iptr[u], iptr[u + 1], u)
+                    for u in slice_u[cp].tolist()]
+            tpos = (np.flatnonzero(t_mask) + vlo).tolist()
+            cpos = (cp + vlo).tolist()
+        table = (vlo, vhi, len(tpos), len(cand), tpos, cpos, cand)
+        self.prune_tab[last * self.key_span + h] = table
+        return table
 
 
 class _Kernel:
@@ -491,11 +568,12 @@ class _Kernel:
         lo = self.vertex_arr.read(source)
         hi = self.vertex_arr.read(source + 1)
         if lo < hi:
-            if self.tables.buffer_in_bram:
-                self.bram.write(self.tables.rec_w)
+            t = self.tables
+            if t.buffer_in_bram:
+                self.bram.write(t.rec_w)
             else:
-                self.dram.burst_write(self.tables.rec_w)
-            self.buffer.push(PathRecord((source,), lo, hi))
+                self.dram.burst_write(t.rec_w)
+            self.buffer.push(PathRecord((t.out[source],), lo, hi))
             self.has_work = True
         cycles = self.clock.cycles
         record("kernel_setup", setup_wall, {"cycles": cycles})
@@ -581,7 +659,7 @@ class _Kernel:
         clock = self.clock
         observe = self.observe
         t = self.tables
-        target = t.target
+        target = t.out_target
         max_hops = t.max_hops
         rec_w = t.rec_w
         key_span = t.key_span
@@ -600,7 +678,6 @@ class _Kernel:
         verify_tab = t.verify_tab
         indices_np = t.indices
         iptr_l = t.iptr
-        edge_bar = t.edge_bar
         c_v = t.c_v
         c_e = t.c_e
         c_b = t.c_b
@@ -609,8 +686,8 @@ class _Kernel:
         b_all_hit = t.b_all_hit
         v_partial = t.v_partial
         b_partial = t.b_partial
-        prune_tab = t.prune_tab
-        prune_tab_get = prune_tab.get
+        prune_tab_get = t.prune_tab.get
+        prune = t.prune
         bhit_tab = t.bhit_tab
         owners = self.owners
         me = self.index
@@ -630,7 +707,10 @@ class _Kernel:
         dr_ops = dr_words = dw_ops = dw_words = d_stall = 0  # DRAM port
         v_hits = v_miss = e_hits = e_miss = b_hits = b_miss = 0
         n_batches = n_expansions = n_intermediate = 0
-        rej_t = rej_b = rej_v = 0
+        # Run totals that the charges linear in them fold from: entries
+        # loaded, paths pushed, batches that gathered vertex rows.
+        n_entries = n_pushed = nv_batches = 0
+        rej_t = n_survived = 0  # n_survived: passed target and barrier
         # Per-parent-length tallies as lists (h <= max_hops always).  On a
         # single pipeline keys are first touched in ascending h order
         # under both schedulers — a length-(h+1) parent only exists after
@@ -715,44 +795,17 @@ class _Kernel:
                         if entry is None:
                             break
                         pv, elo, ehi = entry
+                        # a FIFO entry carries no row end: the first
+                        # pointer past ``elo`` is its row's end
+                        pl = iptr_l[bisect_right(iptr_l, elo)]
                     n_e += 1
                     h = len(pv) - 1
                     size = ehi - elo
                     n_items += size
                     exp_list[h] += size
-                    v = pv[-1]
-                    tables = prune_tab_get(v * key_span + h)
+                    tables = prune_tab_get(pl * key_span + h)
                     if tables is None:
-                        vlo = iptr_l[v]
-                        vhi = iptr_l[v + 1]
-                        thresh = max_hops - 1 - h
-                        tpos: list[int] = []
-                        cpos: list[int] = []
-                        cu_full: list[int] = []
-                        if vhi - vlo <= 128:
-                            # small slice: a plain loop beats numpy call
-                            # overhead (the typical degree by a wide margin)
-                            us = indices_np[vlo:vhi].tolist()
-                            bs = edge_bar[vlo:vhi].tolist()
-                            for i, u in enumerate(us):
-                                if u == target:
-                                    tpos.append(vlo + i)
-                                elif bs[i] <= thresh:
-                                    cpos.append(vlo + i)
-                                    cu_full.append(u)
-                        else:
-                            slice_u = indices_np[vlo:vhi]
-                            t_mask = slice_u == target
-                            ok = (edge_bar[vlo:vhi] <= thresh) & ~t_mask
-                            cp = np.flatnonzero(ok)
-                            cu_full = slice_u[cp].tolist()
-                            tpos = (np.flatnonzero(t_mask) + vlo).tolist()
-                            cpos = (cp + vlo).tolist()
-                        tables = (
-                            vlo, vhi, len(tpos), len(cu_full),
-                            tpos, cpos, cu_full,
-                        )
-                        prune_tab[v * key_span + h] = tables
+                        tables = prune(pl, h)
                     vlo, vhi, n_t, n_pass, tpos, cpos, cu = tables
                     if elo == vlo and ehi == vhi:
                         cand = cu  # full slice (common case)
@@ -791,12 +844,12 @@ class _Kernel:
                     # stage 3: barrier fetch — one gather per entry
                     if not b_all_hit:
                         if b_partial:
-                            bp = bhit_tab.get(v)
+                            bp = bhit_tab.get(pl)
                             if bp is None:
                                 bp = [0]
                                 bp.extend(np.cumsum(
                                     indices_np[vlo:vhi] < c_b).tolist())
-                                bhit_tab[v] = bp
+                                bhit_tab[pl] = bp
                             nbh = bp[ehi - vlo] - bp[elo - vlo]
                         else:
                             nbh = 0
@@ -824,56 +877,55 @@ class _Kernel:
                         wres += (h + 3) * n_t
                     # the surviving candidates' visited check, fused with the
                     # write-back bookkeeping of the paths it admits
-                    for u in cand:
+                    # (``u``: output id, as ``pv`` holds; ``su``: graph id).
+                    # A rejected candidate is counted at the fold, as a
+                    # survivor not admitted.
+                    nv0 = nv
+                    for u, nlo, nhi, su in cand:
                         if u in pv:
-                            rej_v += 1
                             continue
                         nv += 1
-                        new_list[h] += 1
                         if v_partial:
-                            if u < c_v:
+                            if su < c_v:
                                 n1 += 1
-                            if u + 1 < c_v:
+                            if su + 1 < c_v:
                                 n2 += 1
-                        nlo = iptr_l[u]
-                        nhi = iptr_l[u + 1]
                         if nlo < nhi:
                             # the write-back below charges every admitted
                             # path; one whose tail another PE owns waits in
                             # the outbox for the superstep boundary
                             n_push += 1
-                            if owners is None or owners[u] == me:
+                            if owners is None or owners[su] == me:
                                 push_v.append(pv + (u,))
                                 push_lo.append(nlo)
                                 push_hi.append(nhi)
                             else:
-                                outbox[owners[u]].append((pv + (u,), nlo, nhi))
+                                outbox[owners[su]].append(
+                                    (pv + (u,), nlo, nhi))
+                    new_list[h] += nv - nv0
                 if use_dfs:
-                    # pop the exhausted run at the stack top
-                    j = len(bverts) - 1
-                    while j >= bhead and bnext[j] >= blast[j]:
-                        j -= 1
-                    j += 1
-                    if j < len(bverts):
-                        del bverts[j:]
-                        del bnext[j:]
-                        del blast[j:]
+                    # Pop the exhausted run at the stack top.  No record
+                    # is exhausted at a batch's start, so it is every
+                    # record the walk passed but the last, which the batch
+                    # may have filled only in part.
+                    if top < bhead:
+                        top = bhead
+                    elif bnext[top] < blast[top]:
+                        top += 1
+                    if top < len(bverts):
+                        del bverts[top:]
+                        del bnext[top:]
+                        del blast[top:]
                 if not n_e:
                     return  # defensive: cannot happen with a non-empty buffer
                 n_batches += 1
+                n_entries += n_e
                 n_expansions += n_items
                 rej_t += batch_nt
-                rej_b += n_items - batch_nt - batch_pass
+                n_survived += batch_pass
                 n_intermediate += nv
-                if e_all_hit:
-                    e_hits += n_items
-                    br_ops += n_e
-                    br_words += n_items
                 if b_all_hit:
                     s3b += n_items
-                    b_hits += n_items
-                    br_ops += n_e
-                    br_words += n_items
                 t4 = verify_tab[n_items]
 
                 # Result budget: keep only what fits; dropped results mean the
@@ -891,21 +943,9 @@ class _Kernel:
                 if buffer_in_bram:
                     t1 = 2 * -(-moved // pw)
                     s1d = 0
-                    br_ops += 1
-                    br_words += moved
-                    bw_ops += 1
-                    bw_words += moved
                 else:
                     s1d = (rl + moved - 1) + 2 * n_e * wl
                     t1 = s1d + -(-moved // pw)
-                    dr_ops += 1
-                    dr_words += moved
-                    d_stall += rl1
-                    dw_ops += 1
-                    dw_words += 2 * n_e
-                    d_stall += 2 * n_e * wl1
-                    bw_ops += 1
-                    bw_words += moved
 
                 s5b = s5d = 0
                 if batch_results:
@@ -923,9 +963,7 @@ class _Kernel:
                     # the two vertex_arr gathers (slice bounds of every tail)
                     if v_all_hit:
                         s5b += 2 * nv
-                        v_hits += 2 * nv
-                        br_ops += 2
-                        br_words += 2 * nv
+                        nv_batches += 1
                     else:
                         for n_hit, n_mis in ((n1, nv - n1), (n2, nv - n2)):
                             if n_hit:
@@ -942,15 +980,11 @@ class _Kernel:
                     if n_push:
                         # one record write per admitted path (dead ends were
                         # dropped in the fused loop without a write)
+                        n_pushed += n_push
                         if buffer_in_bram:
                             s5b += n_push * ceil_rec
-                            bw_ops += n_push
-                            bw_words += n_push * rec_w
                         else:
                             s5d += n_push * (wl + rec_w - 1)
-                            dw_ops += n_push
-                            dw_words += n_push * rec_w
-                            d_stall += n_push * wl1
 
                 # Fold the overlapped stages into the device clock: concurrent
                 # on-chip stages; off-chip traffic shares the DRAM channels;
@@ -1043,6 +1077,38 @@ class _Kernel:
                     return
         finally:
             # --- fold the deferred accumulators into the models, once ----
+            # Charges linear in run totals: the all-hit arrays' accesses
+            # (one per entry, one word per expansion), the stage-1 load
+            # and its write back (one of each per batch), the all-hit
+            # vertex gathers (two per batch that admitted a path) and
+            # one record write per pushed path.
+            if e_all_hit:
+                e_hits += n_expansions
+                br_ops += n_entries
+                br_words += n_expansions
+            if b_all_hit:
+                b_hits += n_expansions
+                br_ops += n_entries
+                br_words += n_expansions
+            if v_all_hit:
+                v_hits += 2 * n_intermediate
+                br_ops += 2 * nv_batches
+                br_words += 2 * n_intermediate
+            moved = n_entries * rec_w
+            bw_ops += n_batches
+            bw_words += moved
+            if buffer_in_bram:
+                br_ops += n_batches
+                br_words += moved
+                bw_ops += n_pushed
+                bw_words += n_pushed * rec_w
+            else:
+                dr_ops += n_batches
+                dr_words += moved
+                dw_ops += n_batches + n_pushed
+                dw_words += 2 * n_entries + n_pushed * rec_w
+                d_stall += (n_batches * rl1 + 2 * n_entries * wl1
+                            + n_pushed * wl1)
             port = self.bram.port
             port.reads += br_ops
             port.read_words += br_words
@@ -1064,8 +1130,8 @@ class _Kernel:
             stats.expansions += n_expansions
             stats.intermediate_paths += n_intermediate
             stats.rejected_target += rej_t
-            stats.rejected_barrier += rej_b
-            stats.rejected_visited += rej_v
+            stats.rejected_barrier += n_expansions - rej_t - n_survived
+            stats.rejected_visited += n_survived - n_intermediate
             for tally, counts in (
                     (stats.expansions_by_parent_length, exp_list),
                     (stats.new_paths_by_parent_length, new_list)):

@@ -85,6 +85,7 @@ def run_multi_pe(
     budget: QueryBudget | None = None,
     tracer=None,
     profile: bool = False,
+    vertex_ids: list[int] | None = None,
 ) -> EngineRunResult:
     """Enumerate all s-t k-paths across ``num_pes`` lockstep pipelines.
 
@@ -105,7 +106,7 @@ def run_multi_pe(
 
     # One set of run tables, stats and results for all PEs; the cycle
     # budget is checked here against the global clock.
-    tables = _RunTables(engine, graph, target, max_hops, barrier)
+    tables = _RunTables(engine, graph, target, max_hops, barrier, vertex_ids)
     stats = EngineStats()
     results: list[tuple[int, ...]] = []
     pes = [

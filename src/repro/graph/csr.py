@@ -249,9 +249,14 @@ class CSRGraph:
         (or ``-1`` if ``v`` was dropped).
         """
         if isinstance(nodes, np.ndarray):
-            keep = np.unique(np.asarray(nodes, dtype=np.int64))
+            keep = np.sort(np.asarray(nodes, dtype=np.int64))
         else:
-            keep = np.unique(np.fromiter(nodes, dtype=np.int64))
+            keep = np.sort(np.fromiter(nodes, dtype=np.int64))
+        # Keep each value that differs from the one before it (np.unique
+        # would hash before sorting).
+        first = np.ones(keep.size, dtype=bool)
+        first[1:] = keep[1:] != keep[:-1]
+        keep = keep[first]
         if keep.size and (keep[0] < 0 or keep[-1] >= self.num_vertices):
             bad = int(keep[0]) if keep[0] < 0 else int(keep[-1])
             raise VertexNotFoundError(bad, self.num_vertices)

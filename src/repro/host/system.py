@@ -247,11 +247,12 @@ class PathEnumerationSystem:
                 run_graph = prep.subgraph
                 source, target = prep.source, prep.target
                 barrier = prep.barrier
-                translate = prep.translate_paths
+                # the kernel writes paths in the caller's ids
+                vertex_ids = prep.old_ids
             else:
                 run_graph = self.graph
                 source, target = query.source, query.target
-                translate = None
+                vertex_ids = None
 
             # DMA: s, t, k header + CSR arrays + barrier.
             payload_words = (
@@ -262,7 +263,8 @@ class PathEnumerationSystem:
                 run = self.engine.run(run_graph, source, target,
                                       query.max_hops, barrier,
                                       budget=budget, tracer=tracer,
-                                      profile=profile)
+                                      profile=profile,
+                                      vertex_ids=vertex_ids)
                 kspan.set_modelled(run.seconds).set(
                     cycles=run.cycles,
                     batches=run.stats.batches,
@@ -281,10 +283,7 @@ class PathEnumerationSystem:
                 )
                 dspan.set_modelled(result_transfer)
 
-            if translate is not None:
-                paths = translate(run.paths)
-            else:
-                paths = list(run.paths)
+            paths = run.paths
             qspan.set_modelled(t1 + run.seconds).set(
                 paths=len(paths), truncated=run.truncated
             )

@@ -40,26 +40,29 @@ class PreBFSResult:
         """True when preprocessing already proved there is no s-t k-path."""
         return self.subgraph.num_edges == 0
 
-    def translate_path(self, path: tuple[int, ...]) -> tuple[int, ...]:
-        """Map a subgraph-id path back to original graph ids."""
+    @property
+    def old_ids(self) -> list[int]:
+        """``old_of_new`` as a plain list, built once per result.
+
+        The engine's ``vertex_ids`` table: the kernel writes each path in
+        original ids as it builds it.  A list read per vertex avoids
+        per-vertex ndarray scalar boxing.
+        """
         lut = self._old_lut
         if lut is None:
-            # One id-translation table per query, shared by every emitted
-            # path: a plain-list lookup keeps the per-path cost at a tuple
-            # of list reads instead of per-vertex ndarray scalar boxing.
-            lut = self.old_of_new.tolist()
-            self._old_lut = lut
-        return tuple(map(lut.__getitem__, path))
+            lut = self._old_lut = self.old_of_new.tolist()
+        return lut
+
+    def translate_path(self, path: tuple[int, ...]) -> tuple[int, ...]:
+        """Map a subgraph-id path back to original graph ids."""
+        return tuple(map(self.old_ids.__getitem__, path))
 
     def translate_paths(
         self, paths: list[tuple[int, ...]]
     ) -> list[tuple[int, ...]]:
-        """Map many subgraph-id paths back to original graph ids."""
-        lut = self._old_lut
-        if lut is None:
-            lut = self.old_of_new.tolist()
-            self._old_lut = lut
-        getter = lut.__getitem__
+        """Map many subgraph-id paths back to original graph ids (the
+        system has the kernel write original ids instead)."""
+        getter = self.old_ids.__getitem__
         return [tuple(map(getter, p)) for p in paths]
 
 

@@ -507,6 +507,9 @@ class ServiceBatchReport:
     #: windowed telemetry on the modelled clock, when a timeline was
     #: passed to :meth:`BatchQueryService.run` (``None`` otherwise).
     timeline: MetricsTimeline | None = None
+    #: forward-frontier memo hits of this batch — same-source queries
+    #: that reused a group's forward BFS instead of recomputing it.
+    shared_frontiers: int = 0
 
     @property
     def num_queries(self) -> int:
@@ -596,15 +599,8 @@ class ServiceBatchReport:
 
     @property
     def deduped_queries(self) -> int:
-        """Duplicate queries answered from the result cache (cumulative
-        over the service's cache, like the rest of ``cache_stats``)."""
-        return self.cache_stats.get("result_hits", 0)
-
-    @property
-    def shared_frontiers(self) -> int:
-        """Forward-frontier memo hits — same-source queries that reused a
-        group's forward BFS instead of recomputing it."""
-        return self.cache_stats.get("forward_hits", 0)
+        """Queries of this batch answered from the result cache."""
+        return sum(r.result_hit for r in self.reports)
 
     @property
     def device_profiles(self) -> list[DeviceProfile]:
@@ -966,6 +962,7 @@ class BatchQueryService:
             backend=self.backend,
             sharing=self.sharing,
             timeline=timeline,
+            shared_frontiers=deltas["forward_hits"],
         )
         bspan.set_modelled(report.makespan_seconds).set(
             paths=report.total_paths,

@@ -34,7 +34,10 @@ fingerprint function named in brackets):
    and the forced driver at N=1 agree exactly on the paths in order,
    cycles, ``truncated``, :class:`EngineStats`, the BRAM/DRAM counters
    (port traffic and allocations), the :class:`DeviceProfile` and the
-   span stream.
+   span stream.  On Pre-BFS rows the vectorised and PE-count engines
+   also run with Pre-BFS's id table (``vertex_ids``): their paths are
+   the same run's paths mapped through ``translate_path``, and every
+   other field is equal.
 2. **PE class** [:func:`pe_answer`].  Every ``num_pes`` x partition
    gives the N=1 sorted path set, ``stats.results`` and ``truncated``
    with no budget; with a result budget, the same path count,
@@ -269,6 +272,27 @@ FIXED_GRAPHS = {
 }
 
 
+def gapped_graph() -> CSRGraph:
+    """Rows of sinks sit between non-empty rows, singly and in runs: a
+    record's row end then equals the start of the next non-empty row and
+    the end of every empty row between them."""
+    sinks = {1, 2, 5, 8, 9, 10}
+    n = 14
+    edges = [(u, (u + d) % n) for u in range(n) if u not in sinks
+             for d in (1, 2, 3, 5)]
+    return CSRGraph.from_edges(n, edges)
+
+
+#: the gapped-graph case: DFS and FIFO, on the raw graph and on Pre-BFS
+#: (with its id table), on one PE and four.
+GAPPED_ROWS = [
+    {"config": config, "budget": "none", "num_pes": 4, "partition": "hash",
+     "output": "collect", "prep": prep}
+    for config in ("default", "fifo_scheduler")
+    for prep in ("prebfs", "zero")
+]
+
+
 def _graphs():
     return [(name, build()) for name, build in FIXED_GRAPHS.items()]
 
@@ -382,32 +406,35 @@ ENGINE_ROWS = all_pairs(ENGINE_AXES, ENGINE_PINNED)
 
 
 def engine_input(graph: CSRGraph, query: Query, prep: str):
-    """``(graph, s, t, barrier, translate)`` for an engine run, or None
-    when Pre-BFS proves the answer empty (the system's short-circuit)."""
+    """``(graph, s, t, barrier, translate, vertex_ids)`` for an engine
+    run, or None when Pre-BFS proves the answer empty (the system's
+    short-circuit).  ``vertex_ids`` is Pre-BFS's id table (None on the
+    raw graph)."""
     s, t, k = query.source, query.target, query.max_hops
     if prep == "prebfs":
         sub = pre_bfs(graph, query)
         if sub.is_empty:
             return None
         return (sub.subgraph, sub.source, sub.target, sub.barrier,
-                sub.translate_path)
+                sub.translate_path, sub.old_of_new.tolist())
     if prep == "distance":
         sd_t = k_hop_bfs(graph.reverse(), t, k)
         barrier = distances_with_default(sd_t, k + 1)
     else:
         barrier = np.zeros(graph.num_vertices, dtype=np.int64)
-    return graph, s, t, barrier, lambda path: path
+    return graph, s, t, barrier, lambda path: path, None
 
 
-def run_engine(kind: str, inp, k: int, row: dict):
+def run_engine(kind: str, inp, k: int, row: dict, vertex_ids=None):
     """One engine run of ``row``; returns ``(result, streamed, tracer)``.
 
     ``kind`` is ``vectorised``, ``reference``, ``driver`` (``run_multi_pe``
     forced at N=1), ``pes`` (``PEFPEngine`` at the row's ``num_pes``) or
     ``plain`` (``vectorised`` without profile or tracer).  Every other
-    kind runs profiled and traced.
+    kind runs profiled and traced.  ``vertex_ids`` goes to the
+    ``vectorised`` and ``pes`` engines.
     """
-    graph, s, t, barrier, _ = inp
+    graph, s, t, barrier = inp[:4]
     config, budget = CONFIGS[row["config"]], BUDGETS[row["budget"]]
     streamed: list = []
     observe = kind != "plain"
@@ -427,7 +454,7 @@ def run_engine(kind: str, inp, k: int, row: dict):
             dcfg = DeviceConfig(num_pes=row["num_pes"],
                                 pe_partition=row["partition"])
         result = PEFPEngine(config=config, device_config=dcfg).run(
-            graph, s, t, k, barrier, **kwargs)
+            graph, s, t, k, barrier, vertex_ids=vertex_ids, **kwargs)
     return result, streamed, kwargs["tracer"]
 
 
@@ -450,6 +477,17 @@ def engine_bytes(result, streamed, tracer) -> dict:
         out["spans"] = [(r.name, r.track, r.parent_id, r.modelled_seconds,
                          r.attrs) for r in tracer.records()]
     return out
+
+
+def id_table_bytes(kind: str, inp, k: int, row: dict, run) -> tuple:
+    """The engine byte class of ``kind`` run with Pre-BFS's id table, and
+    what it must equal: ``run`` (the same kind without the table) with
+    its paths mapped through ``translate``."""
+    translate, ids = inp[4], inp[5]
+    want = engine_bytes(*run)
+    for key in ("paths", "streamed"):
+        want[key] = [translate(p) for p in want[key]]
+    return engine_bytes(*run_engine(kind, inp, k, row, ids)), want
 
 
 def pe_answer(result, streamed, budget: str) -> dict:

@@ -151,6 +151,20 @@ class TestInducedSubgraph:
         with pytest.raises(VertexNotFoundError):
             g.induced_subgraph([0, 5])
 
+    def test_kept_ids_equal_np_unique(self):
+        g = generators.gnm_random(30, 90, seed=4)
+        rng = np.random.default_rng(5)
+        for nodes in ([], [7], [7, 7, 7], rng.integers(0, 30, 200),
+                      rng.permutation(30)):
+            nodes = np.asarray(nodes, dtype=np.int64)
+            for given in (nodes, nodes.tolist()):
+                _, old_of_new, _ = g.induced_subgraph(given)
+                assert old_of_new.dtype == np.int64
+                assert np.array_equal(old_of_new, np.unique(nodes))
+        for nodes in ([-1], [-1, -1, 3], [3, 30, 30]):
+            with pytest.raises(VertexNotFoundError):
+                g.induced_subgraph(nodes)
+
     def test_empty_selection(self):
         g = CSRGraph.from_edges(3, [(0, 1)])
         sub, old_of_new, new_of_old = g.induced_subgraph([])

@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracle import (CONFIGS, ENGINE_ROWS, ENUMERATORS, FIXED_GRAPHS,
-                    SERVICE_GRAPHS, SERVICE_ROWS, STATIC_SCHEDULERS,
-                    REFERENCE_ROW, assert_answer, batch_for, engine_bytes,
-                    engine_input, executor_view, fixed_case, graph_queries,
+                    GAPPED_ROWS, SERVICE_GRAPHS, SERVICE_ROWS,
+                    STATIC_SCHEDULERS, REFERENCE_ROW, assert_answer,
+                    batch_for, engine_bytes, engine_input, executor_view,
+                    fixed_case, gapped_graph, graph_queries, id_table_bytes,
                     oracle_paths, pe_answer, row_id, run_engine, seeded,
                     serve, service_answer)
 from repro.graph.generators import gnm_random
@@ -54,12 +55,14 @@ def test_enumerator_matches_oracle(enumerator, request):
 
 def _check_engine_row(row, graph, query, expected, took):
     """Run ``query`` through every engine of ``row``; assert the oracle,
-    the engine byte class and the PE class."""
+    the engine byte class and the PE class.  On Pre-BFS rows the
+    vectorised and PE-count engines also run with the id table: their
+    paths are the translated paths, and nothing else moves."""
     inp = engine_input(graph, query, row["prep"])
     if inp is None:
         assert not expected, query
         return
-    k, translate = query.max_hops, inp[4]
+    k, translate, ids = query.max_hops, inp[4], inp[5]
     budgeted = row["budget"] != "none"
     runs = [run_engine(kind, inp, k, row)
             for kind in ("vectorised", "reference", "driver")]
@@ -69,6 +72,9 @@ def _check_engine_row(row, graph, query, expected, took):
     # Observing a run must not change it.
     plain = engine_bytes(*run_engine("plain", inp, k, row))
     assert plain == {key: want[key] for key in plain}, query
+    if ids is not None:
+        got, want_ids = id_table_bytes("vectorised", inp, k, row, runs[0])
+        assert got == want_ids, query
     result, streamed, _ = runs[0]
     if row["output"] == "stream":
         assert result.paths == []
@@ -95,6 +101,9 @@ def _check_engine_row(row, graph, query, expected, took):
     again = run_engine("pes", inp, k, row)
     assert engine_bytes(*again) == engine_bytes(multi, multi_streamed,
                                                 multi_tracer)
+    if ids is not None:
+        got, want_ids = id_table_bytes("pes", inp, k, row, again)
+        assert got == want_ids, query
 
 
 @pytest.mark.parametrize("row", ENGINE_ROWS, ids=row_id)
@@ -118,6 +127,19 @@ def test_engine_space(row, request):
         assert took["truncated"], "the budget never truncated"
     if row["config"] == "tiny_buffer":
         assert took["flushed"] and took["refilled"], took
+
+
+@pytest.mark.parametrize("row", GAPPED_ROWS, ids=row_id)
+def test_empty_rows_between_non_empty(row):
+    """A tail's row end, found from a record (DFS) or from its first
+    pointer (FIFO), names the tail even where empty rows sit next to its
+    row."""
+    graph = gapped_graph()
+    took: Counter = Counter()
+    for query in (Query(0, 9, 5), Query(3, 12, 5), Query(11, 6, 6)):
+        expected = oracle_paths(graph, query)
+        assert expected, query
+        _check_engine_row(row, graph, query, expected, took)
 
 
 # ---------------------------------------------------------------------------

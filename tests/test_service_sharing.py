@@ -106,3 +106,27 @@ def test_sharing_scenario_models_speedup():
     assert metrics["sharing_equivalent"].value == 1.0
     assert metrics["backends_agree"].value == 1.0
     assert metrics["modelled_speedup_x"].value >= 2.0
+
+
+def test_report_counts_only_its_own_batch():
+    """A second sharing batch reports its own result hits and frontier
+    reuses; ``cache_stats`` and the registry keep the service's sums."""
+    g = G.chung_lu(200, 1200, seed=7)
+    queries = generate_shared_batch(g, 4, 12, seed=3,
+                                    duplicate_fraction=0.5, source_pool=4)
+    service = BatchQueryService(g, num_engines=2, sharing=True)
+    try:
+        first = service.run(queries)
+        second = service.run(queries, budget=QueryBudget(max_results=5))
+    finally:
+        service.close()
+    for report in (first, second):
+        assert report.deduped_queries == sum(
+            r.result_hit for r in report.reports)
+    assert second.deduped_queries == 6
+    assert second.cache_stats["result_hits"] == 12
+    # The second batch's misses hit the Pre-BFS memo, so no query of it
+    # looks a frontier up.
+    assert second.shared_frontiers == 0
+    assert first.shared_frontiers == second.cache_stats["forward_hits"] > 0
+    assert service.metrics.counter("deduped_queries") == 12
